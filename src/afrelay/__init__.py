@@ -18,15 +18,20 @@ from .channel import (
     exp_corr,
     sample_error,
     sample_scenario,
+    sample_scenario_stack,
 )
 from .design import (
     AllocationState,
+    ContractError,
     ConvergenceError,
+    DesignBatch,
+    DesignError,
     DesignOptions,
     InfeasibleAllocationError,
     SpectralData,
     TransceiverSolution,
     design,
+    design_batch,
     iterate_allocations,
     solve_eta_p,
     spectral_decompose,

@@ -35,6 +35,7 @@ __all__ = [
     "sample_error",
     "sample_error_batch",
     "sample_scenario",
+    "sample_scenario_stack",
 ]
 
 _PSD_ATOL = 1e-10
@@ -118,7 +119,11 @@ class HopTraining:
 
 @dataclass(frozen=True)
 class ChannelKnowledge:
-    """Estimated channels of both hops plus their error statistics."""
+    """Estimated channels of both hops plus their error statistics.
+
+    ``est_sr`` / ``est_rd`` are single matrices, or (B, rows, cols)
+    stacks of B draws that share the error statistics of one sweep point.
+    """
 
     est_sr: np.ndarray
     est_rd: np.ndarray
@@ -129,20 +134,35 @@ class ChannelKnowledge:
         sr = np.asarray(self.est_sr, dtype=np.complex128)
         rd = np.asarray(self.est_rd, dtype=np.complex128)
         for name, a in (("est_sr", sr), ("est_rd", rd)):
-            if a.ndim != 2 or not np.isfinite(a).all():
-                raise ValueError(f"{name} must be a finite 2-D matrix")
-        if sr.shape != (self.stats_sr.rows, self.stats_sr.cols):
+            if a.ndim not in (2, 3) or not np.isfinite(a).all():
+                raise ValueError(f"{name} must be a finite 2-D matrix or (B, m, n) stack")
+        if sr.shape[:-2] != rd.shape[:-2]:
+            raise ValueError(
+                f"est_sr and est_rd stack different numbers of draws "
+                f"({sr.shape[:-2]} vs {rd.shape[:-2]})"
+            )
+        if sr.shape[-2:] != (self.stats_sr.rows, self.stats_sr.cols):
             raise ValueError(
                 f"stats_sr shape {(self.stats_sr.rows, self.stats_sr.cols)} "
                 f"does not match est_sr shape {sr.shape}"
             )
-        if rd.shape != (self.stats_rd.rows, self.stats_rd.cols):
+        if rd.shape[-2:] != (self.stats_rd.rows, self.stats_rd.cols):
             raise ValueError(
                 f"stats_rd shape {(self.stats_rd.rows, self.stats_rd.cols)} "
                 f"does not match est_rd shape {rd.shape}"
             )
         object.__setattr__(self, "est_sr", sr)
         object.__setattr__(self, "est_rd", rd)
+
+    def select(self, index) -> "ChannelKnowledge":
+        """The draws ``index`` (an int, slice or index array) of a stack."""
+        return ChannelKnowledge(
+            self.est_sr[index], self.est_rd[index], self.stats_sr, self.stats_rd
+        )
+
+    def as_stack(self) -> "ChannelKnowledge":
+        """This knowledge as a stack (a single draw becomes a stack of one)."""
+        return self if self.est_sr.ndim == 3 else self.select(np.newaxis)
 
 
 @dataclass(frozen=True)
@@ -221,14 +241,14 @@ def estimation_stats(
 
 
 def exact_knowledge(h_sr, h_rd) -> ChannelKnowledge:
-    """Knowledge object that treats the given channels as error-free."""
+    """Knowledge object that treats the given channels (or stacks) as error-free."""
     h_sr = np.asarray(h_sr, dtype=np.complex128)
     h_rd = np.asarray(h_rd, dtype=np.complex128)
     zero_sr = ErrorStats(
-        np.zeros((h_sr.shape[0],) * 2), np.zeros((h_sr.shape[1],) * 2)
+        np.zeros((h_sr.shape[-2],) * 2), np.zeros((h_sr.shape[-1],) * 2)
     )
     zero_rd = ErrorStats(
-        np.zeros((h_rd.shape[0],) * 2), np.zeros((h_rd.shape[1],) * 2)
+        np.zeros((h_rd.shape[-2],) * 2), np.zeros((h_rd.shape[-1],) * 2)
     )
     return ChannelKnowledge(h_sr, h_rd, zero_sr, zero_rd)
 
@@ -277,18 +297,57 @@ def _estimate_stats(stats: ErrorStats) -> ErrorStats:
     )
 
 
-def _sample_scenario_batch(cfg, snr_est: float, alpha: float, n: int, rng):
-    """n scenario draws; returns (stats_sr, stats_rd, est_sr, delta_sr,
-    est_rd, delta_rd) with batched (n, rows, cols) channel arrays."""
-    rng = as_generator(rng)
+def _scenario_factors(cfg, snr_est: float, alpha: float):
+    """The per-point constants of scenario sampling: both hops' error
+    stats and the (row, column) covariance roots of the four sampled
+    blocks est_sr, delta_sr, est_rd, delta_rd, in that order."""
     stats_sr, stats_rd = estimation_stats(
         snr_est, alpha, cfg.n_s, cfg.m_r, cfg.n_r, cfg.m_d
     )
-    est_sr = sample_error_batch(_estimate_stats(stats_sr), n, rng)
-    delta_sr = sample_error_batch(stats_sr, n, rng)
-    est_rd = sample_error_batch(_estimate_stats(stats_rd), n, rng)
-    delta_rd = sample_error_batch(stats_rd, n, rng)
-    return stats_sr, stats_rd, est_sr, delta_sr, est_rd, delta_rd
+    blocks = (_estimate_stats(stats_sr), stats_sr, _estimate_stats(stats_rd), stats_rd)
+    roots = tuple((herm_sqrt(s.row_cov), herm_sqrt(s.col_cov)) for s in blocks)
+    return stats_sr, stats_rd, roots
+
+
+def _colour(roots, white):
+    """Apply each block's covariance roots to its (n, rows, cols) white draws."""
+    return tuple(left[None] @ hw @ right[None] for (left, right), hw in zip(roots, white))
+
+
+def _sample_scenario_batch(cfg, snr_est: float, alpha: float, n: int, rng):
+    """n scenario draws from one generator; returns (stats_sr, stats_rd,
+    est_sr, delta_sr, est_rd, delta_rd) with batched (n, rows, cols)
+    channel arrays."""
+    rng = as_generator(rng)
+    stats_sr, stats_rd, roots = _scenario_factors(cfg, snr_est, alpha)
+    white = [complex_gaussian(rng, n, left.shape[0], right.shape[0]) for left, right in roots]
+    return (stats_sr, stats_rd, *_colour(roots, white))
+
+
+def sample_scenario_stack(cfg, snr_est: float, alpha: float, rngs):
+    """One scenario draw per generator, stacked along a leading axis.
+
+    Draw i consumes ``rngs[i]`` exactly as :func:`sample_scenario`
+    consumes its generator, so it equals ``sample_scenario(cfg, snr_est,
+    alpha, rngs[i])`` bit for bit; the error stats and covariance roots
+    are built once for the whole stack.  Returns ``(ChannelKnowledge,
+    TrueChannelDraw)`` with (B, rows, cols) arrays.
+    """
+    stats_sr, stats_rd, roots = _scenario_factors(cfg, snr_est, alpha)
+    white = [[] for _ in roots]
+    for rng in rngs:
+        rng = as_generator(rng)
+        for blk, (left, right) in zip(white, roots):
+            blk.append(complex_gaussian(rng, 1, left.shape[0], right.shape[0]))
+    est_sr, delta_sr, est_rd, delta_rd = _colour(roots, [np.concatenate(b) for b in white])
+    know = ChannelKnowledge(est_sr, est_rd, stats_sr, stats_rd)
+    truth = TrueChannelDraw(
+        h_sr=est_sr + delta_sr,
+        h_rd=est_rd + delta_rd,
+        delta_sr=delta_sr,
+        delta_rd=delta_rd,
+    )
+    return know, truth
 
 
 def sample_scenario(cfg, snr_est: float, alpha: float, rng):
@@ -298,14 +357,10 @@ def sample_scenario(cfg, snr_est: float, alpha: float, rng):
     1 - (error variance) per entry and true = estimate + error.  Returns
     ``(ChannelKnowledge, TrueChannelDraw)``.
     """
-    stats_sr, stats_rd, est_sr, delta_sr, est_rd, delta_rd = _sample_scenario_batch(
-        cfg, snr_est, alpha, 1, rng
+    know, truth = sample_scenario_stack(cfg, snr_est, alpha, [rng])
+    return know.select(0), TrueChannelDraw(
+        h_sr=truth.h_sr[0],
+        h_rd=truth.h_rd[0],
+        delta_sr=truth.delta_sr[0],
+        delta_rd=truth.delta_rd[0],
     )
-    know = ChannelKnowledge(est_sr[0], est_rd[0], stats_sr, stats_rd)
-    truth = TrueChannelDraw(
-        h_sr=est_sr[0] + delta_sr[0],
-        h_rd=est_rd[0] + delta_rd[0],
-        delta_sr=delta_sr[0],
-        delta_rd=delta_rd[0],
-    )
-    return know, truth

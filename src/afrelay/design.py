@@ -22,9 +22,17 @@ closed-form level
 
     x_i = ( sqrt(c_i / (mu g_i^2)) - 1/g_i^2 )^+,
 
-with the multiplier mu pinned by the power budget (bisection on the
-monotone power function).  Both constraints are active at the optimum, so
-power always lands exactly on the budget.
+and the multiplier is exact: with the streams sorted by c_i g_i^2 and the
+k strongest active, sqrt(mu) = sum s_i / (budget + sum 1/g_i^2) over the
+active set (s_i = sqrt(c_i) / g_i), for the largest k whose k-th stream
+stays active.  Both constraints are active at the optimum, so power
+lands on the budget to rounding.
+
+The pipeline works on a (B, ., .) stack of channel draws that share one
+config and error statistics (:func:`design_batch`): one stacked SVD per
+hop, the alternation on every draw at once with a per-draw convergence
+mask, and the contract checks per draw, so a failing draw is reported
+without disturbing the others.  :func:`design` is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -35,9 +43,11 @@ import numpy as np
 
 from .channel import ChannelKnowledge
 from .linalg import (
+    LinalgError,
     NotPSDError,
     OrderedHermitianEig,
     OrderedSVD,
+    _ct,
     eig_hermitian_ordered,
     herm_inv_sqrt,
     herm_sqrt,
@@ -46,6 +56,8 @@ from .linalg import (
 from .mse import (
     SystemConfig,
     Transceiver,
+    _scalar,
+    _trace,
     optimal_equalizer,
     residual_weighted_mse,
     second_order_stats,
@@ -54,11 +66,15 @@ from .mse import (
 )
 
 __all__ = [
+    "DesignError",
     "InfeasibleAllocationError",
     "ConvergenceError",
+    "ContractError",
+    "NumericalError",
     "SpectralData",
     "AllocationState",
     "TransceiverSolution",
+    "DesignBatch",
     "DesignOptions",
     "weight_eigensystem",
     "spectral_decompose",
@@ -70,29 +86,66 @@ __all__ = [
     "iterate_allocations",
     "solve_eta_p",
     "assemble",
+    "design_batch",
     "design",
 ]
 
 # Streams whose gain is below this fraction of the largest get no power.
 TINY_GAIN_RTOL = 1e-12
-# Relative tolerance of the bisection on the power equation.
-POWER_RTOL = 1e-12
+# Relay-side KKT residual against the final source allocation that ends
+# the alternation.
+CROSS_KKT_TOL = 1e-9
 
 
-class InfeasibleAllocationError(ValueError):
+class DesignError(Exception):
+    """Base of every failure a design reports for a valid input.
+
+    ``cause`` names the kind of failure; a sweep counts failed draws by it.
+    """
+
+    cause = "other"
+
+
+class InfeasibleAllocationError(DesignError, ValueError):
     """Raised when a water-filling step has no usable stream."""
 
+    cause = "infeasible"
 
-class ConvergenceError(RuntimeError):
+
+class ConvergenceError(DesignError, RuntimeError):
     """Alternating water-filling failed to converge within the budget.
 
     ``objective_trace`` carries the recorded objective values so the
     failure can be inspected; no best-effort solution is returned.
     """
 
+    cause = "convergence"
+
     def __init__(self, message: str, objective_trace):
         super().__init__(message)
         self.objective_trace = np.asarray(objective_trace, dtype=float)
+
+
+class ContractError(DesignError, RuntimeError):
+    """A designed transceiver missed a contract: a power budget, the eta_p
+    fixed point or the residual-vs-direct weighted-MSE agreement."""
+
+    def __init__(self, cause: str, message: str):
+        super().__init__(message)
+        self.cause = cause
+
+
+class NumericalError(DesignError, ValueError):
+    """A linear-algebra kernel rejected an intermediate of the design; the
+    original error is chained as ``__cause__``."""
+
+    cause = "numerical"
+
+
+def _own(stack: np.ndarray, i: int) -> np.ndarray:
+    """Entry i of a stack as an array of its own, so a kept single-draw
+    result does not pin the whole stack."""
+    return stack[i].copy()
 
 
 @dataclass(frozen=True)
@@ -102,7 +155,9 @@ class SpectralData:
     ``first_hop`` decomposes est_sr @ whiten_sr, ``second_hop``
     whiten_rd @ est_rd where whiten_sr = (p_s Psi + sigma1^2 I)^{-1/2}
     and whiten_rd = K2^{-1/2} with the constant K2 = p_r Sigma_rd +
-    sigma2^2 I.  Gains are the leading n_streams singular values.
+    sigma2^2 I.  Gains are the leading n_streams singular values.  For a
+    stack of draws the SVDs and gains carry its leading axis; the
+    whitening matrices are shared.
     """
 
     first_hop: OrderedSVD
@@ -114,10 +169,26 @@ class SpectralData:
     k2_const: np.ndarray
     psi_eff: np.ndarray
 
+    def draw(self, i: int) -> "SpectralData":
+        def svd(s):
+            return OrderedSVD(left=_own(s.left, i), values=_own(s.values, i), right=_own(s.right, i))
+
+        return replace(
+            self,
+            first_hop=svd(self.first_hop),
+            second_hop=svd(self.second_hop),
+            gains_sr=_own(self.gains_sr, i),
+            gains_rd=_own(self.gains_rd, i),
+        )
+
 
 @dataclass(frozen=True)
 class AllocationState:
-    """Converged per-stream amplitudes and solver diagnostics."""
+    """Converged per-stream amplitudes and solver diagnostics.
+
+    For a stack every field carries the leading draw axis, and
+    ``objective_trace`` is padded with NaN past each draw's own trace.
+    """
 
     p_alloc: np.ndarray
     f_alloc: np.ndarray
@@ -127,6 +198,19 @@ class AllocationState:
     objective_trace: np.ndarray
     n_iters: int
     converged: bool
+
+    def draw(self, i: int) -> "AllocationState":
+        trace = self.objective_trace[i]
+        return AllocationState(
+            p_alloc=_own(self.p_alloc, i),
+            f_alloc=_own(self.f_alloc, i),
+            mu_p=float(self.mu_p[i]),
+            mu_f=float(self.mu_f[i]),
+            eta_p=float(self.eta_p[i]),
+            objective_trace=trace[~np.isnan(trace)],
+            n_iters=int(self.n_iters[i]),
+            converged=bool(self.converged[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -139,6 +223,40 @@ class TransceiverSolution:
     alloc: AllocationState
     spectral: SpectralData
     achieved_wmse: float
+
+
+@dataclass(frozen=True)
+class DesignBatch:
+    """Designs for a stack of B draws sharing one config and error stats.
+
+    ``solution`` holds (B, ...) arrays.  ``failures[i]`` is the
+    :class:`DesignError` of draw i, or None; a failed draw's entries are
+    placeholders.  ``direct_wmse`` is each design's weighted MSE
+    evaluated directly (``mse.weighted_mse`` under the design knowledge),
+    as the agreement check computed it.
+    """
+
+    solution: TransceiverSolution
+    direct_wmse: np.ndarray
+    failures: tuple
+
+    def draw(self, i: int) -> TransceiverSolution:
+        """Draw i as a single-draw solution; raises its failure, if any."""
+        if self.failures[i] is not None:
+            raise self.failures[i]
+        sol = self.solution
+        return TransceiverSolution(
+            tx=Transceiver(
+                precoder=_own(sol.tx.precoder, i),
+                forward=_own(sol.tx.forward, i),
+                equalizer=_own(sol.tx.equalizer, i),
+            ),
+            tilde_forward=_own(sol.tilde_forward, i),
+            tilde_precoder=_own(sol.tilde_precoder, i),
+            alloc=sol.alloc.draw(i),
+            spectral=sol.spectral.draw(i),
+            achieved_wmse=float(sol.achieved_wmse[i]),
+        )
 
 
 @dataclass(frozen=True)
@@ -205,7 +323,10 @@ def _fold_stats(cfg: SystemConfig, know: ChannelKnowledge):
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
     """Ordered SVDs of both whitened hop estimates plus truncated gains."""
-    if know.est_sr.shape != (cfg.m_r, cfg.n_s) or know.est_rd.shape != (cfg.m_d, cfg.n_r):
+    if know.est_sr.shape[-2:] != (cfg.m_r, cfg.n_s) or know.est_rd.shape[-2:] != (
+        cfg.m_d,
+        cfg.n_r,
+    ):
         raise ValueError(
             f"channel knowledge shapes {know.est_sr.shape}/{know.est_rd.shape} do "
             f"not match the config ({cfg.m_r}, {cfg.n_s})/({cfg.m_d}, {cfg.n_r})"
@@ -221,8 +342,8 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
     return SpectralData(
         first_hop=first,
         second_hop=second,
-        gains_sr=first.values[:n].copy(),
-        gains_rd=second.values[:n].copy(),
+        gains_sr=first.values[..., :n].copy(),
+        gains_rd=second.values[..., :n].copy(),
         whiten_sr=whiten_sr,
         whiten_rd=whiten_rd,
         k2_const=k2_const,
@@ -230,14 +351,54 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
     )
 
 
-def _waterfill_core(coeffs, gains, budget, rtol=POWER_RTOL, max_iters=400):
-    """min sum c_i / (1 + x_i g_i^2) over x >= 0 with sum x_i = budget.
+def _gain_terms(gains):
+    """The coefficient-independent parts of water-filling against (R, n)
+    gains: g^2 on usable streams (0 elsewhere), 1/g^2 with unusable
+    gains taken as 1, the usable streams and a per-row flag for rows
+    whose gains are all zero."""
+    g = np.asarray(gains, dtype=float)
+    gmax = g.max(axis=-1, keepdims=True)
+    usable = g > TINY_GAIN_RTOL * gmax
+    g2 = np.where(usable, g, 1.0) ** 2
+    return g2 * usable, 1.0 / g2, usable, gmax[..., 0] <= 0.0
 
-    Returns the squared allocations x and the multiplier mu.  Streams
-    with (relatively) zero gain are forced to zero; if no stream carries
-    a positive coefficient the objective is flat and the budget is spread
-    uniformly over the usable streams (mu = inf).
+
+def _waterfill(coeffs, terms, budget):
+    """min sum c_i / (1 + x_i g_i^2) over x >= 0 with sum x_i = budget,
+    exactly and independently for every row of (R, n) arrays.
+
+    ``terms`` are the :func:`_gain_terms` of the gains.  Returns the
+    squared allocations x and the multiplier mu per row.  Streams with
+    (relatively) zero gain get no power; a row with no positive
+    coefficient on a usable stream has a flat objective, and its budget
+    is spread uniformly over the usable streams (mu = inf).
     """
+    g2, inv_g2, usable, _ = terms
+    # Stream i is active iff mu < c_i g_i^2.  With the streams sorted by
+    # that level and the k strongest active, sqrt(mu) = sum s_i /
+    # (budget + sum 1/g_i^2) with s_i = sqrt(c_i) / g_i; the answer is
+    # the largest k whose k-th stream stays active, mu < c_k g_k^2.
+    level = coeffs * g2
+    s_c = np.sqrt(level) * inv_g2
+    rows = np.arange(level.shape[0])[:, None]
+    order = (-level).argsort(axis=-1)
+    root_k = s_c[rows, order].cumsum(axis=-1) / (
+        budget + (inv_g2 * (level > 0.0))[rows, order].cumsum(axis=-1)
+    )
+    k = (root_k * root_k < level[rows, order]).sum(axis=-1)
+    root = root_k[rows, k[:, None] - 1]
+    if k.all():
+        return np.maximum(s_c / root - inv_g2, 0.0), root[:, 0] ** 2
+    flat = k == 0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.maximum(s_c / root - inv_g2, 0.0)
+    share = budget / np.maximum(usable.sum(axis=-1, keepdims=True), 1)
+    x = np.where(flat[:, None], share * usable, x)
+    return x, np.where(flat, np.inf, root[:, 0] ** 2)
+
+
+def _waterfill_checked(coeffs, gains, budget):
+    """:func:`_waterfill` on one 1-D problem, with input validation."""
     c = np.asarray(coeffs, dtype=float)
     g = np.asarray(gains, dtype=float)
     if c.shape != g.shape or c.ndim != 1:
@@ -246,43 +407,18 @@ def _waterfill_core(coeffs, gains, budget, rtol=POWER_RTOL, max_iters=400):
         raise ValueError("budget must be positive")
     if np.any(c < -1e-300) or np.any(g < 0):
         raise ValueError("coeffs and gains must be nonnegative")
-    gmax = float(g.max()) if g.size else 0.0
-    if gmax <= 0.0:
+    terms = _gain_terms(g[None])
+    if terms[3][0]:
         raise InfeasibleAllocationError("all channel gains are zero")
-    active = g > TINY_GAIN_RTOL * gmax
-    eff = active & (c > 0.0)
-    x = np.zeros_like(g)
-    if not eff.any():
-        x[active] = budget / int(active.sum())
-        return x, float("inf")
-    ge = g[eff]
-    inv_g2 = 1.0 / ge**2
-    s_c = np.sqrt(c[eff]) / ge
+    x, mu = _waterfill(c[None], terms, budget)
+    return x[0], float(mu[0])
 
-    def total(mu):
-        return float(np.maximum(s_c / np.sqrt(mu) - inv_g2, 0.0).sum())
 
-    # With every stream active the multiplier is closed-form; clamping
-    # only raises the total power, so this is a lower bracket for mu.
-    mu_lo = (s_c.sum() / (budget + inv_g2.sum())) ** 2
-    mu_hi = mu_lo
-    for _ in range(200):
-        if total(mu_hi) <= budget:
-            break
-        mu_hi *= 4.0
-    mu = mu_hi
-    lo, hi = mu_lo, mu_hi
-    for _ in range(max_iters):
-        mu = np.sqrt(lo * hi)
-        t = total(mu)
-        if abs(t - budget) <= rtol * budget or hi - lo <= 1e-16 * lo:
-            break
-        if t > budget:
-            lo = mu
-        else:
-            hi = mu
-    x[eff] = np.maximum(s_c / np.sqrt(mu) - inv_g2, 0.0)
-    return x, float(mu)
+def _half_coeffs(amp, gains, weights):
+    """w_i a_i / (1 + a_i) with a_i = (amp_i gains_i)^2: the coefficients
+    one half step sees from the other hop's fixed allocation."""
+    a = (np.asarray(amp, dtype=float) * np.asarray(gains, dtype=float)) ** 2
+    return np.asarray(weights, dtype=float) * a / (1.0 + a)
 
 
 def waterfill_relay(p_alloc, gains_sr, gains_rd, weights, budget):
@@ -292,20 +428,27 @@ def waterfill_relay(p_alloc, gains_sr, gains_rd, weights, budget):
              - 1/lrd_i^2 )^+]^{1/2} with a_i = p_i^2 lsr_i^2 and mu_f
     from the budget sum f_i^2 = budget.
     """
-    p = np.asarray(p_alloc, dtype=float)
-    a = (p * np.asarray(gains_sr, dtype=float)) ** 2
-    coeffs = np.asarray(weights, dtype=float) * a / (1.0 + a)
-    levels, mu = _waterfill_core(coeffs, gains_rd, budget)
+    coeffs = _half_coeffs(p_alloc, gains_sr, weights)
+    levels, mu = _waterfill_checked(coeffs, gains_rd, budget)
     return np.sqrt(levels), mu
 
 
 def waterfill_source(f_alloc, gains_sr, gains_rd, weights, budget):
     """Source amplitudes p_i for fixed relay gains f_i (mirror update)."""
-    f = np.asarray(f_alloc, dtype=float)
-    b = (f * np.asarray(gains_rd, dtype=float)) ** 2
-    coeffs = np.asarray(weights, dtype=float) * b / (1.0 + b)
-    levels, mu = _waterfill_core(coeffs, gains_sr, budget)
+    levels, mu = _waterfill_checked(_half_coeffs(f_alloc, gains_rd, weights), gains_sr, budget)
     return np.sqrt(levels), mu
+
+
+def _kkt_residual(levels_sq, mu, coeffs, gains):
+    """Row-wise :func:`waterfill_kkt_residual` on (..., n) arrays."""
+    x = np.asarray(levels_sq, dtype=float)
+    g2 = np.asarray(gains, dtype=float) ** 2
+    cg = np.asarray(coeffs, dtype=float) * g2
+    m = np.asarray(mu, dtype=float)[..., None]
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        res = np.where(x > 0.0, np.abs((1.0 + x * g2) ** 2 * m - cg), cg - m) / cg
+    res = np.where((cg > 0.0) & (res > 0.0), res, 0.0).max(axis=-1, initial=0.0)
+    return np.where(np.isfinite(m[..., 0]), res, 0.0)
 
 
 def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
@@ -315,30 +458,17 @@ def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
     need mu >= c g^2 (the clamp condition).  Degenerate flat problems
     (mu = inf) vacuously satisfy the conditions.
     """
-    x = np.asarray(levels_sq, dtype=float)
-    c = np.asarray(coeffs, dtype=float)
-    g = np.asarray(gains, dtype=float)
-    if not np.isfinite(mu):
-        return 0.0
-    worst = 0.0
-    for xi, ci, gi in zip(x, c, g):
-        cg = ci * gi * gi
-        if cg <= 0.0:
-            continue
-        if xi > 0.0:
-            worst = max(worst, abs((1.0 + xi * gi * gi) ** 2 * mu - cg) / cg)
-        elif mu < cg:
-            worst = max(worst, (cg - mu) / cg)
-    return worst
+    return float(_kkt_residual(levels_sq, mu, coeffs, gains))
 
 
-def scalar_objective(p_alloc, f_alloc, gains_sr, gains_rd, weights) -> float:
+def scalar_objective(p_alloc, f_alloc, gains_sr, gains_rd, weights):
     """sum_i w_i (1 + a_i + b_i) / ((1 + a_i)(1 + b_i)) — the weighted MSE
-    predicted for the structured solution with these diagonal gains."""
+    predicted for the structured solution with these diagonal gains (one
+    value per row for stacked allocations)."""
     a = (np.asarray(p_alloc, float) * np.asarray(gains_sr, float)) ** 2
     b = (np.asarray(f_alloc, float) * np.asarray(gains_rd, float)) ** 2
     w = np.asarray(weights, float)
-    return float(np.sum(w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b))))
+    return _scalar(np.sum(w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b)), axis=-1))
 
 
 def scalar_gradient(p_alloc, f_alloc, gains_sr, gains_rd, weights):
@@ -369,6 +499,76 @@ def _validate_scalar_inputs(gains_sr, gains_rd, weights):
     return gsr, grd, w
 
 
+def _alternate(gsr, grd, w, p_s, p_r, p, tol, max_iters):
+    """Alternating water-filling on every row of (R, n) stacks at once.
+
+    Each row follows exactly the iteration of a single problem and stops
+    on its own: once its full-iteration relative change has dropped below
+    ``tol``, as soon as its relay-side KKT residual against the final
+    source allocation is at most CROSS_KKT_TOL.  Returns an
+    :class:`AllocationState` of (R, ...) arrays (``converged`` False for
+    rows that did not stop within ``max_iters``) and the per-row flag of
+    an infeasible (all-zero-gain) problem.
+    """
+    rows = p.shape[0]
+    terms_sr, terms_rd = _gain_terms(gsr), _gain_terms(grd)
+    infeasible = terms_sr[3] | terms_rd[3]
+    pending = ~infeasible
+    out_p, out_f = p.copy(), np.zeros_like(p)
+    out_mu_p, out_mu_f = np.full(rows, np.nan), np.full(rows, np.nan)
+    n_iters = np.zeros(rows, dtype=int)
+    done = np.zeros(rows, dtype=bool)
+    settled = np.zeros(rows, dtype=bool)
+    prev = np.full(rows, np.nan)
+    trace = []
+    a = (p * gsr) ** 2
+    coeff_f = w * a / (1.0 + a)
+    for it in range(1, max_iters + 1 if pending.any() else 1):
+        x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
+        f = np.sqrt(x_f)
+        b = (f * grd) ** 2
+        trace.append((w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b))).sum(axis=-1))
+        x_p, mu_p = _waterfill(w * b / (1.0 + b), terms_sr, p_s)
+        p = np.sqrt(x_p)
+        a = (p * gsr) ** 2
+        cur = (w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b))).sum(axis=-1)
+        trace.append(cur)
+        coeff_f = w * a / (1.0 + a)
+        settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
+        check = settled & pending
+        if check.any():
+            fin = check & (_kkt_residual(f**2, mu_f, coeff_f, grd) <= CROSS_KKT_TOL)
+            out_p[fin], out_f[fin] = p[fin], f[fin]
+            out_mu_p[fin], out_mu_f[fin] = mu_p[fin], mu_f[fin]
+            n_iters[fin] = it
+            done |= fin
+            pending &= ~fin
+            if not pending.any():
+                break
+        prev = cur
+    trace = np.stack(trace, axis=-1)
+    steps = np.arange(trace.shape[-1])
+    trace[done[:, None] & (steps >= 2 * n_iters[:, None])] = np.nan
+    state = AllocationState(
+        p_alloc=out_p,
+        f_alloc=out_f,
+        mu_p=out_mu_p,
+        mu_f=out_mu_f,
+        eta_p=np.full(rows, np.nan),
+        objective_trace=trace,
+        n_iters=n_iters,
+        converged=done,
+    )
+    return state, infeasible
+
+
+def _not_converged(max_iters, trace):
+    return ConvergenceError(
+        f"alternating water-filling did not converge in {max_iters} iterations",
+        trace[~np.isnan(trace)],
+    )
+
+
 def iterate_allocations(
     gains_sr,
     gains_rd,
@@ -391,54 +591,30 @@ def iterate_allocations(
     :class:`ConvergenceError` with the trace after ``max_iters``.
     """
     gsr, grd, w = _validate_scalar_inputs(gains_sr, gains_rd, weights)
-    n = w.shape[0]
     if p_s <= 0 or p_r <= 0:
         raise ValueError("power budgets must be positive")
-    if init_p is None:
-        p = np.full(n, np.sqrt(p_s / n))
-    else:
-        p = np.asarray(init_p, dtype=float).copy()
-        if p.shape != (n,) or np.any(p < 0):
-            raise ValueError("init_p must be a nonnegative length-n vector")
-        total = float(np.sum(p**2))
-        if total <= 0:
-            raise ValueError("init_p must carry positive power")
-        p *= np.sqrt(p_s / total)
-    trace = []
-    mu_f = mu_p = float("nan")
-    f = np.zeros(n)
-    prev = None
-    settled = False
-    for it in range(1, max_iters + 1):
-        f, mu_f = waterfill_relay(p, gsr, grd, w, p_r)
-        trace.append(scalar_objective(p, f, gsr, grd, w))
-        p, mu_p = waterfill_source(f, gsr, grd, w, p_s)
-        cur = scalar_objective(p, f, gsr, grd, w)
-        trace.append(cur)
-        if settled or (
-            prev is not None and abs(prev - cur) <= tol * max(abs(cur), 1e-300)
-        ):
-            settled = True
-            a = (p * gsr) ** 2
-            cross = waterfill_kkt_residual(
-                f**2, mu_f, w * a / (1.0 + a), grd
-            )
-            if cross <= 1e-9:
-                return AllocationState(
-                    p_alloc=p,
-                    f_alloc=f,
-                    mu_p=mu_p,
-                    mu_f=mu_f,
-                    eta_p=float("nan"),
-                    objective_trace=np.asarray(trace),
-                    n_iters=it,
-                    converged=True,
-                )
-        prev = cur
-    raise ConvergenceError(
-        f"alternating water-filling did not converge in {max_iters} iterations",
-        trace,
+    p = _initial_source(w.shape[0], p_s, init_p)
+    state, infeasible = _alternate(
+        gsr[None], grd[None], w, p_s, p_r, p[None], tol, max_iters
     )
+    if infeasible[0]:
+        raise InfeasibleAllocationError("all channel gains are zero")
+    if not state.converged[0]:
+        raise _not_converged(max_iters, state.objective_trace[0])
+    return state.draw(0)
+
+
+def _initial_source(n: int, p_s: float, init_p=None) -> np.ndarray:
+    """Uniform source amplitudes, or ``init_p`` rescaled onto the budget."""
+    if init_p is None:
+        return np.full(n, np.sqrt(p_s / n))
+    p = np.asarray(init_p, dtype=float).copy()
+    if p.shape != (n,) or np.any(p < 0):
+        raise ValueError("init_p must be a nonnegative length-n vector")
+    total = float(np.sum(p**2))
+    if total <= 0:
+        raise ValueError("init_p must carry positive power")
+    return p * np.sqrt(p_s / total)
 
 
 def _enforce_product_ordering(
@@ -454,13 +630,10 @@ def _enforce_product_ordering(
     """
     gsr, grd, w = _validate_scalar_inputs(gains_sr, gains_rd, weights)
 
-    def ordered(vals):
-        scale = max(float(vals.max(initial=0.0)), 1e-300)
-        return not np.any(vals[1:] > vals[:-1] + 1e-9 * scale)
+    def ordered(p, f):
+        return _products_ordered((p * gsr) ** 2) and _products_ordered((f * grd) ** 2)
 
-    a = (state.p_alloc * gsr) ** 2
-    b = (state.f_alloc * grd) ** 2
-    if ordered(a) and ordered(b):
+    if ordered(state.p_alloc, state.f_alloc):
         return state
 
     p = state.p_alloc.copy()
@@ -477,9 +650,7 @@ def _enforce_product_ordering(
         start = stop
     f, mu_f = waterfill_relay(p, gsr, grd, w, p_r)
     p, mu_p = waterfill_source(f, gsr, grd, w, p_s)
-    a = (p * gsr) ** 2
-    b = (f * grd) ** 2
-    if not (ordered(a) and ordered(b)):
+    if not ordered(p, f):
         raise ConvergenceError(
             "allocation products remained out of order after re-sorting the "
             "tied-weight blocks",
@@ -497,25 +668,85 @@ def _enforce_product_ordering(
     )
 
 
-def solve_eta_p(p_alloc, spectral: SpectralData, psi_sr, p_s, sigma1_sq) -> float:
+def _products_ordered(vals) -> np.ndarray:
+    """Per row, whether (..., n) products are nonincreasing to 1e-9."""
+    scale = np.maximum(np.max(vals, axis=-1, initial=0.0), 1e-300)[..., None]
+    return ~np.any(vals[..., 1:] > vals[..., :-1] + 1e-9 * scale, axis=-1)
+
+
+def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
     """Closed-form first-hop noise-plus-leakage level.
 
-    eta_p = sigma1^2 / (1 - tr[Vsr_N^H B^{-1/2} Psi B^{-1/2} Vsr_N
-    diag(p_i^2)]) with B = p_s Psi + sigma1^2 I; it satisfies the fixed
-    point eta_p = tr(P P^H Psi) + sigma1^2 for the assembled precoder.
+    eta_p = p_s / sum_i p_i^2 [Vsr_N^H B^{-1} Vsr_N]_ii with
+    B = p_s Psi + sigma1^2 I.  Since p_s B^{-1/2} Psi B^{-1/2} = I -
+    sigma1^2 B^{-1}, this equals sigma1^2 / (1 - tr[Vsr_N^H B^{-1/2} Psi
+    B^{-1/2} Vsr_N diag(p_i^2)]) when sum p_i^2 = p_s, without the
+    cancellation in 1 - t that grows as 1/(1 - t) at high first-hop SNR.
+    It satisfies the fixed point eta_p = tr(P P^H Psi) + sigma1^2 and
+    puts the assembled precoder exactly on its budget.  One value per
+    row for stacked allocations.
     """
     p = np.asarray(p_alloc, dtype=float)
-    n = p.shape[0]
-    v_n = spectral.first_hop.right[:, :n]
-    mid = spectral.whiten_sr @ np.asarray(psi_sr, dtype=np.complex128) @ spectral.whiten_sr
-    inner = v_n.conj().T @ mid @ v_n
-    t = float(np.real(np.sum(np.diag(inner) * p**2)))
-    if not t < 1.0:
-        raise RuntimeError(
-            f"eta_p denominator is not positive (trace term {t:.6e} >= 1); "
-            "this indicates violated preconditions"
+    n = p.shape[-1]
+    cols = spectral.whiten_sr @ spectral.first_hop.right[..., :n]
+    load = np.sum(p**2 * np.sum(np.abs(cols) ** 2, axis=-2), axis=-1)
+    with np.errstate(divide="ignore"):
+        eta = p_s / load
+    if np.ndim(eta) == 0 and not (np.isfinite(eta) and eta > 0):
+        raise ContractError(
+            "eta_p",
+            f"eta_p normalization {float(load):.6e} is not positive; this "
+            "indicates violated preconditions",
         )
-    return float(sigma1_sq) / (1.0 - t)
+    return _scalar(eta)
+
+
+def _finish(cfg, know, p_mat, tilde_f, maps):
+    """Forward matrix, equalizer and both weighted MSEs of a stack, with
+    K1/r_x/K2 and the tilde maps computed once and shared."""
+    f_mat = maps.from_tilde(tilde_f)
+    stats = second_order_stats(cfg, know, p_mat, f_mat, k1=maps.k1)
+    g_mat = optimal_equalizer(cfg, know, p_mat, f_mat, stats=stats)
+    tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=g_mat)
+    achieved = residual_weighted_mse(cfg, know, p_mat, tilde_f, maps=maps, stats=stats)
+    direct = weighted_mse(cfg, know, tx, stats=stats)
+    return tx, stats, achieved, direct
+
+
+def _agreement_failure(cfg, achieved, direct):
+    # Both evaluations subtract nearly equal quantities from tr(W); at
+    # extreme SNR the difference is dominated by that cancellation, hence
+    # the absolute floor scaled by tr(W).
+    floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
+    if abs(achieved - direct) > max(1e-9 * max(abs(achieved), abs(direct)), floor):
+        return ContractError(
+            "wmse_agreement",
+            f"residual weighted MSE {achieved:.12e} disagrees with the direct "
+            f"evaluation {direct:.12e}",
+        )
+    return None
+
+
+def _joint_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
+    """The first contract a joint design misses (checked in order), or None."""
+    if not (np.isfinite(eta_p) and eta_p > 0):
+        return ContractError("eta_p", f"eta_p {eta_p:.12e} is not positive")
+    if abs(power_p - cfg.p_s) > 1e-9 * cfg.p_s:
+        return ContractError(
+            "source_power",
+            f"source power {power_p:.12e} misses the budget {cfg.p_s:.12e}",
+        )
+    if abs(power_f - cfg.p_r) > 1e-9 * cfg.p_r:
+        return ContractError(
+            "relay_power",
+            f"relay power {power_f:.12e} misses the budget {cfg.p_r:.12e}",
+        )
+    if abs(eta_p - fixed_point) > 1e-9 * abs(eta_p):
+        return ContractError(
+            "eta_p",
+            f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}",
+        )
+    return _agreement_failure(cfg, achieved, direct)
 
 
 def assemble(
@@ -523,33 +754,55 @@ def assemble(
     know: ChannelKnowledge,
     spectral: SpectralData,
     alloc: AllocationState,
-) -> TransceiverSolution:
+    *,
+    weights: OrderedHermitianEig | None = None,
+):
     """Build (P, F, G) from converged allocations and verify the contracts.
 
     Checks on the way out: both power constraints hold with equality
     (1e-9 relative), eta_p satisfies its fixed point, and the residual
     weighted MSE agrees with the direct evaluation at the LMMSE
-    equalizer.
+    equalizer.  For one draw returns a :class:`TransceiverSolution` and
+    raises a :class:`ContractError` on a missed contract; for stacked
+    knowledge and allocations returns a :class:`DesignBatch` that lists
+    the draws missing a contract.  ``weights`` (the weight eigensystem)
+    is computed when not passed in.
     """
-    if not np.isfinite(alloc.eta_p) or alloc.eta_p <= 0:
-        raise ValueError("alloc.eta_p must be solved before assembling")
+    if know.est_sr.ndim == 2:
+        if not np.isfinite(alloc.eta_p) or alloc.eta_p <= 0:
+            raise ValueError("alloc.eta_p must be solved before assembling")
+        batch = assemble(
+            cfg,
+            know.as_stack(),
+            _stack_spectral(spectral),
+            _stack_alloc(alloc),
+            weights=weights,
+        )
+        return batch.draw(0)
     n = cfg.n_streams
-    u_w = weight_eigensystem(cfg.weight).vectors
-    v_sr_n = spectral.first_hop.right[:, :n]
-    u_sr_n = spectral.first_hop.left[:, :n]
-    v_rd_n = spectral.second_hop.right[:, :n]
-    tilde_p = (v_sr_n * alloc.p_alloc) @ u_w.conj().T
-    p_mat = np.sqrt(alloc.eta_p) * spectral.whiten_sr @ tilde_p
-    tilde_f = (v_rd_n * alloc.f_alloc) @ u_sr_n.conj().T
+    u_w = (weights if weights is not None else weight_eigensystem(cfg.weight)).vectors
+    eta = np.asarray(alloc.eta_p, dtype=float)
+    safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
+    v_sr_n = spectral.first_hop.right[..., :n]
+    u_sr_n = spectral.first_hop.left[..., :n]
+    v_rd_n = spectral.second_hop.right[..., :n]
+    tilde_p = (v_sr_n * alloc.p_alloc[:, None, :]) @ _ct(u_w)
+    p_mat = (np.sqrt(safe_eta)[:, None, None] * spectral.whiten_sr) @ tilde_p
+    tilde_f = (v_rd_n * alloc.f_alloc[:, None, :]) @ _ct(u_sr_n)
     maps = tilde_maps(cfg, know, p_mat)
-    f_mat = maps.from_tilde(tilde_f)
-    g_mat = optimal_equalizer(cfg, know, p_mat, f_mat)
-    tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=g_mat)
-
-    _verify_solution(cfg, know, p_mat, f_mat, spectral, alloc.eta_p)
-    achieved = residual_weighted_mse(cfg, know, p_mat, tilde_f)
-    _verify_wmse_agreement(cfg, know, tx, achieved)
-    return TransceiverSolution(
+    tx, stats, achieved, direct = _finish(cfg, know, p_mat, tilde_f, maps)
+    gram_p = p_mat @ _ct(p_mat)
+    power_p = np.real(_trace(gram_p))
+    power_f = np.real(_trace(tx.forward @ stats.r_x @ _ct(tx.forward)))
+    fixed_point = np.real(_trace(gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
+    failures = tuple(
+        _joint_failure(cfg, *vals)
+        for vals in zip(
+            power_p.tolist(), power_f.tolist(), eta.tolist(),
+            fixed_point.tolist(), achieved.tolist(), direct.tolist(),
+        )
+    )
+    solution = TransceiverSolution(
         tx=tx,
         tilde_forward=tilde_f,
         tilde_precoder=tilde_p,
@@ -557,40 +810,33 @@ def assemble(
         spectral=spectral,
         achieved_wmse=achieved,
     )
+    return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
 
 
-def _verify_solution(cfg, know, p_mat, f_mat, spectral, eta_p):
-    power_p = float(np.real(np.trace(p_mat @ p_mat.conj().T)))
-    if abs(power_p - cfg.p_s) > 1e-9 * cfg.p_s:
-        raise RuntimeError(
-            f"source power {power_p:.12e} misses the budget {cfg.p_s:.12e}"
-        )
-    so = second_order_stats(cfg, know, p_mat, f_mat)
-    power_f = float(np.real(np.trace(f_mat @ so.r_x @ f_mat.conj().T)))
-    if abs(power_f - cfg.p_r) > 1e-9 * cfg.p_r:
-        raise RuntimeError(
-            f"relay power {power_f:.12e} misses the budget {cfg.p_r:.12e}"
-        )
-    fixed_point = float(
-        np.real(np.trace(p_mat @ p_mat.conj().T @ spectral.psi_eff))
-    ) + cfg.sigma1_sq
-    if abs(eta_p - fixed_point) > 1e-9 * abs(eta_p):
-        raise RuntimeError(
-            f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}"
-        )
+def _stack_spectral(spectral: SpectralData) -> SpectralData:
+    def svd(s):
+        return OrderedSVD(left=s.left[None], values=s.values[None], right=s.right[None])
+
+    return replace(
+        spectral,
+        first_hop=svd(spectral.first_hop),
+        second_hop=svd(spectral.second_hop),
+        gains_sr=spectral.gains_sr[None],
+        gains_rd=spectral.gains_rd[None],
+    )
 
 
-def _verify_wmse_agreement(cfg, know, tx, achieved):
-    # Both evaluations subtract nearly equal quantities from tr(W); at
-    # extreme SNR the difference is dominated by that cancellation, hence
-    # the absolute floor scaled by tr(W).
-    direct = weighted_mse(cfg, know, tx)
-    floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
-    if abs(achieved - direct) > max(1e-9 * max(abs(achieved), abs(direct)), floor):
-        raise RuntimeError(
-            f"residual weighted MSE {achieved:.12e} disagrees with the direct "
-            f"evaluation {direct:.12e}"
-        )
+def _stack_alloc(alloc: AllocationState) -> AllocationState:
+    return AllocationState(
+        p_alloc=np.asarray(alloc.p_alloc, dtype=float)[None],
+        f_alloc=np.asarray(alloc.f_alloc, dtype=float)[None],
+        mu_p=np.array([alloc.mu_p], dtype=float),
+        mu_f=np.array([alloc.mu_f], dtype=float),
+        eta_p=np.array([alloc.eta_p], dtype=float),
+        objective_trace=np.asarray(alloc.objective_trace, dtype=float)[None],
+        n_iters=np.array([alloc.n_iters]),
+        converged=np.array([alloc.converged]),
+    )
 
 
 def _scaled_identity_precoder(cfg: SystemConfig) -> np.ndarray:
@@ -600,7 +846,7 @@ def _scaled_identity_precoder(cfg: SystemConfig) -> np.ndarray:
     )
 
 
-def _design_relay_only(cfg, know, spectral, opts) -> TransceiverSolution:
+def _design_relay_only(cfg, know, spectral, opts) -> DesignBatch:
     """Robust F and G for a fixed precoder (no source optimization).
 
     The per-stream coefficients come from the SVD of
@@ -609,48 +855,50 @@ def _design_relay_only(cfg, know, spectral, opts) -> TransceiverSolution:
     """
     n = cfg.n_streams
     if opts.fixed_precoder is None:
-        p_mat = _scaled_identity_precoder(cfg)
+        p_one = _scaled_identity_precoder(cfg)
     else:
-        p_mat = np.asarray(opts.fixed_precoder, dtype=np.complex128)
-        if p_mat.shape != (cfg.n_s, n):
+        p_one = np.asarray(opts.fixed_precoder, dtype=np.complex128)
+        if p_one.shape != (cfg.n_s, n):
             raise ValueError(
-                f"fixed_precoder must be ({cfg.n_s}, {n}), got {p_mat.shape}"
+                f"fixed_precoder must be ({cfg.n_s}, {n}), got {p_one.shape}"
             )
-    power_p = float(np.real(np.trace(p_mat @ p_mat.conj().T)))
+    power_p = float(np.real(np.trace(p_one @ p_one.conj().T)))
     if abs(power_p - cfg.p_s) > 1e-8 * cfg.p_s:
         raise ValueError(
             f"fixed precoder must spend the source budget exactly "
             f"(tr = {power_p:.6e}, budget {cfg.p_s:.6e})"
         )
+    draws = know.est_sr.shape[0]
+    p_mat = np.broadcast_to(p_one, (draws, *p_one.shape))
     maps = tilde_maps(cfg, know, p_mat)
-    w_half = herm_sqrt(cfg.weight)
-    a_mat = maps.whitened_source @ know.est_sr @ p_mat @ w_half
-    a_svd = svd_ordered(a_mat)
-    coeffs = a_svd.values[:n] ** 2
-    levels, mu_f = _waterfill_core(coeffs, spectral.gains_rd, cfg.p_r)
+    a_svd = svd_ordered(maps.whitened_source @ know.est_sr @ p_mat @ cfg.weight_half)
+    terms = _gain_terms(spectral.gains_rd)
+    levels, mu_f = _waterfill(a_svd.values[:, :n] ** 2, terms, cfg.p_r)
     f_alloc = np.sqrt(levels)
-    tilde_f = (spectral.second_hop.right[:, :n] * f_alloc) @ a_svd.left[:, :n].conj().T
-    f_mat = maps.from_tilde(tilde_f)
-    g_mat = optimal_equalizer(cfg, know, p_mat, f_mat)
-    tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=g_mat)
-    achieved = residual_weighted_mse(cfg, know, p_mat, tilde_f)
-    _verify_wmse_agreement(cfg, know, tx, achieved)
-    eta_p = float(
-        np.real(np.trace(p_mat @ p_mat.conj().T @ spectral.psi_eff))
-    ) + cfg.sigma1_sq
+    tilde_f = (spectral.second_hop.right[..., :n] * f_alloc[:, None, :]) @ _ct(
+        a_svd.left[..., :n]
+    )
+    tx, _, achieved, direct = _finish(cfg, know, p_mat, tilde_f, maps)
+    failures = tuple(
+        InfeasibleAllocationError("all channel gains are zero")
+        if bad
+        else _agreement_failure(cfg, a, d)
+        for bad, a, d in zip(terms[3].tolist(), achieved.tolist(), direct.tolist())
+    )
+    eta_p = np.real(_trace(p_mat @ _ct(p_mat) @ spectral.psi_eff)) + cfg.sigma1_sq
     b_sr = cfg.p_s * spectral.psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
-    tilde_p = herm_sqrt(b_sr) @ p_mat / np.sqrt(eta_p)
+    tilde_p = herm_sqrt(b_sr) @ p_mat / np.sqrt(eta_p)[:, None, None]
     alloc = AllocationState(
-        p_alloc=np.linalg.norm(p_mat, axis=0),
+        p_alloc=np.linalg.norm(p_mat, axis=-2),
         f_alloc=f_alloc,
-        mu_p=float("nan"),
+        mu_p=np.full(draws, np.nan),
         mu_f=mu_f,
         eta_p=eta_p,
-        objective_trace=np.asarray([achieved]),
-        n_iters=1,
-        converged=True,
+        objective_trace=achieved[:, None],
+        n_iters=np.ones(draws, dtype=int),
+        converged=np.ones(draws, dtype=bool),
     )
-    return TransceiverSolution(
+    solution = TransceiverSolution(
         tx=tx,
         tilde_forward=tilde_f,
         tilde_precoder=tilde_p,
@@ -658,57 +906,131 @@ def _design_relay_only(cfg, know, spectral, opts) -> TransceiverSolution:
         spectral=spectral,
         achieved_wmse=achieved,
     )
+    return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
+
+
+def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
+    """Alternating water-filling for every (draw, init) pair of the stack,
+    the best init per draw, eta_p, and the assembled, verified designs."""
+    n = cfg.n_streams
+    draws = know.est_sr.shape[0]
+    weights = weight_eigensystem(cfg.weight)
+    inits = [_initial_source(n, cfg.p_s)]
+    if opts.restarts > 0:
+        rng = np.random.default_rng(opts.restart_seed)
+        for _ in range(opts.restarts):
+            frac = rng.random(n) + 1e-3
+            inits.append(_initial_source(n, cfg.p_s, np.sqrt(cfg.p_s * frac / frac.sum())))
+    # Rows are init-major: row j * draws + d is init j on draw d.
+    n_inits = len(inits)
+    rows, infeasible = _alternate(
+        np.tile(spectral.gains_sr, (n_inits, 1)),
+        np.tile(spectral.gains_rd, (n_inits, 1)),
+        weights.values,
+        cfg.p_s,
+        cfg.p_r,
+        np.repeat(np.stack(inits), draws, axis=0),
+        opts.tol,
+        opts.max_iters,
+    )
+    last = rows.objective_trace[np.arange(rows.n_iters.shape[0]), np.maximum(2 * rows.n_iters - 1, 0)]
+    final = np.where(rows.converged, last, np.inf).reshape(n_inits, draws)
+    pick = np.argmin(final, axis=0) * draws + np.arange(draws)
+    alloc = AllocationState(
+        p_alloc=rows.p_alloc[pick],
+        f_alloc=rows.f_alloc[pick],
+        mu_p=rows.mu_p[pick],
+        mu_f=rows.mu_f[pick],
+        eta_p=rows.eta_p[pick],
+        objective_trace=rows.objective_trace[pick],
+        n_iters=rows.n_iters[pick],
+        converged=rows.converged[pick],
+    )
+    failures = [None] * draws
+    for d in range(draws):
+        if infeasible[d]:
+            failures[d] = InfeasibleAllocationError("all channel gains are zero")
+        elif not alloc.converged[d]:
+            # every init failed: report the last one, as the loop over inits did
+            failures[d] = _not_converged(
+                opts.max_iters, rows.objective_trace[(n_inits - 1) * draws + d]
+            )
+    ordered = _products_ordered((alloc.p_alloc * spectral.gains_sr) ** 2)
+    ordered &= _products_ordered((alloc.f_alloc * spectral.gains_rd) ** 2)
+    for d in np.flatnonzero(~ordered & alloc.converged):
+        try:
+            fixed = _enforce_product_ordering(
+                alloc.draw(d), spectral.gains_sr[d], spectral.gains_rd[d],
+                weights.values, cfg.p_s, cfg.p_r,
+            )
+        except ConvergenceError as err:
+            failures[d] = err
+            continue
+        alloc = _put_row(alloc, d, fixed)
+    failed = np.array([f is not None for f in failures])
+    if failed.any():
+        # Placeholder allocations keep the stacked numerics well defined.
+        alloc = replace(
+            alloc,
+            p_alloc=np.where(failed[:, None], np.sqrt(cfg.p_s / n), alloc.p_alloc),
+            f_alloc=np.where(failed[:, None], np.sqrt(cfg.p_r / n), alloc.f_alloc),
+        )
+    alloc = replace(alloc, eta_p=solve_eta_p(alloc.p_alloc, spectral, cfg.p_s))
+    batch = assemble(cfg, know, spectral, alloc, weights=weights)
+    return replace(
+        batch,
+        failures=tuple(f if f is not None else g for f, g in zip(failures, batch.failures)),
+    )
+
+
+def _put_row(alloc: AllocationState, d: int, row: AllocationState) -> AllocationState:
+    """``alloc`` with draw d replaced by the single-draw state ``row``."""
+    old = alloc.objective_trace
+    trace = np.full((old.shape[0], max(old.shape[1], row.objective_trace.shape[0])), np.nan)
+    trace[:, : old.shape[1]] = old
+    trace[d] = np.nan
+    trace[d, : row.objective_trace.shape[0]] = row.objective_trace
+    fields = {}
+    for name in ("p_alloc", "f_alloc", "mu_p", "mu_f", "n_iters"):
+        fields[name] = getattr(alloc, name).copy()
+        fields[name][d] = getattr(row, name)
+    return replace(alloc, objective_trace=trace, **fields)
+
+
+def design_batch(
+    cfg: SystemConfig, know: ChannelKnowledge, opts: DesignOptions | None = None
+) -> DesignBatch:
+    """Design every draw of a stack of channel knowledge at once.
+
+    ``know`` holds (B, rows, cols) estimates sharing one set of error
+    statistics (a single draw counts as B = 1).  Joint mode: weight
+    eigensystem -> whitened-hop SVDs -> alternating water-filling
+    (uniform init plus optional random restarts) -> eta_p -> assembled
+    (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
+    robustly.  Draw i of the result equals the design of draw i alone;
+    a draw that fails is listed in ``failures`` and leaves the others
+    untouched.  A linear-algebra kernel rejecting an intermediate of any
+    draw raises :class:`NumericalError` for the whole stack.
+    """
+    opts = opts or DesignOptions()
+    if opts.mode not in ("joint", "relay_only"):
+        raise ValueError(f"unknown design mode {opts.mode!r}")
+    stack = know.as_stack()
+    try:
+        spectral = spectral_decompose(cfg, stack)
+        if opts.mode == "relay_only":
+            return _design_relay_only(cfg, stack, spectral, opts)
+        return _design_joint(cfg, stack, spectral, opts)
+    except (LinalgError, np.linalg.LinAlgError) as err:
+        raise NumericalError(str(err)) from err
 
 
 def design(
     cfg: SystemConfig, know: ChannelKnowledge, opts: DesignOptions | None = None
 ) -> TransceiverSolution:
-    """Full design pipeline; deterministic given inputs and options.
-
-    Joint mode: weight eigensystem -> whitened-hop SVDs -> alternating
-    water-filling (uniform init plus optional random restarts) -> eta_p
-    -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and
-    designs F, G robustly.
-    """
-    opts = opts or DesignOptions()
-    spectral = spectral_decompose(cfg, know)
-    if opts.mode == "relay_only":
-        return _design_relay_only(cfg, know, spectral, opts)
-    if opts.mode != "joint":
-        raise ValueError(f"unknown design mode {opts.mode!r}")
-    weights = weight_eigensystem(cfg.weight).values
-    inits: list[np.ndarray | None] = [None]
-    if opts.restarts > 0:
-        rng = np.random.default_rng(opts.restart_seed)
-        for _ in range(opts.restarts):
-            frac = rng.random(cfg.n_streams) + 1e-3
-            inits.append(np.sqrt(cfg.p_s * frac / frac.sum()))
-    best: AllocationState | None = None
-    failure: ConvergenceError | None = None
-    for init in inits:
-        try:
-            state = iterate_allocations(
-                spectral.gains_sr,
-                spectral.gains_rd,
-                weights,
-                cfg.p_s,
-                cfg.p_r,
-                init_p=init,
-                tol=opts.tol,
-                max_iters=opts.max_iters,
-            )
-        except ConvergenceError as err:
-            failure = err
-            continue
-        if best is None or state.objective_trace[-1] < best.objective_trace[-1]:
-            best = state
-    if best is None:
-        assert failure is not None
-        raise failure
-    best = _enforce_product_ordering(
-        best, spectral.gains_sr, spectral.gains_rd, weights, cfg.p_s, cfg.p_r
-    )
-    eta_p = solve_eta_p(
-        best.p_alloc, spectral, spectral.psi_eff, cfg.p_s, cfg.sigma1_sq
-    )
-    return assemble(cfg, know, spectral, replace(best, eta_p=eta_p))
+    """Full design pipeline for one draw; deterministic given inputs and
+    options.  The B = 1 case of :func:`design_batch`; raises the draw's
+    :class:`DesignError` if it fails."""
+    if know.est_sr.ndim != 2:
+        raise ValueError("design takes one draw; design_batch takes stacks")
+    return design_batch(cfg, know, opts).draw(0)

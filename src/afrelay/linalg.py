@@ -36,6 +36,7 @@ __all__ = [
     "eig_hermitian_ordered",
     "herm_sqrt",
     "herm_inv_sqrt",
+    "herm_roots",
 ]
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -70,7 +71,8 @@ class OrderedSVD:
     """Full SVD ``m = left @ Sigma @ right^H`` with ordered values.
 
     ``left`` is (m, m) unitary, ``right`` is (n, n) unitary and ``values``
-    holds the min(m, n) singular values, nonincreasing.
+    holds the min(m, n) singular values, nonincreasing.  Factors of a
+    (B, m, n) stack carry the same leading axis.
     """
 
     left: np.ndarray
@@ -100,37 +102,60 @@ class OrderedHermitianEig:
         return (self.vectors * self.values) @ self.vectors.conj().T
 
 
+def _ct(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of every matrix in a stack."""
+    return a.swapaxes(-1, -2).conj()
+
+
+def _sq_norm(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of a matrix or of every matrix in a stack."""
+    return (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+
+
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
     a = np.asarray(m, dtype=np.complex128)
-    if a.ndim != 2:
-        raise ValueError(f"{name} must be 2-D, got shape {a.shape}")
+    if a.ndim not in (2, 3):
+        raise ValueError(
+            f"{name} must be 2-D or a (B, m, n) stack, got shape {a.shape}"
+        )
     if a.size and not np.isfinite(a).all():
         raise ValueError(f"{name} contains non-finite entries")
-    return a.copy()
+    return a
+
+
+def _first_bad(bad: np.ndarray) -> str:
+    """' (stack entry i)' for the first flagged matrix of a stack."""
+    return "" if bad.ndim == 0 else f" (stack entry {int(np.argmax(bad))})"
 
 
 def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = _as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    scale = np.linalg.norm(a)
-    skew = np.linalg.norm(a - a.conj().T)
-    if skew > HERMITIAN_RTOL * max(scale, 1e-300):
+    ah = _ct(a)
+    skew = np.sqrt(_sq_norm(a - ah))
+    bad = skew > HERMITIAN_RTOL * np.maximum(np.sqrt(_sq_norm(a)), 1e-300)
+    if bad.any():
         raise NotHermitianError(
-            f"{name} is not Hermitian: ||m - m^H|| = {skew:.3e} "
-            f"exceeds {HERMITIAN_RTOL:g} * ||m||"
+            f"{name} is not Hermitian{_first_bad(bad)}: ||m - m^H|| = "
+            f"{float(np.max(skew)):.3e} exceeds {HERMITIAN_RTOL:g} * ||m||"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + ah)
 
 
-def _phase_factor(col: np.ndarray) -> complex:
-    """Conjugate phase that makes the dominant entry real nonnegative."""
-    i = int(np.argmax(np.abs(col)))
-    a = col[i]
-    mag = abs(a)
-    if mag == 0.0:
-        return 1.0 + 0.0j
-    return np.conj(a / mag)
+def _phase_factors(cols: np.ndarray) -> np.ndarray:
+    """Per column, the conjugate phase that makes its dominant entry real
+    nonnegative (1 for an all-zero column); shape ``cols.shape[:-2] + (k,)``."""
+    mags = np.abs(cols)
+    at = mags.argmax(axis=-2)
+    rows, k = cols.shape[-2:]
+    flat = np.ascontiguousarray(cols).reshape(-1)
+    base = np.arange(flat.shape[0] // (rows * k))[:, None] * (rows * k) + np.arange(k)
+    dom = flat[base + at.reshape(-1, k) * k].reshape(at.shape)
+    mag = np.abs(dom)
+    if mag.all():
+        return np.conj(dom / mag)
+    return np.where(mag == 0.0, 1.0 + 0.0j, np.conj(dom / np.where(mag == 0.0, 1.0, mag)))
 
 
 def _lex_key(col: np.ndarray) -> tuple:
@@ -161,7 +186,8 @@ def _sort_tied_columns(values, *column_sets):
 
     The key is taken from the first column set; all sets are permuted
     identically.  Values themselves are left untouched so the ordering
-    guarantee on them is never disturbed.
+    guarantee on them is never disturbed.  This per-matrix sort is the
+    reference; :func:`_sort_ties` only routes tied matrices here.
     """
     primary = column_sets[0]
     for grp in _tie_groups(values):
@@ -178,26 +204,40 @@ def _sort_tied_columns(values, *column_sets):
                 cols[:, grp] = cols[:, order]
 
 
+def _sort_ties(values: np.ndarray, *column_sets) -> None:
+    """Apply :func:`_sort_tied_columns` to every matrix of a stack whose
+    (nonincreasing) values contain a tie; untied matrices, nearly all of
+    them, are left alone."""
+    if values.shape[-1] < 2:
+        return
+    scale = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
+    tied = (values[..., :-1] - values[..., 1:] <= TIE_RTOL * scale).any(axis=-1)
+    if not tied.any():
+        return
+    vals = values.reshape(-1, values.shape[-1])
+    sets = [c.reshape(-1, *c.shape[-2:]) for c in column_sets]
+    for i in np.flatnonzero(tied):
+        _sort_tied_columns(vals[i], *(c[i] for c in sets))
+
+
 def svd_ordered(m) -> OrderedSVD:
     """Full SVD with nonincreasing singular values and fixed phases.
 
     Paired left/right columns are rotated together, so the factorization
     is exact; the unpaired null-space columns (when the input is not
-    square) are phase-fixed individually.
+    square) are phase-fixed individually.  A (B, m, n) stack gives
+    stacked factors, each equal to the factorization of its matrix.
     """
     a = _as_matrix(m)
     u, s, vh = np.linalg.svd(a, full_matrices=True)
-    v = np.ascontiguousarray(vh.conj().T)
-    u = np.ascontiguousarray(u)
-    k = s.shape[0]
-    for j in range(u.shape[1]):
-        ph = _phase_factor(u[:, j])
-        u[:, j] = u[:, j] * ph
-        if j < k and j < v.shape[1]:
-            v[:, j] = v[:, j] * ph
-    for j in range(k, v.shape[1]):
-        v[:, j] = v[:, j] * _phase_factor(v[:, j])
-    _sort_tied_columns(s, u[:, :k], v[:, :k])
+    v = _ct(vh).copy()
+    k = s.shape[-1]
+    ph = _phase_factors(u)
+    u = u * ph[..., None, :]
+    v[..., :k] *= ph[..., None, :k]
+    if v.shape[-1] > k:
+        v[..., k:] *= _phase_factors(v[..., k:])[..., None, :]
+    _sort_ties(s, u[..., :k], v[..., :k])
     return OrderedSVD(left=u, values=s, right=v)
 
 
@@ -206,49 +246,73 @@ def eig_hermitian_ordered(m) -> OrderedHermitianEig:
 
     The input must be Hermitian within ``HERMITIAN_RTOL`` (it is
     symmetrized internally); the same phase and tie conventions as
-    :func:`svd_ordered` apply.
+    :func:`svd_ordered` apply.  Stacks are decomposed matrix by matrix.
     """
     h = _as_hermitian(m)
     w, q = np.linalg.eigh(h)
-    w = np.ascontiguousarray(w[::-1])
-    q = np.ascontiguousarray(q[:, ::-1])
-    for j in range(q.shape[1]):
-        q[:, j] = q[:, j] * _phase_factor(q[:, j])
-    _sort_tied_columns(w, q)
+    w = w[..., ::-1].copy()
+    q = q[..., ::-1]
+    q = q * _phase_factors(q)[..., None, :]
+    _sort_ties(w, q)
     return OrderedHermitianEig(vectors=q, values=w)
 
 
+def _rebuild(q: np.ndarray, d: np.ndarray, inverse: bool = False) -> np.ndarray:
+    """Hermitian part of q diag(d) q^H (of q diag(d)^{-1} q^H when
+    ``inverse``), matrix by matrix."""
+    root = ((q / d[..., None, :]) if inverse else (q * d[..., None, :])) @ _ct(q)
+    return 0.5 * (root + _ct(root))
+
+
+def _check_psd(w: np.ndarray) -> None:
+    if w.size:
+        scale = np.maximum(-w[..., 0], w[..., -1])
+        bad = w[..., 0] < -PSD_CLAMP_RTOL * scale
+        if bad.any():
+            raise NotPSDError(
+                f"matrix is not PSD{_first_bad(bad)}: min eigenvalue "
+                f"{float(np.min(w[..., 0])):.3e} < -{PSD_CLAMP_RTOL:g} * ||m||"
+            )
+
+
+def _check_pd(w: np.ndarray) -> None:
+    wmin = w[..., 0] if w.size else np.zeros(w.shape[:-1])
+    wmax = w[..., -1] if w.size else np.zeros(w.shape[:-1])
+    bad = (wmax <= 0.0) | (wmin <= INV_COND_RTOL * wmax)
+    if bad.any():
+        raise SingularMatrixError(
+            f"matrix is singular or too ill-conditioned for an inverse "
+            f"square root{_first_bad(bad)} (eigenvalue range "
+            f"[{float(np.min(wmin)):.3e}, {float(np.max(wmax)):.3e}])"
+        )
+
+
 def herm_sqrt(m) -> np.ndarray:
-    """Hermitian square root S of a PSD matrix, S @ S = m.
+    """Hermitian square root S of a PSD matrix (or stack), S @ S = m.
 
     Eigenvalues in [-PSD_CLAMP_RTOL * ||m||, 0) are clamped to zero;
     anything more negative raises :class:`NotPSDError`.
     """
-    h = _as_hermitian(m)
-    w, q = np.linalg.eigh(h)
-    scale = float(np.max(np.abs(w))) if w.size else 0.0
-    if w.size and w[0] < -PSD_CLAMP_RTOL * scale:
-        raise NotPSDError(
-            f"matrix is not PSD: min eigenvalue {w[0]:.3e} "
-            f"< -{PSD_CLAMP_RTOL:g} * ||m||"
-        )
-    root = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.conj().T
-    return 0.5 * (root + root.conj().T)
+    w, q = np.linalg.eigh(_as_hermitian(m))
+    _check_psd(w)
+    return _rebuild(q, np.sqrt(np.clip(w, 0.0, None)))
 
 
 def herm_inv_sqrt(m) -> np.ndarray:
-    """Hermitian inverse square root R of a PD matrix, R @ m @ R = I.
+    """Hermitian inverse square root R of a PD matrix (or stack), R @ m @ R = I.
 
     Raises :class:`SingularMatrixError` when the smallest eigenvalue is
     not above ``INV_COND_RTOL`` times the largest.
     """
-    h = _as_hermitian(m)
-    w, q = np.linalg.eigh(h)
-    wmax = float(w[-1]) if w.size else 0.0
-    if wmax <= 0.0 or w[0] <= INV_COND_RTOL * wmax:
-        raise SingularMatrixError(
-            f"matrix is singular or too ill-conditioned for an inverse "
-            f"square root (eigenvalue range [{w[0]:.3e}, {wmax:.3e}])"
-        )
-    root = (q / np.sqrt(w)) @ q.conj().T
-    return 0.5 * (root + root.conj().T)
+    w, q = np.linalg.eigh(_as_hermitian(m))
+    _check_pd(w)
+    return _rebuild(q, np.sqrt(w), inverse=True)
+
+
+def herm_roots(m) -> tuple[np.ndarray, np.ndarray]:
+    """``(herm_sqrt(m), herm_inv_sqrt(m))`` of a PD matrix (or stack) from
+    one eigendecomposition; raises as :func:`herm_inv_sqrt` does."""
+    w, q = np.linalg.eigh(_as_hermitian(m))
+    _check_pd(w)
+    root_w = np.sqrt(w)
+    return _rebuild(q, root_w), _rebuild(q, root_w, inverse=True)

@@ -15,17 +15,19 @@ with Hsr/Hrd the channel estimates.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
+Every function takes one draw, or (B, ., .) stacks of draws that share
+the config and error statistics, and then works draw by draw.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .channel import ChannelKnowledge
-from .linalg import herm_inv_sqrt, herm_sqrt
+from .linalg import _ct, _sq_norm, herm_roots, herm_sqrt
 
 __all__ = [
     "SystemConfig",
@@ -40,7 +42,7 @@ __all__ = [
     "residual_weighted_mse",
 ]
 
-# Backward-error bound for linear solves; LU/Cholesky is ~eps, so this
+# Backward-error bound for linear solves; LU is ~eps, so this
 # only fires on genuinely broken systems.
 _SOLVE_BACKWARD_RTOL = 1e-12
 
@@ -89,6 +91,11 @@ class SystemConfig:
             raise ValueError("weight must be PSD")
         object.__setattr__(self, "weight", w)
 
+    @cached_property
+    def weight_half(self) -> np.ndarray:
+        """W^{1/2}, computed once per config."""
+        return herm_sqrt(self.weight)
+
 
 @dataclass(frozen=True)
 class Transceiver:
@@ -109,97 +116,125 @@ class SecondOrderStats:
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _ct(a))
+
+
+def _trace(a: np.ndarray) -> np.ndarray:
+    return np.trace(a, axis1=-2, axis2=-1)
+
+
+def _scalar(x):
+    """A Python float for a single draw, the array itself for a stack."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def _solve_hermitian(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve c @ x = b for Hermitian PD c, with a backward-error check."""
+    """Solve c @ x = b for Hermitian PD c (or stacks), with a backward-error check."""
     c = _herm(c)
-    try:
-        factor = scipy.linalg.cho_factor(c, check_finite=False)
-        x = scipy.linalg.cho_solve(factor, b, check_finite=False)
-    except scipy.linalg.LinAlgError:
-        x = np.linalg.solve(c, b)
-    resid = np.linalg.norm(c @ x - b)
-    bound = _SOLVE_BACKWARD_RTOL * (
-        np.linalg.norm(c) * np.linalg.norm(x) + np.linalg.norm(b)
-    )
-    if resid > max(bound, 1e-300):
+    x = np.linalg.solve(c, b)
+    resid, norm_c, norm_x, norm_b = (np.sqrt(_sq_norm(m)) for m in (c @ x - b, c, x, b))
+    bound = _SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b)
+    bad = resid > np.maximum(bound, 1e-300)
+    if bad.any():
         raise np.linalg.LinAlgError(
-            f"hermitian solve residual {resid:.3e} exceeds backward-error bound"
+            f"hermitian solve residual {float(np.max(resid)):.3e} exceeds "
+            "backward-error bound"
         )
     return x
 
 
 def _check_tx_dims(cfg: SystemConfig, know: ChannelKnowledge, p, f, g=None):
-    if know.est_sr.shape != (cfg.m_r, cfg.n_s):
+    if know.est_sr.shape[-2:] != (cfg.m_r, cfg.n_s):
         raise ValueError(
             f"est_sr shape {know.est_sr.shape} does not match config "
             f"({cfg.m_r}, {cfg.n_s})"
         )
-    if know.est_rd.shape != (cfg.m_d, cfg.n_r):
+    if know.est_rd.shape[-2:] != (cfg.m_d, cfg.n_r):
         raise ValueError(
             f"est_rd shape {know.est_rd.shape} does not match config "
             f"({cfg.m_d}, {cfg.n_r})"
         )
-    if p.shape != (cfg.n_s, cfg.n_streams):
+    if p.shape[-2:] != (cfg.n_s, cfg.n_streams):
         raise ValueError(f"precoder must be ({cfg.n_s}, {cfg.n_streams}), got {p.shape}")
-    if f is not None and f.shape != (cfg.n_r, cfg.m_r):
+    if f is not None and f.shape[-2:] != (cfg.n_r, cfg.m_r):
         raise ValueError(f"forward must be ({cfg.n_r}, {cfg.m_r}), got {f.shape}")
-    if g is not None and g.shape != (cfg.n_streams, cfg.m_d):
+    if g is not None and g.shape[-2:] != (cfg.n_streams, cfg.m_d):
         raise ValueError(f"equalizer must be ({cfg.n_streams}, {cfg.m_d}), got {g.shape}")
 
 
-def second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> SecondOrderStats:
-    """r_x, k1, k2 for a given precoder and relay forward matrix."""
+def _first_hop_noise(cfg: SystemConfig, know: ChannelKnowledge, gram_p) -> np.ndarray:
+    """K1 = tr(P P^H col_sr) row_sr + sigma1^2 I for the precoder Gram matrix."""
+    load = np.real(_trace(gram_p @ know.stats_sr.col_cov))[..., None, None]
+    return load * know.stats_sr.row_cov + cfg.sigma1_sq * np.eye(cfg.m_r)
+
+
+def second_order_stats(
+    cfg: SystemConfig, know: ChannelKnowledge, precoder, forward, *, k1=None
+) -> SecondOrderStats:
+    """r_x, k1, k2 for a given precoder and relay forward matrix.
+
+    Works draw by draw on stacks.  ``k1`` may be passed in when the
+    caller already holds it (``TildeMaps.k1`` for the same precoder).
+    """
     p = np.asarray(precoder, dtype=np.complex128)
     f = np.asarray(forward, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, f)
-    gram_p = p @ p.conj().T
-    k1 = (
-        float(np.real(np.trace(gram_p @ know.stats_sr.col_cov)))
-        * know.stats_sr.row_cov
-        + cfg.sigma1_sq * np.eye(cfg.m_r)
-    )
-    r_x = _herm(know.est_sr @ gram_p @ know.est_sr.conj().T + k1)
-    frf = f @ r_x @ f.conj().T
+    gram_p = p @ _ct(p)
+    if k1 is None:
+        k1 = _first_hop_noise(cfg, know, gram_p)
+    r_x = _herm(know.est_sr @ gram_p @ _ct(know.est_sr) + k1)
+    frf = f @ r_x @ _ct(f)
     k2 = (
-        float(np.real(np.trace(frf @ know.stats_rd.col_cov)))
+        np.real(_trace(frf @ know.stats_rd.col_cov))[..., None, None]
         * know.stats_rd.row_cov
         + cfg.sigma2_sq * np.eye(cfg.m_d)
     )
     return SecondOrderStats(r_x=r_x, k1=_herm(k1), k2=_herm(k2))
 
 
-def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
-    """N x N detection MSE matrix (expectation over data, errors, noises)."""
+def mse_matrix(
+    cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, *, stats=None
+) -> np.ndarray:
+    """N x N detection MSE matrix (expectation over data, errors, noises).
+
+    ``stats`` may carry the :class:`SecondOrderStats` of ``tx``'s
+    precoder and forward matrix when the caller already has them.
+    """
     p = np.asarray(tx.precoder, dtype=np.complex128)
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, f, g)
-    so = second_order_stats(cfg, know, p, f)
+    so = stats if stats is not None else second_order_stats(cfg, know, p, f)
     hf = know.est_rd @ f
-    cov_y = hf @ so.r_x @ hf.conj().T + so.k2
+    cov_y = hf @ so.r_x @ _ct(hf) + so.k2
     lin = g @ hf @ know.est_sr @ p
-    e = g @ cov_y @ g.conj().T + np.eye(cfg.n_streams) - lin - lin.conj().T
+    e = g @ cov_y @ _ct(g) + np.eye(cfg.n_streams) - lin - _ct(lin)
     return _herm(e)
 
 
-def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> float:
-    """tr(W E) for the MSE matrix E of the given transceiver."""
-    return float(np.real(np.trace(cfg.weight @ mse_matrix(cfg, know, tx))))
+def weighted_mse(
+    cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, *, stats=None
+):
+    """tr(W E) for the MSE matrix E of the given transceiver.
+
+    A float for one draw, an array of B values for a stack.
+    """
+    e = mse_matrix(cfg, know, tx, stats=stats)
+    return _scalar(np.real(_trace(cfg.weight @ e)))
 
 
-def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
+def optimal_equalizer(
+    cfg: SystemConfig, know: ChannelKnowledge, precoder, forward, *, stats=None
+) -> np.ndarray:
     """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}."""
     p = np.asarray(precoder, dtype=np.complex128)
     f = np.asarray(forward, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, f)
-    so = second_order_stats(cfg, know, p, f)
+    so = stats if stats is not None else second_order_stats(cfg, know, p, f)
     hf = know.est_rd @ f
-    cov_y = hf @ so.r_x @ hf.conj().T + so.k2
+    cov_y = hf @ so.r_x @ _ct(hf) + so.k2
     num = hf @ know.est_sr @ p
-    return _solve_hermitian(cov_y, num).conj().T
+    return _ct(_solve_hermitian(cov_y, num))
 
 
 @dataclass(frozen=True)
@@ -233,26 +268,20 @@ class TildeMaps:
 
 
 def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps:
-    """Build the F <-> F_tilde maps for the given precoder."""
+    """Build the F <-> F_tilde maps for the given precoder (or stack)."""
     p = np.asarray(precoder, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, None)
-    gram_p = p @ p.conj().T
-    k1 = _herm(
-        float(np.real(np.trace(gram_p @ know.stats_sr.col_cov)))
-        * know.stats_sr.row_cov
-        + cfg.sigma1_sq * np.eye(cfg.m_r)
-    )
-    k1_half = herm_sqrt(k1)
-    k1_inv_half = herm_inv_sqrt(k1)
+    k1 = _herm(_first_hop_noise(cfg, know, p @ _ct(p)))
+    k1_half, k1_inv_half = herm_roots(k1)
     x = k1_inv_half @ know.est_sr @ p
     # pi_p = I + x x^H is always PD with min eigenvalue 1, so its roots are
     # taken on the PSD part directly; herm_inv_sqrt's conditioning guard
     # would reject extreme but perfectly valid SNRs here.
-    w, q = np.linalg.eigh(_herm(x @ x.conj().T))
-    w = np.clip(w, 0.0, None)
-    pi_p = _herm((q * (1.0 + w)) @ q.conj().T)
-    pi_half = _herm((q * np.sqrt(1.0 + w)) @ q.conj().T)
-    pi_inv_half = _herm((q / np.sqrt(1.0 + w)) @ q.conj().T)
+    w, q = np.linalg.eigh(_herm(x @ _ct(x)))
+    w = np.clip(w, 0.0, None)[..., None, :]
+    pi_p = _herm((q * (1.0 + w)) @ _ct(q))
+    pi_half = _herm((q * np.sqrt(1.0 + w)) @ _ct(q))
+    pi_inv_half = _herm((q / np.sqrt(1.0 + w)) @ _ct(q))
     return TildeMaps(
         pi_p=pi_p,
         k1=k1,
@@ -263,25 +292,35 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     )
 
 
-def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, tilde_forward) -> float:
+def residual_weighted_mse(
+    cfg: SystemConfig,
+    know: ChannelKnowledge,
+    precoder,
+    tilde_forward,
+    *,
+    maps: TildeMaps | None = None,
+    stats: SecondOrderStats | None = None,
+):
     """Weighted MSE with the optimal equalizer already substituted in.
 
     tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B] with
     B = Hrd Ft pi_p^{-1/2} k1^{-1/2} Hsr P W^{1/2}.  Matches
-    ``weighted_mse`` at the LMMSE equalizer to solver precision.
+    ``weighted_mse`` at the LMMSE equalizer to solver precision.  A
+    designer that already holds the precoder's ``maps`` and the ``stats``
+    of (P, F) passes them in.
     """
     p = np.asarray(precoder, dtype=np.complex128)
     ft = np.asarray(tilde_forward, dtype=np.complex128)
-    if ft.shape != (cfg.n_r, cfg.m_r):
+    if ft.shape[-2:] != (cfg.n_r, cfg.m_r):
         raise ValueError(
             f"tilde_forward must be ({cfg.n_r}, {cfg.m_r}), got {ft.shape}"
         )
-    maps = tilde_maps(cfg, know, p)
-    f = maps.from_tilde(ft)
-    so = second_order_stats(cfg, know, p, f)
-    w_half = herm_sqrt(cfg.weight)
-    b = know.est_rd @ ft @ maps.whitened_source @ know.est_sr @ p @ w_half
+    if maps is None:
+        maps = tilde_maps(cfg, know, p)
+    if stats is None:
+        stats = second_order_stats(cfg, know, p, maps.from_tilde(ft), k1=maps.k1)
+    b = know.est_rd @ ft @ maps.whitened_source @ know.est_sr @ p @ cfg.weight_half
     hft = know.est_rd @ ft
-    cov = hft @ hft.conj().T + so.k2
-    quad = float(np.real(np.trace(b.conj().T @ _solve_hermitian(cov, b))))
-    return float(np.real(np.trace(cfg.weight))) - quad
+    cov = hft @ _ct(hft) + stats.k2
+    quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
+    return _scalar(float(np.real(np.trace(cfg.weight))) - quad)

@@ -1,6 +1,14 @@
 import numpy as np
+from hypothesis import settings
 
 from afrelay import SystemConfig, sample_scenario
+
+# Property tests run the same examples on every run (derandomized, no
+# example database), so Tier-1 stays deterministic.
+settings.register_profile(
+    "deterministic", derandomize=True, database=None, deadline=None, print_blob=True
+)
+settings.load_profile("deterministic")
 
 DEFAULT_WEIGHT = np.diag([0.3, 0.3, 0.2, 0.2])
 

@@ -215,7 +215,7 @@ def test_criterion_05_eta_p_self_consistency():
     )
     sp = spectral_decompose(cfg, know)
     p_alloc = np.sqrt(cfg.p_s / 4) * np.ones(4)
-    eta = solve_eta_p(p_alloc, sp, psi * np.eye(4), cfg.p_s, cfg.sigma1_sq)
+    eta = solve_eta_p(p_alloc, sp, cfg.p_s)
     if abs(eta - (cfg.p_s * psi + cfg.sigma1_sq)) > 1e-12:
         violations.append(f"scalar collapse gave {eta!r}")
     _report(5, "eta_p fixed point holds to 1e-9; scalar collapse exact", violations)

@@ -272,9 +272,7 @@ class TestSolveEtaP:
         rng = np.random.default_rng(9)
         know = exact_knowledge(rand_complex(rng, 4, 4), rand_complex(rng, 4, 4))
         sp = spectral_decompose(cfg, know)
-        eta = solve_eta_p(
-            np.full(4, 0.5), sp, np.zeros((4, 4)), cfg.p_s, cfg.sigma1_sq
-        )
+        eta = solve_eta_p(np.full(4, 0.5), sp, cfg.p_s)
         assert np.isclose(eta, cfg.sigma1_sq)
 
     def test_scalar_covariance_collapses_in_closed_form(self):
@@ -290,8 +288,31 @@ class TestSolveEtaP:
         sp = spectral_decompose(cfg, know)
         p_alloc = np.sqrt(cfg.p_s) * np.array([0.6, 0.5, 0.5, np.sqrt(1 - 0.86)])
         assert np.isclose(np.sum(p_alloc**2), cfg.p_s)
-        eta = solve_eta_p(p_alloc, sp, psi * np.eye(4), cfg.p_s, cfg.sigma1_sq)
+        eta = solve_eta_p(p_alloc, sp, cfg.p_s)
         assert np.isclose(eta, cfg.p_s * psi + cfg.sigma1_sq)
+
+    @pytest.mark.parametrize("seed,snr1_db,est_snr_db", [
+        (2, 70.0, 3.9), (11, 60.0, 19.9), (25, 65.0, -20.0),
+        (27, 60.0, 5.1), (31, 65.0, -14.6), (45, 70.0, 22.3),
+    ])
+    def test_high_first_hop_snr_keeps_the_contracts(self, seed, snr1_db, est_snr_db):
+        # sigma1^2 / (1 - t) amplified the budget error by 1/(1 - t) here:
+        # each of these instances used to miss its source budget
+        from afrelay.mse import second_order_stats
+
+        cfg, know, _ = make_instance(
+            seed, snr1_db=snr1_db, snr2_db=30.0, est_snr_db=est_snr_db
+        )
+        sol = design(cfg, know)
+        p = sol.tx.precoder
+        assert abs(np.real(np.trace(p @ p.conj().T)) - cfg.p_s) <= 1e-9 * cfg.p_s
+        so = second_order_stats(cfg, know, p, sol.tx.forward)
+        relay = np.real(np.trace(sol.tx.forward @ so.r_x @ sol.tx.forward.conj().T))
+        assert abs(relay - cfg.p_r) <= 1e-9 * cfg.p_r
+        fixed_point = float(
+            np.real(np.trace(p @ p.conj().T @ sol.spectral.psi_eff))
+        ) + cfg.sigma1_sq
+        assert abs(sol.alloc.eta_p - fixed_point) <= 1e-9 * sol.alloc.eta_p
 
     def test_fixed_point_residual_after_assembly(self):
         for seed in (11, 12, 13):
@@ -311,7 +332,7 @@ class TestAssemble:
         sp = spectral_decompose(cfg, know)
         p_alloc = np.array([np.sqrt(cfg.p_s), 0.0, 0.0, 0.0])
         f_alloc = np.array([np.sqrt(cfg.p_r), 0.0, 0.0, 0.0])
-        eta = solve_eta_p(p_alloc, sp, sp.psi_eff, cfg.p_s, cfg.sigma1_sq)
+        eta = solve_eta_p(p_alloc, sp, cfg.p_s)
         alloc = AllocationState(
             p_alloc=p_alloc,
             f_alloc=f_alloc,
@@ -525,6 +546,35 @@ class TestDesign:
         base = design(cfg, know)
         multi = design(cfg, know, DesignOptions(restarts=8, restart_seed=1))
         assert multi.achieved_wmse <= base.achieved_wmse + 1e-12
+
+    def test_failing_draw_is_masked_in_a_stack(self):
+        from afrelay.design import design_batch
+
+        cfg, know, _ = make_instance(39)
+        _, other, _ = make_instance(40)
+        est_sr = np.stack([know.est_sr, np.zeros_like(know.est_sr), other.est_sr])
+        est_rd = np.stack([know.est_rd, know.est_rd, other.est_rd])
+        stack = ChannelKnowledge(est_sr, est_rd, know.stats_sr, know.stats_rd)
+        batch = design_batch(cfg, stack)
+        assert batch.failures[0] is None and batch.failures[2] is None
+        assert isinstance(batch.failures[1], InfeasibleAllocationError)
+        with pytest.raises(InfeasibleAllocationError):
+            batch.draw(1)
+        for i in (0, 2):
+            alone = design(cfg, stack.select(i))
+            assert batch.draw(i).tx.precoder.tobytes() == alone.tx.precoder.tobytes()
+            assert batch.draw(i).achieved_wmse == alone.achieved_wmse
+
+    def test_design_errors_share_a_base(self):
+        from afrelay.design import ContractError, DesignError, NumericalError
+
+        assert issubclass(ConvergenceError, DesignError)
+        assert issubclass(ConvergenceError, RuntimeError)
+        assert issubclass(InfeasibleAllocationError, DesignError)
+        assert issubclass(InfeasibleAllocationError, ValueError)
+        assert issubclass(ContractError, RuntimeError)
+        assert issubclass(NumericalError, ValueError)
+        assert ContractError("source_power", "msg").cause == "source_power"
 
     def test_unknown_mode_rejected(self):
         cfg, know, _ = make_instance(35)

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -121,6 +122,8 @@ class TestRunExperiment:
         assert serial == pooled
 
     def test_design_failures_are_counted_and_excluded(self, monkeypatch):
+        import dataclasses
+
         import afrelay.sim as sim_mod
         from afrelay.design import ConvergenceError
 
@@ -128,11 +131,15 @@ class TestRunExperiment:
         calls = {"n": 0}
 
         def flaky(algorithm, cfg, know):
-            if algorithm == "naive":
+            batch = real(algorithm, cfg, know)
+            if algorithm != "naive":
+                return batch
+            failures = []
+            for fail in batch.failures:
                 calls["n"] += 1
-                if calls["n"] % 2 == 0:
-                    raise ConvergenceError("forced failure", [1.0])
-            return real(algorithm, cfg, know)
+                forced = ConvergenceError("forced failure", [1.0])
+                failures.append(forced if calls["n"] % 2 == 0 else fail)
+            return dataclasses.replace(batch, failures=tuple(failures))
 
         monkeypatch.setattr(sim_mod, "_design_algorithm", flaky)
         records = {r.algorithm: r for r in run_experiment(tiny_spec())}
@@ -140,6 +147,81 @@ class TestRunExperiment:
         assert records["naive"].n_draws == 3
         assert records["robust_full"].n_failed == 0
         assert np.isfinite(records["naive"].wmse_analytic)
+        assert records["naive"].failures == {"convergence": 3}
+        assert records["robust_full"].failures == {}
+
+    def test_stack_wide_numerical_failure_is_isolated(self, monkeypatch):
+        import afrelay.sim as sim_mod
+        from afrelay.channel import sample_scenario
+        from afrelay.design import NumericalError
+
+        spec = tiny_spec()
+        clean = {r.algorithm: r for r in run_experiment(spec)}
+        cfg = system_config(spec)
+        bad_est, _ = sample_scenario(
+            cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha,
+            sim_mod._draw_rng(spec.seed, 0, 3, 0),
+        )
+        real = sim_mod._design_algorithm
+
+        def fragile(algorithm, cfg, know):
+            if algorithm == "robust_full" and any(
+                np.array_equal(est, bad_est.est_sr) for est in know.est_sr
+            ):
+                raise NumericalError("forced kernel rejection")
+            return real(algorithm, cfg, know)
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", fragile)
+        records = {r.algorithm: r for r in run_experiment(spec)}
+        assert records["robust_full"].n_failed == 1
+        assert records["robust_full"].n_draws == spec.n_channel_draws - 1
+        assert records["robust_full"].failures == {"numerical": 1}
+        assert records["naive"] == clean["naive"]
+        assert records["robust_nopre"] == clean["robust_nopre"]
+
+    def test_chunked_sweep_matches_draw_by_draw_designs(self):
+        from afrelay.channel import exact_knowledge, sample_scenario_stack
+        from afrelay.design import DesignOptions, design
+        from afrelay.mse import Transceiver, weighted_mse
+        import afrelay.sim as sim_mod
+
+        spec = tiny_spec(n_channel_draws=5, n_symbols=60)
+        records = {r.algorithm: r for r in run_experiment(spec)}
+        cfg = system_config(spec)
+        rows = {alg: [] for alg in spec.algorithms}
+        for draw in range(spec.n_channel_draws):
+            stack, truth = sample_scenario_stack(
+                cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha,
+                [sim_mod._draw_rng(spec.seed, 0, draw, 0)],
+            )
+            know = stack.select(0)
+            link = sim_mod._link(spec, cfg, 0, [draw], truth)
+            for alg, sol in (
+                ("robust_full", design(cfg, know)),
+                ("robust_nopre", design(cfg, know, DesignOptions(mode="relay_only"))),
+                ("naive", design(cfg, exact_knowledge(know.est_sr, know.est_rd))),
+            ):
+                tx = Transceiver(sol.tx.precoder[None], sol.tx.forward[None],
+                                 sol.tx.equalizer[None])
+                emp, ber = sim_mod._transmit(tx, link, cfg.weight)
+                rows[alg].append((weighted_mse(cfg, know, sol.tx), emp[0], ber[0]))
+        for alg, vals in rows.items():
+            mean = np.asarray(vals).mean(axis=0)
+            rec = records[alg]
+            assert (rec.wmse_analytic, rec.wmse_empirical, rec.ber) == tuple(mean)
+
+    def test_sixty_db_sweep_completes(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        raw = json.loads(
+            (pathlib.Path(__file__).resolve().parents[1] / "configs" / "default_sweep.json")
+            .read_text(encoding="utf-8")
+        )
+        raw.update(data_snr_db=[60.0, 60.0], n_channel_draws=10, n_symbols=100)
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        out = tmp_path / "s60.csv"
+        assert cli_main(["--config", str(path), "--out", str(out)]) == 0
+        rows = out.read_text(encoding="utf-8").splitlines()[2:]
+        assert len(rows) == 15
 
 
 class TestEmitCsv:
