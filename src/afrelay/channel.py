@@ -309,21 +309,6 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
     return stats_sr, stats_rd, roots
 
 
-def _colour(roots, white):
-    """Apply each block's covariance roots to its (n, rows, cols) white draws."""
-    return tuple(left[None] @ hw @ right[None] for (left, right), hw in zip(roots, white))
-
-
-def _sample_scenario_batch(cfg, snr_est: float, alpha: float, n: int, rng):
-    """n scenario draws from one generator; returns (stats_sr, stats_rd,
-    est_sr, delta_sr, est_rd, delta_rd) with batched (n, rows, cols)
-    channel arrays."""
-    rng = as_generator(rng)
-    stats_sr, stats_rd, roots = _scenario_factors(cfg, snr_est, alpha)
-    white = [complex_gaussian(rng, n, left.shape[0], right.shape[0]) for left, right in roots]
-    return (stats_sr, stats_rd, *_colour(roots, white))
-
-
 def sample_scenario_stack(cfg, snr_est: float, alpha: float, rngs):
     """One scenario draw per generator, stacked along a leading axis.
 
@@ -334,12 +319,19 @@ def sample_scenario_stack(cfg, snr_est: float, alpha: float, rngs):
     TrueChannelDraw)`` with (B, rows, cols) arrays.
     """
     stats_sr, stats_rd, roots = _scenario_factors(cfg, snr_est, alpha)
-    white = [[] for _ in roots]
-    for rng in rngs:
-        rng = as_generator(rng)
-        for blk, (left, right) in zip(white, roots):
-            blk.append(complex_gaussian(rng, 1, left.shape[0], right.shape[0]))
-    est_sr, delta_sr, est_rd, delta_rd = _colour(roots, [np.concatenate(b) for b in white])
+    shapes = [(left.shape[0], right.shape[0]) for left, right in roots]
+    sizes = [rows * cols for rows, cols in shapes]
+    # One call per generator yields the normals that complex_gaussian would
+    # draw block by block (real parts, then imaginary parts), in order.
+    z = np.stack([as_generator(rng).standard_normal(2 * sum(sizes)) for rng in rngs])
+    white, start = [], 0
+    for (rows, cols), size in zip(shapes, sizes):
+        re, im = z[:, start : start + size], z[:, start + size : start + 2 * size]
+        white.append(((re + 1j * im) / np.sqrt(2.0)).reshape(-1, rows, cols))
+        start += 2 * size
+    est_sr, delta_sr, est_rd, delta_rd = (
+        left[None] @ hw @ right[None] for (left, right), hw in zip(roots, white)
+    )
     know = ChannelKnowledge(est_sr, est_rd, stats_sr, stats_rd)
     truth = TrueChannelDraw(
         h_sr=est_sr + delta_sr,

@@ -56,13 +56,13 @@ from .linalg import (
 from .mse import (
     SystemConfig,
     Transceiver,
+    _optimal_equalizer,
+    _residual_weighted_mse,
     _scalar,
+    _second_order_stats,
     _trace,
-    optimal_equalizer,
-    residual_weighted_mse,
-    second_order_stats,
+    _weighted_mse,
     tilde_maps,
-    weighted_mse,
 )
 
 __all__ = [
@@ -521,19 +521,16 @@ def _alternate(gsr, grd, w, p_s, p_r, p, tol, max_iters):
     settled = np.zeros(rows, dtype=bool)
     prev = np.full(rows, np.nan)
     trace = []
-    a = (p * gsr) ** 2
-    coeff_f = w * a / (1.0 + a)
+    coeff_f = _half_coeffs(p, gsr, w)
     for it in range(1, max_iters + 1 if pending.any() else 1):
         x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
         f = np.sqrt(x_f)
-        b = (f * grd) ** 2
-        trace.append((w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b))).sum(axis=-1))
-        x_p, mu_p = _waterfill(w * b / (1.0 + b), terms_sr, p_s)
+        trace.append(scalar_objective(p, f, gsr, grd, w))
+        x_p, mu_p = _waterfill(_half_coeffs(f, grd, w), terms_sr, p_s)
         p = np.sqrt(x_p)
-        a = (p * gsr) ** 2
-        cur = (w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b))).sum(axis=-1)
+        cur = scalar_objective(p, f, gsr, grd, w)
         trace.append(cur)
-        coeff_f = w * a / (1.0 + a)
+        coeff_f = _half_coeffs(p, gsr, w)
         settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
         check = settled & pending
         if check.any():
@@ -705,12 +702,12 @@ def _finish(cfg, know, p_mat, tilde_f, maps):
     """Forward matrix, equalizer and both weighted MSEs of a stack, with
     K1/r_x/K2 and the tilde maps computed once and shared."""
     f_mat = maps.from_tilde(tilde_f)
-    stats = second_order_stats(cfg, know, p_mat, f_mat, k1=maps.k1)
-    g_mat = optimal_equalizer(cfg, know, p_mat, f_mat, stats=stats)
-    tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=g_mat)
-    achieved = residual_weighted_mse(cfg, know, p_mat, tilde_f, maps=maps, stats=stats)
-    direct = weighted_mse(cfg, know, tx, stats=stats)
-    return tx, stats, achieved, direct
+    stats = _second_order_stats(cfg, know, p_mat, f_mat, maps.k1)
+    tx = Transceiver(
+        precoder=p_mat, forward=f_mat, equalizer=_optimal_equalizer(know, p_mat, f_mat, stats)
+    )
+    achieved = _residual_weighted_mse(cfg, know, p_mat, tilde_f, maps, stats)
+    return tx, stats, achieved, _weighted_mse(cfg, know, tx, stats)
 
 
 def _agreement_failure(cfg, achieved, direct):
@@ -749,38 +746,9 @@ def _joint_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
     return _agreement_failure(cfg, achieved, direct)
 
 
-def assemble(
-    cfg: SystemConfig,
-    know: ChannelKnowledge,
-    spectral: SpectralData,
-    alloc: AllocationState,
-    *,
-    weights: OrderedHermitianEig | None = None,
-):
-    """Build (P, F, G) from converged allocations and verify the contracts.
-
-    Checks on the way out: both power constraints hold with equality
-    (1e-9 relative), eta_p satisfies its fixed point, and the residual
-    weighted MSE agrees with the direct evaluation at the LMMSE
-    equalizer.  For one draw returns a :class:`TransceiverSolution` and
-    raises a :class:`ContractError` on a missed contract; for stacked
-    knowledge and allocations returns a :class:`DesignBatch` that lists
-    the draws missing a contract.  ``weights`` (the weight eigensystem)
-    is computed when not passed in.
-    """
-    if know.est_sr.ndim == 2:
-        if not np.isfinite(alloc.eta_p) or alloc.eta_p <= 0:
-            raise ValueError("alloc.eta_p must be solved before assembling")
-        batch = assemble(
-            cfg,
-            know.as_stack(),
-            _stack_spectral(spectral),
-            _stack_alloc(alloc),
-            weights=weights,
-        )
-        return batch.draw(0)
+def _assemble(cfg, know, spectral, alloc, u_w) -> DesignBatch:
+    """:func:`assemble` given the weight eigenvectors ``u_w``."""
     n = cfg.n_streams
-    u_w = (weights if weights is not None else weight_eigensystem(cfg.weight)).vectors
     eta = np.asarray(alloc.eta_p, dtype=float)
     safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
     v_sr_n = spectral.first_hop.right[..., :n]
@@ -813,30 +781,23 @@ def assemble(
     return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
 
 
-def _stack_spectral(spectral: SpectralData) -> SpectralData:
-    def svd(s):
-        return OrderedSVD(left=s.left[None], values=s.values[None], right=s.right[None])
+def assemble(
+    cfg: SystemConfig,
+    know: ChannelKnowledge,
+    spectral: SpectralData,
+    alloc: AllocationState,
+) -> DesignBatch:
+    """Build (P, F, G) for a stack of draws from converged allocations and
+    verify the contracts.
 
-    return replace(
-        spectral,
-        first_hop=svd(spectral.first_hop),
-        second_hop=svd(spectral.second_hop),
-        gains_sr=spectral.gains_sr[None],
-        gains_rd=spectral.gains_rd[None],
-    )
-
-
-def _stack_alloc(alloc: AllocationState) -> AllocationState:
-    return AllocationState(
-        p_alloc=np.asarray(alloc.p_alloc, dtype=float)[None],
-        f_alloc=np.asarray(alloc.f_alloc, dtype=float)[None],
-        mu_p=np.array([alloc.mu_p], dtype=float),
-        mu_f=np.array([alloc.mu_f], dtype=float),
-        eta_p=np.array([alloc.eta_p], dtype=float),
-        objective_trace=np.asarray(alloc.objective_trace, dtype=float)[None],
-        n_iters=np.array([alloc.n_iters]),
-        converged=np.array([alloc.converged]),
-    )
+    ``know``, ``spectral`` and ``alloc`` carry the leading draw axis (a
+    single draw is a stack of one).  Checks per draw: both power
+    constraints hold with equality (1e-9 relative), eta_p satisfies its
+    fixed point, and the residual weighted MSE agrees with the direct
+    evaluation at the LMMSE equalizer.  A draw that misses a contract is
+    listed in the returned batch's ``failures`` as a :class:`ContractError`.
+    """
+    return _assemble(cfg, know, spectral, alloc, weight_eigensystem(cfg.weight).vectors)
 
 
 def _scaled_identity_precoder(cfg: SystemConfig) -> np.ndarray:
@@ -976,7 +937,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             f_alloc=np.where(failed[:, None], np.sqrt(cfg.p_r / n), alloc.f_alloc),
         )
     alloc = replace(alloc, eta_p=solve_eta_p(alloc.p_alloc, spectral, cfg.p_s))
-    batch = assemble(cfg, know, spectral, alloc, weights=weights)
+    batch = _assemble(cfg, know, spectral, alloc, weights.vectors)
     return replace(
         batch,
         failures=tuple(f if f is not None else g for f, g in zip(failures, batch.failures)),

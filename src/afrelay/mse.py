@@ -168,20 +168,9 @@ def _first_hop_noise(cfg: SystemConfig, know: ChannelKnowledge, gram_p) -> np.nd
     return load * know.stats_sr.row_cov + cfg.sigma1_sq * np.eye(cfg.m_r)
 
 
-def second_order_stats(
-    cfg: SystemConfig, know: ChannelKnowledge, precoder, forward, *, k1=None
-) -> SecondOrderStats:
-    """r_x, k1, k2 for a given precoder and relay forward matrix.
-
-    Works draw by draw on stacks.  ``k1`` may be passed in when the
-    caller already holds it (``TildeMaps.k1`` for the same precoder).
-    """
-    p = np.asarray(precoder, dtype=np.complex128)
-    f = np.asarray(forward, dtype=np.complex128)
-    _check_tx_dims(cfg, know, p, f)
+def _second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, p, f, k1) -> SecondOrderStats:
+    """r_x, k1, k2 of (P, F) given the precoder's K1 (checked inputs)."""
     gram_p = p @ _ct(p)
-    if k1 is None:
-        k1 = _first_hop_noise(cfg, know, gram_p)
     r_x = _herm(know.est_sr @ gram_p @ _ct(know.est_sr) + k1)
     frf = f @ r_x @ _ct(f)
     k2 = (
@@ -192,49 +181,59 @@ def second_order_stats(
     return SecondOrderStats(r_x=r_x, k1=_herm(k1), k2=_herm(k2))
 
 
-def mse_matrix(
-    cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, *, stats=None
-) -> np.ndarray:
-    """N x N detection MSE matrix (expectation over data, errors, noises).
+def second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> SecondOrderStats:
+    """r_x, k1, k2 for a given precoder and relay forward matrix."""
+    p = np.asarray(precoder, dtype=np.complex128)
+    f = np.asarray(forward, dtype=np.complex128)
+    _check_tx_dims(cfg, know, p, f)
+    return _second_order_stats(cfg, know, p, f, _first_hop_noise(cfg, know, p @ _ct(p)))
 
-    ``stats`` may carry the :class:`SecondOrderStats` of ``tx``'s
-    precoder and forward matrix when the caller already has them.
-    """
+
+def _received_covariance(know: ChannelKnowledge, f, so: SecondOrderStats):
+    """Hrd F and the destination covariance Hrd F Rx F^H Hrd^H + K2."""
+    hf = know.est_rd @ f
+    return hf, hf @ so.r_x @ _ct(hf) + so.k2
+
+
+def _weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, so: SecondOrderStats):
+    """tr(W E) of a checked transceiver whose (P, F) have the stats ``so``."""
+    hf, cov_y = _received_covariance(know, tx.forward, so)
+    lin = tx.equalizer @ hf @ know.est_sr @ tx.precoder
+    e = tx.equalizer @ cov_y @ _ct(tx.equalizer) + np.eye(cfg.n_streams) - lin - _ct(lin)
+    return np.real(_trace(cfg.weight @ _herm(e)))
+
+
+def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
+    """N x N detection MSE matrix (expectation over data, errors, noises)."""
     p = np.asarray(tx.precoder, dtype=np.complex128)
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, f, g)
-    so = stats if stats is not None else second_order_stats(cfg, know, p, f)
-    hf = know.est_rd @ f
-    cov_y = hf @ so.r_x @ _ct(hf) + so.k2
+    hf, cov_y = _received_covariance(know, f, second_order_stats(cfg, know, p, f))
     lin = g @ hf @ know.est_sr @ p
     e = g @ cov_y @ _ct(g) + np.eye(cfg.n_streams) - lin - _ct(lin)
     return _herm(e)
 
 
-def weighted_mse(
-    cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, *, stats=None
-):
+def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
     """tr(W E) for the MSE matrix E of the given transceiver.
 
     A float for one draw, an array of B values for a stack.
     """
-    e = mse_matrix(cfg, know, tx, stats=stats)
+    e = mse_matrix(cfg, know, tx)
     return _scalar(np.real(_trace(cfg.weight @ e)))
 
 
-def optimal_equalizer(
-    cfg: SystemConfig, know: ChannelKnowledge, precoder, forward, *, stats=None
-) -> np.ndarray:
+def _optimal_equalizer(know: ChannelKnowledge, p, f, so: SecondOrderStats) -> np.ndarray:
+    hf, cov_y = _received_covariance(know, f, so)
+    return _ct(_solve_hermitian(cov_y, hf @ know.est_sr @ p))
+
+
+def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
     """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}."""
     p = np.asarray(precoder, dtype=np.complex128)
     f = np.asarray(forward, dtype=np.complex128)
-    _check_tx_dims(cfg, know, p, f)
-    so = stats if stats is not None else second_order_stats(cfg, know, p, f)
-    hf = know.est_rd @ f
-    cov_y = hf @ so.r_x @ _ct(hf) + so.k2
-    num = hf @ know.est_sr @ p
-    return _ct(_solve_hermitian(cov_y, num))
+    return _optimal_equalizer(know, p, f, second_order_stats(cfg, know, p, f))
 
 
 @dataclass(frozen=True)
@@ -292,22 +291,22 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     )
 
 
-def residual_weighted_mse(
-    cfg: SystemConfig,
-    know: ChannelKnowledge,
-    precoder,
-    tilde_forward,
-    *,
-    maps: TildeMaps | None = None,
-    stats: SecondOrderStats | None = None,
-):
+def _residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, p, ft, maps: TildeMaps, so: SecondOrderStats):
+    """The residual weighted MSE of checked inputs, given the precoder's
+    maps and the stats ``so`` of (P, F)."""
+    b = know.est_rd @ ft @ maps.whitened_source @ know.est_sr @ p @ cfg.weight_half
+    hft = know.est_rd @ ft
+    cov = hft @ _ct(hft) + so.k2
+    quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
+    return float(np.real(np.trace(cfg.weight))) - quad
+
+
+def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, tilde_forward):
     """Weighted MSE with the optimal equalizer already substituted in.
 
     tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B] with
     B = Hrd Ft pi_p^{-1/2} k1^{-1/2} Hsr P W^{1/2}.  Matches
-    ``weighted_mse`` at the LMMSE equalizer to solver precision.  A
-    designer that already holds the precoder's ``maps`` and the ``stats``
-    of (P, F) passes them in.
+    ``weighted_mse`` at the LMMSE equalizer to solver precision.
     """
     p = np.asarray(precoder, dtype=np.complex128)
     ft = np.asarray(tilde_forward, dtype=np.complex128)
@@ -315,12 +314,6 @@ def residual_weighted_mse(
         raise ValueError(
             f"tilde_forward must be ({cfg.n_r}, {cfg.m_r}), got {ft.shape}"
         )
-    if maps is None:
-        maps = tilde_maps(cfg, know, p)
-    if stats is None:
-        stats = second_order_stats(cfg, know, p, maps.from_tilde(ft), k1=maps.k1)
-    b = know.est_rd @ ft @ maps.whitened_source @ know.est_sr @ p @ cfg.weight_half
-    hft = know.est_rd @ ft
-    cov = hft @ _ct(hft) + stats.k2
-    quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
-    return _scalar(float(np.real(np.trace(cfg.weight))) - quad)
+    maps = tilde_maps(cfg, know, p)
+    so = _second_order_stats(cfg, know, p, maps.from_tilde(ft), maps.k1)
+    return _scalar(_residual_weighted_mse(cfg, know, p, ft, maps, so))

@@ -8,7 +8,9 @@ through the true channels and records analytic and empirical weighted
 MSE plus BER.
 
 Each sweep point is processed in chunks of at most ``CHUNK_DRAWS``
-draws.  A chunk samples every draw from its own RNG streams, keyed by
+draws, fewer for long symbol blocks so that every (draws, antennas,
+symbols) block of a chunk stays within ``CHUNK_ELEMS`` entries.  A chunk
+samples every draw from its own RNG streams, keyed by
 (seed, sweep point, draw index, stream) exactly as a draw-by-draw loop
 would key them (stream 0: channels, stream 1: QPSK bits and noise),
 stacks the draws, designs each algorithm on the whole stack
@@ -48,10 +50,13 @@ ALGORITHMS = ("naive", "robust_full", "robust_nopre")
 
 CSV_HEADER = "est_snr_db,algorithm,wmse_analytic,wmse_empirical,ber,n_draws,n_failed,seed"
 
-# Draws per batched chunk of a sweep point.  Bounds the (draws, streams,
-# symbols) blocks a chunk materialises: about 4 MB each at 64 draws of
-# 1000 symbols on 4 streams.
+# Draws per batched chunk of a sweep point, at most.
 CHUNK_DRAWS = 64
+# Entries per (draws, antennas, symbols) block a chunk materialises (the
+# QPSK symbols, both noises and every stage of the transmit): 4 MB of
+# complex128, which is 64 draws of 1000 symbols on 4 antennas.  Longer
+# blocks or more antennas get fewer draws per chunk, down to one.
+CHUNK_ELEMS = 256_000
 
 
 class ConfigError(ValueError):
@@ -341,6 +346,12 @@ def _run_chunk(spec: ExperimentSpec, point: int, start: int, stop: int) -> dict:
     return {alg: _evaluate(alg, cfg, know, link) for alg in spec.algorithms}
 
 
+def _chunk_draws(spec: ExperimentSpec) -> int:
+    """Draws per chunk: CHUNK_DRAWS, fewer where a draw's symbol blocks
+    would push a chunk's blocks past CHUNK_ELEMS entries."""
+    return min(CHUNK_DRAWS, max(1, CHUNK_ELEMS // (spec.n_symbols * max(spec.dims))))
+
+
 def _chunk_worker(args):
     return _run_chunk(*args)
 
@@ -376,10 +387,11 @@ def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> Exper
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sweep point, algorithm)."""
     records = []
+    step = _chunk_draws(spec)
     for point in range(len(spec.est_snr_db)):
         jobs = [
-            (spec, point, start, min(start + CHUNK_DRAWS, spec.n_channel_draws))
-            for start in range(0, spec.n_channel_draws, CHUNK_DRAWS)
+            (spec, point, start, min(start + step, spec.n_channel_draws))
+            for start in range(0, spec.n_channel_draws, step)
         ]
         if spec.workers > 1:
             with ProcessPoolExecutor(max_workers=spec.workers) as pool:

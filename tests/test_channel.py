@@ -13,6 +13,7 @@ from afrelay.channel import (
     sample_error,
     sample_error_batch,
     sample_scenario,
+    sample_scenario_stack,
 )
 from conftest import make_config, rand_psd
 
@@ -149,25 +150,19 @@ class TestScenario:
         assert np.allclose(truth.h_sr, know.est_sr, atol=1e-5)
 
     def test_true_channel_entries_have_unit_variance(self):
-        from afrelay.channel import _sample_scenario_batch
-
         cfg = make_config()
         n = 100_000
-        _, _, est_sr, delta_sr, est_rd, delta_rd = _sample_scenario_batch(
-            cfg, 10.0, 0.3, n, 31
-        )
-        var_sr = np.mean(np.abs(est_sr + delta_sr) ** 2, axis=0)
-        var_rd = np.mean(np.abs(est_rd + delta_rd) ** 2, axis=0)
+        _, truth = sample_scenario_stack(cfg, 10.0, 0.3, [np.random.default_rng(31)] * n)
+        var_sr = np.mean(np.abs(truth.h_sr) ** 2, axis=0)
+        var_rd = np.mean(np.abs(truth.h_rd) ** 2, axis=0)
         assert np.all(np.abs(var_sr - 1.0) <= 0.02)
         assert np.all(np.abs(var_rd - 1.0) <= 0.02)
 
     def test_estimate_and_error_are_uncorrelated(self):
-        from afrelay.channel import _sample_scenario_batch
-
         cfg = make_config()
         n = 100_000
-        _, _, est_sr, delta_sr, _, _ = _sample_scenario_batch(cfg, 10.0, 0.3, n, 33)
-        cross = np.mean(est_sr * delta_sr.conj(), axis=0)
+        know, truth = sample_scenario_stack(cfg, 10.0, 0.3, [np.random.default_rng(33)] * n)
+        cross = np.mean(know.est_sr * truth.delta_sr.conj(), axis=0)
         assert np.all(np.abs(cross) <= 0.02)
 
 

@@ -329,21 +329,22 @@ class TestSolveEtaP:
 class TestAssemble:
     def test_single_active_stream_gives_rank_one(self):
         cfg, know, _ = make_instance(14)
+        know = know.as_stack()
         sp = spectral_decompose(cfg, know)
-        p_alloc = np.array([np.sqrt(cfg.p_s), 0.0, 0.0, 0.0])
-        f_alloc = np.array([np.sqrt(cfg.p_r), 0.0, 0.0, 0.0])
+        p_alloc = np.array([[np.sqrt(cfg.p_s), 0.0, 0.0, 0.0]])
+        f_alloc = np.array([[np.sqrt(cfg.p_r), 0.0, 0.0, 0.0]])
         eta = solve_eta_p(p_alloc, sp, cfg.p_s)
         alloc = AllocationState(
             p_alloc=p_alloc,
             f_alloc=f_alloc,
-            mu_p=float("nan"),
-            mu_f=float("nan"),
+            mu_p=np.array([np.nan]),
+            mu_f=np.array([np.nan]),
             eta_p=eta,
-            objective_trace=np.asarray([1.0]),
-            n_iters=1,
-            converged=True,
+            objective_trace=np.array([[1.0]]),
+            n_iters=np.array([1]),
+            converged=np.array([True]),
         )
-        sol = assemble(cfg, know, sp, alloc)
+        sol = assemble(cfg, know, sp, alloc).draw(0)
         assert np.linalg.matrix_rank(sol.tx.precoder, tol=1e-9) == 1
         assert np.linalg.matrix_rank(sol.tx.forward, tol=1e-9) == 1
 

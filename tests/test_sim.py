@@ -210,6 +210,30 @@ class TestRunExperiment:
             rec = records[alg]
             assert (rec.wmse_analytic, rec.wmse_empirical, rec.ber) == tuple(mean)
 
+    def test_chunks_shrink_for_long_blocks(self):
+        import afrelay.sim as sim_mod
+
+        four = dict(dims=(4, 4, 4, 4), weights=np.diag([0.6, 0.4]))
+        assert sim_mod._chunk_draws(tiny_spec(n_symbols=1000, **four)) == sim_mod.CHUNK_DRAWS
+        assert sim_mod._chunk_draws(tiny_spec(n_symbols=2000, **four)) == 32
+        assert sim_mod._chunk_draws(tiny_spec(n_symbols=100_000, **four)) == 1
+        assert sim_mod._chunk_draws(tiny_spec(n_symbols=10_000_000, **four)) == 1
+        for symbols, dims in ((1500, (2, 5, 3, 2)), (40_000, (2, 2, 2, 2)), (7, (5, 5, 5, 5))):
+            spec = tiny_spec(n_symbols=symbols, dims=dims)
+            step = sim_mod._chunk_draws(spec)
+            assert 1 <= step <= sim_mod.CHUNK_DRAWS
+            assert step == 1 or step * symbols * max(dims) <= sim_mod.CHUNK_ELEMS
+
+    def test_chunk_size_leaves_records_unchanged(self, monkeypatch):
+        import afrelay.sim as sim_mod
+
+        spec = tiny_spec(n_channel_draws=7, est_snr_db=(5.0, 15.0))
+        whole = run_experiment(spec)
+        monkeypatch.setattr(sim_mod, "CHUNK_ELEMS", 3 * spec.n_symbols * max(spec.dims))
+        assert sim_mod._chunk_draws(spec) == 3
+        chunked = run_experiment(spec)
+        assert [r.__dict__ for r in chunked] == [r.__dict__ for r in whole]
+
     def test_sixty_db_sweep_completes(self, tmp_path):
         path = tmp_path / "cfg.json"
         raw = json.loads(
