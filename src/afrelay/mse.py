@@ -16,7 +16,9 @@ quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
 Every function takes one draw, or (B, ., .) stacks of draws that share
-the config and error statistics, and then works draw by draw.
+the config and error statistics, and then works draw by draw.  The
+private helpers take checked inputs plus the K1/r_x/K2 of (P, F), so a
+designer computes those once and shares them.
 """
 
 from __future__ import annotations
@@ -195,12 +197,17 @@ def _received_covariance(know: ChannelKnowledge, f, so: SecondOrderStats):
     return hf, hf @ so.r_x @ _ct(hf) + so.k2
 
 
+def _mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, p, f, g, so: SecondOrderStats):
+    """The MSE matrix of checked (P, F, G) whose (P, F) have the stats ``so``."""
+    hf, cov_y = _received_covariance(know, f, so)
+    lin = g @ hf @ know.est_sr @ p
+    return _herm(g @ cov_y @ _ct(g) + np.eye(cfg.n_streams) - lin - _ct(lin))
+
+
 def _weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, so: SecondOrderStats):
     """tr(W E) of a checked transceiver whose (P, F) have the stats ``so``."""
-    hf, cov_y = _received_covariance(know, tx.forward, so)
-    lin = tx.equalizer @ hf @ know.est_sr @ tx.precoder
-    e = tx.equalizer @ cov_y @ _ct(tx.equalizer) + np.eye(cfg.n_streams) - lin - _ct(lin)
-    return np.real(_trace(cfg.weight @ _herm(e)))
+    e = _mse_matrix(cfg, know, tx.precoder, tx.forward, tx.equalizer, so)
+    return np.real(_trace(cfg.weight @ e))
 
 
 def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
@@ -209,10 +216,7 @@ def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
     _check_tx_dims(cfg, know, p, f, g)
-    hf, cov_y = _received_covariance(know, f, second_order_stats(cfg, know, p, f))
-    lin = g @ hf @ know.est_sr @ p
-    e = g @ cov_y @ _ct(g) + np.eye(cfg.n_streams) - lin - _ct(lin)
-    return _herm(e)
+    return _mse_matrix(cfg, know, p, f, g, second_order_stats(cfg, know, p, f))
 
 
 def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
@@ -220,8 +224,7 @@ def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
 
     A float for one draw, an array of B values for a stack.
     """
-    e = mse_matrix(cfg, know, tx)
-    return _scalar(np.real(_trace(cfg.weight @ e)))
+    return _scalar(np.real(_trace(cfg.weight @ mse_matrix(cfg, know, tx))))
 
 
 def _optimal_equalizer(know: ChannelKnowledge, p, f, so: SecondOrderStats) -> np.ndarray:
