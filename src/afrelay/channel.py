@@ -261,13 +261,26 @@ def complex_gaussian(rng, *shape) -> np.ndarray:
     return (re + 1j * im) / np.sqrt(2.0)
 
 
+def _sample_error_from_roots(left: np.ndarray, right: np.ndarray, n: int, rng) -> np.ndarray:
+    """n draws of left @ H_w @ right for given covariance roots.
+
+    Both products run as one 2-D GEMM over all draws, (left @ H_w) first
+    as in the stacked product, instead of n tiny matmuls.
+    """
+    rows, cols = left.shape[0], right.shape[0]
+    hw = complex_gaussian(rng, n, rows, cols)
+    # (n, r, c) -> (r, n*c): every draw's columns side by side.
+    lh = left @ hw.transpose(1, 0, 2).reshape(rows, n * cols)
+    # (r, n*c) -> (n*r, c): every draw's rows stacked.
+    lh = lh.reshape(rows, n, cols).transpose(1, 0, 2).reshape(n * rows, cols)
+    return (lh @ right).reshape(n, rows, cols)
+
+
 def sample_error_batch(stats: ErrorStats, n: int, rng) -> np.ndarray:
     """n draws of row_cov^{1/2} @ H_w @ col_cov^{1/2}, shape (n, rows, cols)."""
-    rng = as_generator(rng)
-    hw = complex_gaussian(rng, n, stats.rows, stats.cols)
-    left = herm_sqrt(stats.row_cov)
-    right = herm_sqrt(stats.col_cov)
-    return left[None] @ hw @ right[None]
+    return _sample_error_from_roots(
+        herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov), n, as_generator(rng)
+    )
 
 
 def sample_error(stats: ErrorStats, rng) -> np.ndarray:

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .channel import ChannelKnowledge, as_generator, complex_gaussian, sample_error_batch
+from .channel import ChannelKnowledge, _sample_error_from_roots, as_generator, complex_gaussian
 from .design import scalar_gradient, scalar_objective
+from .linalg import herm_sqrt
 from .mse import SystemConfig, residual_weighted_mse
 
 __all__ = [
@@ -29,6 +30,10 @@ __all__ = [
 ]
 
 _CHUNK = 20_000
+# L-BFGS-B's default absolute finite-difference step, and the step scipy
+# falls back to where x + eps rounds back to x (sqrt(machine eps), relative).
+_FD_STEP = 1e-8
+_FD_FALLBACK = float(np.sqrt(np.finfo(np.float64).eps))
 
 
 @dataclass(frozen=True)
@@ -47,26 +52,40 @@ class McEstimate:
 
 @dataclass(frozen=True)
 class BruteForceResult:
-    """Best (P, F_tilde) found by the multi-start numeric search."""
+    """Best (P, F_tilde) found by the multi-start numeric search.
+
+    ``iterations_per_restart`` holds the L-BFGS iterations each restart
+    ran; ``evaluations_per_restart`` its objective-and-gradient calls,
+    each one stacked evaluation of the point and its forward steps.
+    """
 
     best_precoder: np.ndarray
     best_tilde_forward: np.ndarray
     best_objective: float
     restarts: int
-    iterations_per_restart: int
+    iterations_per_restart: tuple[int, ...]
+    evaluations_per_restart: tuple[int, ...]
 
 
 def _error_samples(cfg, know, tx, n_samples, seed):
-    """Stream (error, noise, data) samples of e = G y - s in chunks."""
+    """Stream samples of e = G y - s in chunks.
+
+    Per chunk the draws are taken in this order: both hops' errors
+    (source-relay first), then data, relay noise and destination noise.
+    """
     rng = as_generator(seed)
     p = np.asarray(tx.precoder, dtype=np.complex128)
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
+    roots_sr, roots_rd = (
+        (herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov))
+        for stats in (know.stats_sr, know.stats_rd)
+    )
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
-        h_sr = know.est_sr[None] + sample_error_batch(know.stats_sr, m, rng)
-        h_rd = know.est_rd[None] + sample_error_batch(know.stats_rd, m, rng)
+        h_sr = know.est_sr[None] + _sample_error_from_roots(*roots_sr, m, rng)
+        h_rd = know.est_rd[None] + _sample_error_from_roots(*roots_rd, m, rng)
         s = complex_gaussian(rng, m, cfg.n_streams)
         n1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(rng, m, cfg.m_r)
         n2 = np.sqrt(cfg.sigma2_sq) * complex_gaussian(rng, m, cfg.m_d)
@@ -129,16 +148,46 @@ def empirical_mse_matrix(cfg, know, tx, n_samples: int, seed) -> McEstimate:
     )
 
 
+def _row_norm(z):
+    """Norm of each row of z, rounded as ``np.linalg.norm`` rounds one
+    flattened matrix (a real dot product over each of the strided real
+    and imaginary views), so a row unpacks exactly as it would alone."""
+    re, im = z.real, z.imag
+    sq = re[:, None, :] @ re[:, :, None] + im[:, None, :] @ im[:, :, None]
+    return np.sqrt(sq[:, 0, 0])[:, None, None]
+
+
 def _unpack(x, cfg):
-    np_elems = cfg.n_s * cfg.n_streams
-    nf_elems = cfg.n_r * cfg.m_r
-    p_raw = x[:np_elems] + 1j * x[np_elems : 2 * np_elems]
-    f_raw = x[2 * np_elems : 2 * np_elems + nf_elems] + 1j * x[2 * np_elems + nf_elems :]
-    p = p_raw.reshape(cfg.n_s, cfg.n_streams)
-    ft = f_raw.reshape(cfg.n_r, cfg.m_r)
-    p = p * np.sqrt(cfg.p_s) / max(np.linalg.norm(p), 1e-300)
-    ft = ft * np.sqrt(cfg.p_r) / max(np.linalg.norm(ft), 1e-300)
+    """Rows of ``x`` -> (k, n_s, N) precoders and (k, n_r, m_r) tilde
+    forwards, each rescaled onto its power sphere."""
+    k = x.shape[0]
+    n_p = cfg.n_s * cfg.n_streams
+    p_re, p_im, f_re, f_im = np.split(x, [n_p, 2 * n_p, 2 * n_p + cfg.n_r * cfg.m_r], axis=1)
+    p_raw, f_raw = p_re + 1j * p_im, f_re + 1j * f_im
+    p = p_raw.reshape(k, cfg.n_s, cfg.n_streams)
+    ft = f_raw.reshape(k, cfg.n_r, cfg.m_r)
+    p = p * np.sqrt(cfg.p_s) / np.maximum(_row_norm(p_raw), 1e-300)
+    ft = ft * np.sqrt(cfg.p_r) / np.maximum(_row_norm(f_raw), 1e-300)
     return p, ft
+
+
+def _objective_and_gradient(cfg, know, x):
+    """Residual weighted MSE at ``x`` and its forward-difference gradient.
+
+    x and its ``dim`` forward-stepped copies go through one stacked
+    ``residual_weighted_mse`` call.  The rule is scipy's '2-point'
+    ``approx_derivative`` at absolute step ``_FD_STEP``: where x + h
+    rounds back to x the step falls back to one relative to |x|, and each
+    difference is divided by (x + h) - x, not by h.
+    """
+    dim = x.shape[0]
+    sign = np.where(x >= 0, 1.0, -1.0)
+    h = np.full_like(x, _FD_STEP)
+    h = np.where((x + h) - x == 0, _FD_FALLBACK * sign * np.maximum(1.0, np.abs(x)), h)
+    points = np.tile(x, (dim + 1, 1))
+    points[np.arange(1, dim + 1), np.arange(dim)] = x + h
+    vals = residual_weighted_mse(cfg, know, *_unpack(points, cfg))
+    return float(vals[0]), (vals[1:] - vals[0]) / ((x + h) - x)
 
 
 def brute_force_design(
@@ -152,37 +201,38 @@ def brute_force_design(
 
     Parameterizes both matrices by their real/imaginary parts, rescales
     onto the power spheres inside the objective (the optimum is known to
-    sit on the boundary) and runs finite-difference L-BFGS from several
-    random starts.  Meant for small problems (n_streams <= 2, a handful
-    of antennas): a best-effort lower-bound probe, not a solver.
+    sit on the boundary) and runs L-BFGS from several random starts, with
+    gradients by stacked forward differences, one objective call per
+    gradient.  Meant for small problems (n_streams <= 2, a handful of
+    antennas): a best-effort lower-bound probe, not a solver.
     """
     rng = as_generator(seed)
     dim = 2 * cfg.n_s * cfg.n_streams + 2 * cfg.n_r * cfg.m_r
-
-    def objective(x):
-        p, ft = _unpack(x, cfg)
-        return residual_weighted_mse(cfg, know, p, ft)
-
     best_val = np.inf
     best_x = None
+    iters, evals = [], []
     for _ in range(max(1, restarts)):
         x0 = rng.standard_normal(dim)
         res = scipy.optimize.minimize(
-            objective,
+            lambda x: _objective_and_gradient(cfg, know, x),
             x0,
+            jac=True,
             method="L-BFGS-B",
             options={"maxiter": max_iters, "ftol": 1e-14, "gtol": 1e-10},
         )
+        iters.append(int(res.nit))
+        evals.append(int(res.nfev))
         if res.fun < best_val:
             best_val = float(res.fun)
             best_x = res.x
-    p, ft = _unpack(best_x, cfg)
+    p, ft = _unpack(best_x[None], cfg)
     return BruteForceResult(
-        best_precoder=p,
-        best_tilde_forward=ft,
+        best_precoder=p[0],
+        best_tilde_forward=ft[0],
         best_objective=best_val,
         restarts=max(1, restarts),
-        iterations_per_restart=max_iters,
+        iterations_per_restart=tuple(iters),
+        evaluations_per_restart=tuple(evals),
     )
 
 

@@ -5,6 +5,7 @@ from afrelay.channel import (
     ChannelKnowledge,
     ErrorStats,
     HopTraining,
+    complex_gaussian,
     error_stats_first_hop,
     error_stats_second_hop,
     estimation_stats,
@@ -15,6 +16,7 @@ from afrelay.channel import (
     sample_scenario,
     sample_scenario_stack,
 )
+from afrelay.linalg import herm_sqrt
 from conftest import make_config, rand_psd
 
 
@@ -123,6 +125,18 @@ class TestErrorSampling:
             )
             assert np.all(np.abs(mean - rhs) <= 3.0 * se)
             assert np.linalg.norm(mean - rhs) <= 0.02 * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("rows, cols, n", [(2, 3, 40), (3, 1, 40), (1, 1, 40), (2, 3, 1)])
+    def test_batch_equals_per_draw_product(self, rows, cols, n):
+        rng = np.random.default_rng(14)
+        stats = ErrorStats(rand_psd(rng, rows), rand_psd(rng, cols))
+        draws = sample_error_batch(stats, n, np.random.default_rng(15))
+        white = complex_gaussian(np.random.default_rng(15), n, rows, cols)
+        left, right = herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov)
+        assert draws.shape == (n, rows, cols)
+        for draw, hw in zip(draws, white):
+            ref = left @ hw @ right
+            assert np.linalg.norm(draw - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_same_seed_same_draw(self):
         stats = ErrorStats(np.eye(3), np.eye(3))

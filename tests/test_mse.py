@@ -243,6 +243,18 @@ class TestResidualWeightedMse:
         residual = residual_weighted_mse(cfg, know, p, ft)
         assert abs(residual - direct) <= 1e-10 * max(abs(direct), 1e-300)
 
+    @pytest.mark.parametrize("dims", [(1, 1, 1, 1), (2, 3, 2, 3), (3, 3, 3, 3)])
+    def test_stack_equals_single_draw_calls(self, dims):
+        n_streams = min(2, min(dims))
+        cfg, know, _ = make_instance(36, dims=dims, n_streams=n_streams)
+        rng = np.random.default_rng(37)
+        p = np.stack([random_transceiver(cfg, rng)[0] for _ in range(6)])
+        ft = np.stack([rand_complex(rng, cfg.n_r, cfg.m_r) for _ in range(6)])
+        stacked = residual_weighted_mse(cfg, know, p, ft)
+        single = [residual_weighted_mse(cfg, know, pi, fi) for pi, fi in zip(p, ft)]
+        assert stacked.shape == (6,)
+        assert np.allclose(stacked, single, rtol=1e-12, atol=0.0)
+
 
 class TestSystemConfigValidation:
     def test_rejects_too_many_streams(self):

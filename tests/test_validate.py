@@ -1,16 +1,41 @@
 import numpy as np
 import pytest
+from scipy.optimize._numdiff import approx_derivative
 
-from afrelay.channel import exact_knowledge
+from afrelay.channel import complex_gaussian, exact_knowledge
 from afrelay.design import DesignOptions, design
-from afrelay.mse import SystemConfig, Transceiver
+from afrelay.linalg import herm_sqrt
+from afrelay.mse import SystemConfig, Transceiver, residual_weighted_mse
 from afrelay.validate import (
+    _objective_and_gradient,
+    _unpack,
     brute_force_design,
+    empirical_mse_matrix,
     empirical_weighted_mse,
     gradient_check_scalar_objective,
     projected_gradient_norm,
 )
 from conftest import make_instance
+
+
+def looped_errors(cfg, know, tx, n_samples, seed):
+    """e = G y - s one sample at a time, drawing in the estimators'
+    documented order: both hops' errors, data, relay noise, destination
+    noise (a single chunk, so n_samples must stay below its size)."""
+    rng = np.random.default_rng(seed)
+    roots = [(herm_sqrt(s.row_cov), herm_sqrt(s.col_cov)) for s in (know.stats_sr, know.stats_rd)]
+    white_sr = complex_gaussian(rng, n_samples, cfg.m_r, cfg.n_s)
+    white_rd = complex_gaussian(rng, n_samples, cfg.m_d, cfg.n_r)
+    data = complex_gaussian(rng, n_samples, cfg.n_streams)
+    noise1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(rng, n_samples, cfg.m_r)
+    noise2 = np.sqrt(cfg.sigma2_sq) * complex_gaussian(rng, n_samples, cfg.m_d)
+    (l_sr, r_sr), (l_rd, r_rd) = roots
+    for i in range(n_samples):
+        h_sr = know.est_sr + l_sr @ white_sr[i] @ r_sr
+        h_rd = know.est_rd + l_rd @ white_rd[i] @ r_rd
+        x = h_sr @ tx.precoder @ data[i] + noise1[i]
+        y = h_rd @ tx.forward @ x + noise2[i]
+        yield tx.equalizer @ y - data[i]
 
 
 class TestEmpiricalWeightedMse:
@@ -57,6 +82,53 @@ class TestEmpiricalWeightedMse:
             empirical_weighted_mse(cfg, know, sol.tx, 50, 9)
 
 
+class TestMonteCarloDrawOrder:
+    @pytest.fixture
+    def instance(self):
+        cfg, know, _ = make_instance(16, dims=(2, 3, 2, 3), n_streams=2, weight=np.diag([0.6, 0.4]))
+        return cfg, know, design(cfg, know).tx
+
+    def test_weighted_mse_equals_per_sample_loop(self, instance):
+        cfg, know, tx = instance
+        vals = np.array([
+            np.real(e.conj() @ cfg.weight @ e) for e in looped_errors(cfg, know, tx, 200, 17)
+        ])
+        est = empirical_weighted_mse(cfg, know, tx, 200, 17)
+        assert abs(est.mean - vals.mean()) <= 1e-12 * vals.mean()
+        assert abs(est.std_error - vals.std() / np.sqrt(200)) <= 1e-9 * est.std_error
+
+    def test_mse_matrix_equals_per_sample_loop(self, instance):
+        cfg, know, tx = instance
+        outer = np.array([np.outer(e, e.conj()) for e in looped_errors(cfg, know, tx, 200, 18)])
+        est = empirical_mse_matrix(cfg, know, tx, 200, 18)
+        mean = outer.mean(axis=0)
+        assert np.linalg.norm(est.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+
+
+class TestStackedGradient:
+    @pytest.mark.parametrize("dims, n_streams", [((1, 1, 1, 1), 1), ((2, 2, 2, 2), 2), ((3, 3, 3, 3), 2)])
+    def test_matches_scipy_two_point_rule(self, dims, n_streams):
+        cfg, know, _ = make_instance(
+            19, dims=dims, n_streams=n_streams, weight=np.diag([0.6, 0.4][:n_streams])
+        )
+
+        def single_point_objective(x):
+            p, ft = _unpack(x[None], cfg)
+            return residual_weighted_mse(cfg, know, p[0], ft[0])
+
+        rng = np.random.default_rng(20)
+        dim = 2 * cfg.n_s * cfg.n_streams + 2 * cfg.n_r * cfg.m_r
+        points = rng.standard_normal((3, dim))
+        # x + 1e-8 rounds back to x here, so scipy falls back to a relative step.
+        points[2, dim - 1] = -3e9
+        assert (points[2, dim - 1] + 1e-8) - points[2, dim - 1] == 0
+        for x in points:
+            val, grad = _objective_and_gradient(cfg, know, x)
+            ref = approx_derivative(single_point_objective, x, method="2-point", abs_step=1e-8)
+            assert val == single_point_objective(x)
+            assert np.max(np.abs(grad - ref)) <= 1e-6 * np.max(np.abs(ref))
+
+
 class TestBruteForce:
     def test_scalar_chain_recovers_boundary(self):
         cfg = SystemConfig(
@@ -68,6 +140,15 @@ class TestBruteForce:
         res = brute_force_design(cfg, know, restarts=2, seed=0)
         assert np.isclose(np.linalg.norm(res.best_precoder) ** 2, 1.5)
         assert np.isclose(np.linalg.norm(res.best_tilde_forward) ** 2, 2.5)
+
+    def test_reports_iterations_and_evaluations_run(self):
+        cfg, know, _ = make_instance(21, dims=(2, 2, 2, 2), n_streams=2, weight=np.diag([0.6, 0.4]))
+        res = brute_force_design(cfg, know, restarts=3, seed=0, max_iters=300)
+        capped = brute_force_design(cfg, know, restarts=2, seed=0, max_iters=4)
+        assert len(res.iterations_per_restart) == len(res.evaluations_per_restart) == 3
+        assert all(1 <= it < 300 for it in res.iterations_per_restart)
+        assert all(ev >= it for ev, it in zip(res.evaluations_per_restart, res.iterations_per_restart))
+        assert capped.iterations_per_restart == (4, 4)
 
     def test_perfect_csi_diagonal_channels_match_designer(self):
         cfg = SystemConfig(
