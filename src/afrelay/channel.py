@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import herm_sqrt
+from .linalg import _as_psd, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -38,30 +38,11 @@ __all__ = [
     "sample_scenario_stack",
 ]
 
-_PSD_ATOL = 1e-10
-
-
 def as_generator(seed) -> np.random.Generator:
     """Normalize an int seed / SeedSequence / Generator to a Generator."""
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
-
-
-def _check_psd(a: np.ndarray, name: str) -> np.ndarray:
-    a = np.asarray(a, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"{name} must be square, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} contains non-finite entries")
-    scale = max(float(np.linalg.norm(a)), 1e-300)
-    if np.linalg.norm(a - a.conj().T) > 1e-10 * scale:
-        raise ValueError(f"{name} must be Hermitian")
-    a = 0.5 * (a + a.conj().T)
-    wmin = float(np.linalg.eigvalsh(a)[0])
-    if wmin < -_PSD_ATOL * scale:
-        raise ValueError(f"{name} must be PSD (min eigenvalue {wmin:.3e})")
-    return a
 
 
 @dataclass(frozen=True)
@@ -76,8 +57,11 @@ class ErrorStats:
     col_cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "row_cov", _check_psd(self.row_cov, "row_cov"))
-        object.__setattr__(self, "col_cov", _check_psd(self.col_cov, "col_cov"))
+        for name in ("row_cov", "col_cov"):
+            cov = _as_psd(getattr(self, name), name)
+            if cov.ndim != 2:
+                raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
+            object.__setattr__(self, name, cov)
 
     @property
     def rows(self) -> int:
@@ -86,12 +70,6 @@ class ErrorStats:
     @property
     def cols(self) -> int:
         return self.col_cov.shape[0]
-
-    def scaled(self, factor: float) -> "ErrorStats":
-        """Stats with the error energy scaled by ``factor`` (>= 0)."""
-        if factor < 0:
-            raise ValueError("factor must be nonnegative")
-        return ErrorStats(self.row_cov * factor, self.col_cov)
 
 
 @dataclass(frozen=True)
@@ -288,28 +266,6 @@ def sample_error(stats: ErrorStats, rng) -> np.ndarray:
     return sample_error_batch(stats, 1, rng)[0]
 
 
-def _estimate_stats(stats: ErrorStats) -> ErrorStats:
-    """Covariance of the channel *estimate* under unit total variance.
-
-    MMSE orthogonality with i.i.d. unit-variance true entries leaves the
-    estimate with covariance I - (error covariance); this factors per hop
-    because one side of the error covariance is a scaled identity.
-    """
-    row, col = stats.row_cov, stats.col_cov
-    row_scale = float(np.real(np.trace(row))) / stats.rows
-    col_scale = float(np.real(np.trace(col))) / stats.cols
-    eye_row = np.eye(stats.rows)
-    eye_col = np.eye(stats.cols)
-    if np.linalg.norm(row - row_scale * eye_row) <= 1e-10 * max(row_scale, 1e-300):
-        return ErrorStats(eye_row, eye_col - row_scale * col)
-    if np.linalg.norm(col - col_scale * eye_col) <= 1e-10 * max(col_scale, 1e-300):
-        return ErrorStats(eye_row - col_scale * row, eye_col)
-    raise ValueError(
-        "estimate sampling requires one side of the error covariance to be "
-        "a scaled identity (the training-based model guarantees this)"
-    )
-
-
 def _scenario_factors(cfg, snr_est: float, alpha: float):
     """The per-point constants of scenario sampling: both hops' error
     stats and the (row, column) covariance roots of the four sampled
@@ -317,8 +273,16 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
     stats_sr, stats_rd = estimation_stats(
         snr_est, alpha, cfg.n_s, cfg.m_r, cfg.n_r, cfg.m_d
     )
-    blocks = (_estimate_stats(stats_sr), stats_sr, _estimate_stats(stats_rd), stats_rd)
-    roots = tuple((herm_sqrt(s.row_cov), herm_sqrt(s.col_cov)) for s in blocks)
+    # MMSE orthogonality with i.i.d. unit-variance true entries leaves each
+    # estimate with covariance I - (error covariance); that factors per hop
+    # because estimation_stats builds row_cov_sr and col_cov_rd as I.
+    covs = (
+        (stats_sr.row_cov, np.eye(cfg.n_s) - stats_sr.col_cov),
+        (stats_sr.row_cov, stats_sr.col_cov),
+        (np.eye(cfg.m_d) - stats_rd.row_cov, stats_rd.col_cov),
+        (stats_rd.row_cov, stats_rd.col_cov),
+    )
+    roots = tuple((herm_sqrt(row), herm_sqrt(col)) for row, col in covs)
     return stats_sr, stats_rd, roots
 
 

@@ -44,9 +44,9 @@ import numpy as np
 from .channel import ChannelKnowledge
 from .linalg import (
     LinalgError,
-    NotPSDError,
     OrderedHermitianEig,
     OrderedSVD,
+    _check_psd,
     _ct,
     eig_hermitian_ordered,
     herm_inv_sqrt,
@@ -281,11 +281,7 @@ class DesignOptions:
 def weight_eigensystem(w) -> OrderedHermitianEig:
     """Eigendecomposition of the PSD weighting matrix, values nonincreasing."""
     eig = eig_hermitian_ordered(w)
-    scale = max(float(np.max(np.abs(eig.values))), 0.0)
-    if eig.values.size and eig.values[-1] < -1e-10 * max(scale, 1e-300):
-        raise NotPSDError(
-            f"weight matrix is not PSD (min eigenvalue {eig.values[-1]:.3e})"
-        )
+    _check_psd(eig.values[..., ::-1], "weight")
     return OrderedHermitianEig(
         vectors=eig.vectors, values=np.clip(eig.values, 0.0, None)
     )
@@ -614,63 +610,6 @@ def _initial_source(n: int, p_s: float, init_p=None) -> np.ndarray:
     return p * np.sqrt(p_s / total)
 
 
-def _enforce_product_ordering(
-    state: AllocationState, gains_sr, gains_rd, weights, p_s, p_r
-) -> AllocationState:
-    """Guard the nonincreasing-product requirement on the diagonal gains.
-
-    The assembled structure needs a_i = (p_i lsr_i)^2 and
-    b_i = (f_i lrd_i)^2 nonincreasing.  With nonincreasing weights and
-    gains the water-filling output already satisfies this; if weight ties
-    ever leave a block out of order, the allocations inside the tied
-    block are re-sorted and one extra refinement round is run.
-    """
-    gsr, grd, w = _validate_scalar_inputs(gains_sr, gains_rd, weights)
-
-    def ordered(p, f):
-        return _products_ordered((p * gsr) ** 2) and _products_ordered((f * grd) ** 2)
-
-    if ordered(state.p_alloc, state.f_alloc):
-        return state
-
-    p = state.p_alloc.copy()
-    f = state.f_alloc.copy()
-    wscale = max(float(w.max(initial=0.0)), 1e-300)
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and abs(w[stop] - w[start]) <= 1e-12 * wscale:
-            stop += 1
-        blk = slice(start, stop)
-        p[blk] = np.sort(p[blk])[::-1]
-        f[blk] = np.sort(f[blk])[::-1]
-        start = stop
-    f, mu_f = waterfill_relay(p, gsr, grd, w, p_r)
-    p, mu_p = waterfill_source(f, gsr, grd, w, p_s)
-    if not ordered(p, f):
-        raise ConvergenceError(
-            "allocation products remained out of order after re-sorting the "
-            "tied-weight blocks",
-            state.objective_trace,
-        )
-    trace = np.append(state.objective_trace, scalar_objective(p, f, gsr, grd, w))
-    return replace(
-        state,
-        p_alloc=p,
-        f_alloc=f,
-        mu_p=mu_p,
-        mu_f=mu_f,
-        objective_trace=trace,
-        n_iters=state.n_iters + 1,
-    )
-
-
-def _products_ordered(vals) -> np.ndarray:
-    """Per row, whether (..., n) products are nonincreasing to 1e-9."""
-    scale = np.maximum(np.max(vals, axis=-1, initial=0.0), 1e-300)[..., None]
-    return ~np.any(vals[..., 1:] > vals[..., :-1] + 1e-9 * scale, axis=-1)
-
-
 def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
     """Closed-form first-hop noise-plus-leakage level.
 
@@ -916,18 +855,6 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             failures[d] = _not_converged(
                 opts.max_iters, rows.objective_trace[(n_inits - 1) * draws + d]
             )
-    ordered = _products_ordered((alloc.p_alloc * spectral.gains_sr) ** 2)
-    ordered &= _products_ordered((alloc.f_alloc * spectral.gains_rd) ** 2)
-    for d in np.flatnonzero(~ordered & alloc.converged):
-        try:
-            fixed = _enforce_product_ordering(
-                alloc.draw(d), spectral.gains_sr[d], spectral.gains_rd[d],
-                weights.values, cfg.p_s, cfg.p_r,
-            )
-        except ConvergenceError as err:
-            failures[d] = err
-            continue
-        alloc = _put_row(alloc, d, fixed)
     failed = np.array([f is not None for f in failures])
     if failed.any():
         # Placeholder allocations keep the stacked numerics well defined.
@@ -942,20 +869,6 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
         batch,
         failures=tuple(f if f is not None else g for f, g in zip(failures, batch.failures)),
     )
-
-
-def _put_row(alloc: AllocationState, d: int, row: AllocationState) -> AllocationState:
-    """``alloc`` with draw d replaced by the single-draw state ``row``."""
-    old = alloc.objective_trace
-    trace = np.full((old.shape[0], max(old.shape[1], row.objective_trace.shape[0])), np.nan)
-    trace[:, : old.shape[1]] = old
-    trace[d] = np.nan
-    trace[d, : row.objective_trace.shape[0]] = row.objective_trace
-    fields = {}
-    for name in ("p_alloc", "f_alloc", "mu_p", "mu_f", "n_iters"):
-        fields[name] = getattr(alloc, name).copy()
-        fields[name][d] = getattr(row, name)
-    return replace(alloc, objective_trace=trace, **fields)
 
 
 def design_batch(

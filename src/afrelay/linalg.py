@@ -264,15 +264,26 @@ def _rebuild(q: np.ndarray, d: np.ndarray, inverse: bool = False) -> np.ndarray:
     return 0.5 * (root + _ct(root))
 
 
-def _check_psd(w: np.ndarray) -> None:
+def _check_psd(w: np.ndarray, name: str = "matrix") -> None:
+    """Raise :class:`NotPSDError` unless the nondecreasing eigenvalues
+    ``w`` (of a matrix or stack) are above -PSD_CLAMP_RTOL * ||m||."""
     if w.size:
         scale = np.maximum(-w[..., 0], w[..., -1])
         bad = w[..., 0] < -PSD_CLAMP_RTOL * scale
         if bad.any():
             raise NotPSDError(
-                f"matrix is not PSD{_first_bad(bad)}: min eigenvalue "
+                f"{name} is not PSD{_first_bad(bad)}: min eigenvalue "
                 f"{float(np.min(w[..., 0])):.3e} < -{PSD_CLAMP_RTOL:g} * ||m||"
             )
+
+
+def _as_psd(m, name: str = "matrix") -> np.ndarray:
+    """Hermitian part of ``m`` (a matrix or stack), checked Hermitian within
+    HERMITIAN_RTOL and PSD within PSD_CLAMP_RTOL; the one validator for
+    user-supplied covariances and weights."""
+    h = _as_hermitian(m, name)
+    _check_psd(np.linalg.eigvalsh(h), name)
+    return h
 
 
 def _check_pd(w: np.ndarray) -> None:

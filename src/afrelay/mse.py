@@ -29,7 +29,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _ct, _sq_norm, herm_roots, herm_sqrt
+from .linalg import _as_psd, _ct, _sq_norm, herm_roots, herm_sqrt
 
 __all__ = [
     "SystemConfig",
@@ -77,21 +77,15 @@ class SystemConfig:
                 f"n_streams={self.n_streams} exceeds min antenna count {min(dims)}"
             )
         for name in ("p_s", "p_r", "sigma1_sq", "sigma2_sq"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite")
         w = np.asarray(self.weight, dtype=np.complex128)
         if w.shape != (self.n_streams, self.n_streams):
             raise ValueError(
                 f"weight must be {self.n_streams}x{self.n_streams}, got {w.shape}"
             )
-        if not np.isfinite(w).all():
-            raise ValueError("weight contains non-finite entries")
-        if np.linalg.norm(w - w.conj().T) > 1e-10 * max(np.linalg.norm(w), 1e-300):
-            raise ValueError("weight must be Hermitian")
-        w = 0.5 * (w + w.conj().T)
-        if float(np.linalg.eigvalsh(w)[0]) < -1e-10 * max(np.linalg.norm(w), 1e-300):
-            raise ValueError("weight must be PSD")
-        object.__setattr__(self, "weight", w)
+        object.__setattr__(self, "weight", _as_psd(w, "weight"))
 
     @cached_property
     def weight_half(self) -> np.ndarray:

@@ -34,6 +34,7 @@ import numpy as np
 
 from .channel import exact_knowledge, sample_scenario_stack
 from .design import DesignError, DesignOptions, design, design_batch
+from .linalg import _as_psd
 from .mse import SystemConfig, weighted_mse
 
 __all__ = [
@@ -61,6 +62,18 @@ CHUNK_ELEMS = 256_000
 
 class ConfigError(ValueError):
     """Experiment specification failed validation; message names the field."""
+
+
+def _parse(name: str, convert, value):
+    """``convert(value)``, or a :class:`ConfigError` naming the field."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ConfigError(f"{name} has a malformed value {value!r}") from None
+
+
+def _floats(values) -> tuple[float, ...]:
+    return tuple(float(v) for v in values)
 
 
 @dataclass(frozen=True)
@@ -107,44 +120,47 @@ class ExperimentSpec:
                 raise ConfigError(f"unknown config field {key!r}")
         try:
             dims = tuple(int(d) for d in raw["dims"])
-        except (KeyError, TypeError, ValueError):
+        except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError("dims must be a list of four antenna counts") from None
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise ConfigError("dims must be four positive antenna counts")
         if "n_streams" not in raw:
             raise ConfigError("n_streams is required")
-        n = int(raw["n_streams"])
+        n = _parse("n_streams", int, raw["n_streams"])
         if not 1 <= n <= min(dims):
             raise ConfigError("n_streams must be in [1, min(dims)]")
-        alpha = float(raw.get("alpha", 0.0))
+        alpha = _parse("alpha", float, raw.get("alpha", 0.0))
         if not 0.0 <= alpha < 1.0:
             raise ConfigError("alpha must be in [0, 1)")
         snr = raw.get("data_snr_db", 30.0)
-        if np.isscalar(snr):
-            data_snr = (float(snr), float(snr))
-        else:
-            data_snr = tuple(float(v) for v in snr)
-            if len(data_snr) != 2:
-                raise ConfigError("data_snr_db must be a scalar or a pair")
+        data_snr = _parse("data_snr_db", _floats, (snr, snr) if np.isscalar(snr) else snr)
+        if len(data_snr) != 2 or not np.isfinite(data_snr).all():
+            raise ConfigError("data_snr_db must be a finite scalar or pair")
         est = raw.get("est_snr_db")
-        if not est:
+        if not isinstance(est, (list, tuple)) or not est:
             raise ConfigError("est_snr_db must be a nonempty list")
-        est_snr = tuple(float(v) for v in est)
+        est_snr = _parse("est_snr_db", _floats, est)
+        if not np.isfinite(est_snr).all():
+            raise ConfigError("est_snr_db entries must be finite")
         w_raw = raw.get("weights")
         if w_raw is None:
             raise ConfigError("weights is required")
-        w = np.asarray(w_raw, dtype=float)
+        w = _parse("weights", lambda v: np.asarray(v, dtype=float), w_raw)
         if w.ndim == 1:
             if w.shape[0] != n:
                 raise ConfigError(f"weights must have length n_streams={n}")
             w = np.diag(w)
         elif w.shape != (n, n):
             raise ConfigError(f"weights must be length-{n} diagonal or {n}x{n}")
-        draws = int(raw.get("n_channel_draws", 1000))
-        symbols = int(raw.get("n_symbols", 1000))
+        try:
+            _as_psd(w, "weights")
+        except ValueError as err:
+            raise ConfigError(str(err)) from None
+        draws = _parse("n_channel_draws", int, raw.get("n_channel_draws", 1000))
+        symbols = _parse("n_symbols", int, raw.get("n_symbols", 1000))
         if draws < 1 or symbols < 1:
             raise ConfigError("n_channel_draws and n_symbols must be >= 1")
-        algorithms = tuple(raw.get("algorithms", list(ALGORITHMS)))
+        algorithms = _parse("algorithms", tuple, raw.get("algorithms", list(ALGORITHMS)))
         if not algorithms:
             raise ConfigError("algorithms must be nonempty")
         for alg in algorithms:
@@ -152,11 +168,11 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not in {sorted(ALGORITHMS)}"
                 )
-        p_s = float(raw.get("p_s", 1.0))
-        p_r = float(raw.get("p_r", 1.0))
-        if p_s <= 0 or p_r <= 0:
-            raise ConfigError("p_s and p_r must be positive")
-        workers = int(raw.get("workers", 1))
+        p_s = _parse("p_s", float, raw.get("p_s", 1.0))
+        p_r = _parse("p_r", float, raw.get("p_r", 1.0))
+        if not all(np.isfinite(p) and p > 0 for p in (p_s, p_r)):
+            raise ConfigError("p_s and p_r must be positive and finite")
+        workers = _parse("workers", int, raw.get("workers", 1))
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         return cls(
@@ -168,7 +184,7 @@ class ExperimentSpec:
             weights=w,
             n_channel_draws=draws,
             n_symbols=symbols,
-            seed=int(raw.get("seed", 0)),
+            seed=_parse("seed", int, raw.get("seed", 0)),
             algorithms=algorithms,
             p_s=p_s,
             p_r=p_r,

@@ -8,7 +8,6 @@ from afrelay.design import (
     ConvergenceError,
     DesignOptions,
     InfeasibleAllocationError,
-    _enforce_product_ordering,
     assemble,
     design,
     iterate_allocations,
@@ -242,27 +241,6 @@ class TestIterateAllocations:
             )
         assert err.value.objective_trace.shape == (2,)
 
-    def test_ordering_guard_resorts_tied_blocks(self):
-        gains = np.array([2.0, 2.0])
-        weights = np.array([1.0, 1.0])
-        bad = AllocationState(
-            p_alloc=np.array([0.4, 0.9]),
-            f_alloc=np.array([0.3, 0.8]),
-            mu_p=1.0,
-            mu_f=1.0,
-            eta_p=float("nan"),
-            objective_trace=np.asarray([1.0]),
-            n_iters=1,
-            converged=True,
-        )
-        fixed = _enforce_product_ordering(bad, gains, gains, weights, 1.0, 1.0)
-        a = (fixed.p_alloc * gains) ** 2
-        b = (fixed.f_alloc * gains) ** 2
-        assert np.all(np.diff(a) <= 1e-12)
-        assert np.all(np.diff(b) <= 1e-12)
-        assert np.isclose(np.sum(fixed.p_alloc**2), 1.0)
-        assert np.isclose(np.sum(fixed.f_alloc**2), 1.0)
-
 
 class TestSolveEtaP:
     def test_zero_error_covariance_gives_noise_variance(self):
@@ -480,8 +458,8 @@ class TestDesign:
         scaled = ChannelKnowledge(
             know.est_sr,
             know.est_rd,
-            know.stats_sr.scaled(eps),
-            know.stats_rd.scaled(eps),
+            ErrorStats(know.stats_sr.row_cov * eps, know.stats_sr.col_cov),
+            ErrorStats(know.stats_rd.row_cov * eps, know.stats_rd.col_cov),
         )
         sol_eps = design(cfg, scaled)
         sol_zero = design(cfg, exact_knowledge(know.est_sr, know.est_rd))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -268,3 +270,9 @@ class TestSystemConfigValidation:
     def test_rejects_nonpositive_power(self):
         with pytest.raises(ValueError):
             make_config(p_s=0.0)
+
+    @pytest.mark.parametrize("name", ["p_s", "p_r", "sigma1_sq", "sigma2_sq"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_rejects_non_finite_power_and_noise(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            dataclasses.replace(make_config(), **{name: value})

@@ -17,8 +17,11 @@ from afrelay.design import (
     _waterfill_checked,
     design,
     design_batch,
+    iterate_allocations,
+    spectral_decompose,
     waterfill_kkt_residual,
     waterfill_relay,
+    weight_eigensystem,
 )
 from afrelay.sim import ExperimentSpec, system_config
 from test_design import saturated_multiplier_oracle
@@ -69,6 +72,10 @@ def _single(cfg, know, opts):
         return err
 
 
+def _nonincreasing(vals) -> bool:
+    return bool(np.all(vals[1:] <= vals[:-1] + 1e-9 * vals.max(initial=0.0)))
+
+
 @settings(max_examples=40)
 @given(scenarios(), st.integers(0, 2))
 def test_stack_equals_single_draw_designs(scenario, restarts):
@@ -89,6 +96,36 @@ def test_stack_equals_single_draw_designs(scenario, restarts):
                 assert getattr(got.tx, name).tobytes() == getattr(alone.tx, name).tobytes()
             assert got.achieved_wmse == alone.achieved_wmse
             assert got.alloc.n_iters == alone.alloc.n_iters
+
+
+@settings(max_examples=60)
+@given(scenarios())
+def test_uniform_init_keeps_the_products_ordered(scenario):
+    # Nonincreasing weights and gains make both half water-fills monotone
+    # in the rank, so the alternation from the uniform init never leaves
+    # the paired order (p_i lsr_i)^2, (f_i lrd_i)^2 nonincreasing.
+    cfg, know = scenario
+    spectral = spectral_decompose(cfg, know)
+    weights = weight_eigensystem(cfg.weight).values
+    for gsr, grd in zip(spectral.gains_sr, spectral.gains_rd):
+        try:
+            alloc = iterate_allocations(gsr, grd, weights, cfg.p_s, cfg.p_r)
+        except DesignError:
+            continue
+        assert _nonincreasing((alloc.p_alloc * gsr) ** 2)
+        assert _nonincreasing((alloc.f_alloc * grd) ** 2)
+
+
+@settings(max_examples=40)
+@given(scenarios())
+def test_designs_with_restarts_keep_the_products_ordered(scenario):
+    cfg, know = scenario
+    for i in range(know.est_sr.shape[0]):
+        sol = _single(cfg, know.select(i), DesignOptions(restarts=2))
+        if isinstance(sol, DesignError):
+            continue
+        assert _nonincreasing((sol.alloc.p_alloc * sol.spectral.gains_sr) ** 2)
+        assert _nonincreasing((sol.alloc.f_alloc * sol.spectral.gains_rd) ** 2)
 
 
 gains = st.one_of(st.floats(1e-6, 1e3), st.sampled_from((0.0, 1e-15, 1.0, 2.0)))

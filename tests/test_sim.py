@@ -66,6 +66,16 @@ class TestSpecValidation:
             ({"algorithms": ["fancy"]}, "algorithms"),
             ({"n_channel_draws": 0}, "n_channel_draws"),
             ({"bogus_key": 1}, "bogus_key"),
+            ({"n_streams": "two"}, "n_streams"),
+            ({"est_snr_db": 5.0}, "est_snr_db"),
+            ({"est_snr_db": [5.0, float("nan")]}, "est_snr_db"),
+            ({"data_snr_db": float("inf")}, "data_snr_db"),
+            ({"data_snr_db": [20.0, float("nan")]}, "data_snr_db"),
+            ({"p_s": float("nan")}, "p_s"),
+            ({"p_r": float("inf")}, "p_r"),
+            ({"weights": [0.6, -0.4]}, "weights"),
+            ({"weights": [[0.5, 0.9], [0.9, 0.5]]}, "weights"),
+            ({"weights": [[0.5, 0.1], [0.0, 0.5]]}, "weights"),
         ],
     )
     def test_errors_name_the_field(self, patch, field):
