@@ -50,7 +50,6 @@ from .linalg import (
     _ct,
     eig_hermitian_ordered,
     herm_inv_sqrt,
-    herm_sqrt,
     svd_ordered,
 )
 from .mse import (
@@ -95,6 +94,10 @@ TINY_GAIN_RTOL = 1e-12
 # Relay-side KKT residual against the final source allocation that ends
 # the alternation.
 CROSS_KKT_TOL = 1e-9
+# Relative change of the objective over one full iteration below which
+# the alternation checks CROSS_KKT_TOL, and its iteration budget.
+CONVERGENCE_TOL = 1e-10
+MAX_ITERS = 500
 
 
 class DesignError(Exception):
@@ -219,7 +222,6 @@ class TransceiverSolution:
 
     tx: Transceiver
     tilde_forward: np.ndarray
-    tilde_precoder: np.ndarray
     alloc: AllocationState
     spectral: SpectralData
     achieved_wmse: float
@@ -252,7 +254,6 @@ class DesignBatch:
                 equalizer=_own(sol.tx.equalizer, i),
             ),
             tilde_forward=_own(sol.tilde_forward, i),
-            tilde_precoder=_own(sol.tilde_precoder, i),
             alloc=sol.alloc.draw(i),
             spectral=sol.spectral.draw(i),
             achieved_wmse=float(sol.achieved_wmse[i]),
@@ -263,19 +264,16 @@ class DesignBatch:
 class DesignOptions:
     """Knobs for :func:`design`.
 
-    ``mode`` is "joint" (full pipeline) or "relay_only" (precoder held
-    fixed at ``fixed_precoder``, default a scaled identity using the full
-    source budget, with only F and G designed).  ``restarts`` adds that
-    many random initializations on top of the uniform one; the best final
+    ``mode`` is "joint" (full pipeline) or "relay_only" (the precoder is
+    the scaled identity that spreads the source budget evenly over the
+    streams; only F and G are designed).  ``restarts`` adds that many
+    random initializations on top of the uniform one; the best final
     objective wins, ties going to the earlier candidate.
     """
 
     mode: str = "joint"
-    fixed_precoder: np.ndarray | None = None
     restarts: int = 0
     restart_seed: int = 0
-    tol: float = 1e-10
-    max_iters: int = 500
 
 
 def weight_eigensystem(w) -> OrderedHermitianEig:
@@ -495,7 +493,7 @@ def _validate_scalar_inputs(gains_sr, gains_rd, weights):
     return gsr, grd, w
 
 
-def _alternate(gsr, grd, w, p_s, p_r, p, tol, max_iters):
+def _alternate(gsr, grd, w, p_s, p_r, p, tol=CONVERGENCE_TOL, max_iters=MAX_ITERS):
     """Alternating water-filling on every row of (R, n) stacks at once.
 
     Each row follows exactly the iteration of a single problem and stops
@@ -570,8 +568,8 @@ def iterate_allocations(
     p_r: float,
     *,
     init_p=None,
-    tol: float = 1e-10,
-    max_iters: int = 500,
+    tol: float = CONVERGENCE_TOL,
+    max_iters: int = MAX_ITERS,
 ) -> AllocationState:
     """Alternate the two water-filling updates until the objective settles.
 
@@ -637,34 +635,13 @@ def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
     return _scalar(eta)
 
 
-def _finish(cfg, know, p_mat, tilde_f, maps):
-    """Forward matrix, equalizer and both weighted MSEs of a stack, with
-    K1/r_x/K2 and the tilde maps computed once and shared."""
-    f_mat = maps.from_tilde(tilde_f)
-    stats = _second_order_stats(cfg, know, p_mat, f_mat, maps.k1)
-    tx = Transceiver(
-        precoder=p_mat, forward=f_mat, equalizer=_optimal_equalizer(know, p_mat, f_mat, stats)
-    )
-    achieved = _residual_weighted_mse(cfg, know, p_mat, tilde_f, maps, stats)
-    return tx, stats, achieved, _weighted_mse(cfg, know, tx, stats)
+def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
+    """The first design contract a draw misses, or None.
 
-
-def _agreement_failure(cfg, achieved, direct):
-    # Both evaluations subtract nearly equal quantities from tr(W); at
-    # extreme SNR the difference is dominated by that cancellation, hence
-    # the absolute floor scaled by tr(W).
-    floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
-    if abs(achieved - direct) > max(1e-9 * max(abs(achieved), abs(direct)), floor):
-        return ContractError(
-            "wmse_agreement",
-            f"residual weighted MSE {achieved:.12e} disagrees with the direct "
-            f"evaluation {direct:.12e}",
-        )
-    return None
-
-
-def _joint_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
-    """The first contract a joint design misses (checked in order), or None."""
+    In order: eta_p is positive, both powers sit on their budgets (1e-9
+    relative), eta_p satisfies its fixed point, and the residual weighted
+    MSE agrees with the direct evaluation at the LMMSE equalizer.
+    """
     if not (np.isfinite(eta_p) and eta_p > 0):
         return ContractError("eta_p", f"eta_p {eta_p:.12e} is not positive")
     if abs(power_p - cfg.p_s) > 1e-9 * cfg.p_s:
@@ -682,11 +659,59 @@ def _joint_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
             "eta_p",
             f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}",
         )
-    return _agreement_failure(cfg, achieved, direct)
+    # Both evaluations subtract nearly equal quantities from tr(W); at
+    # extreme SNR the difference is dominated by that cancellation, hence
+    # the absolute floor scaled by tr(W).
+    floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
+    if abs(achieved - direct) > max(1e-9 * max(abs(achieved), abs(direct)), floor):
+        return ContractError(
+            "wmse_agreement",
+            f"residual weighted MSE {achieved:.12e} disagrees with the direct "
+            f"evaluation {direct:.12e}",
+        )
+    return None
 
 
-def _assemble(cfg, know, spectral, alloc, u_w) -> DesignBatch:
-    """:func:`assemble` given the weight eigenvectors ``u_w``."""
+def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) -> DesignBatch:
+    """Finish a stack of designs from P and F_tilde and check every draw.
+
+    Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
+    (K1/r_x/K2 and the tilde maps computed once and shared), both powers
+    and the eta_p fixed point.  A draw keeps its entry of ``failures``
+    (an allocation failure) or gets its first missed contract.  An
+    ``alloc`` whose eta_p is None belongs to a fixed precoder: its eta_p
+    is the fixed point and its objective trace the achieved weighted MSE.
+    """
+    f_mat = maps.from_tilde(tilde_f)
+    stats = _second_order_stats(cfg, know, p_mat, f_mat, maps.k1)
+    tx = Transceiver(
+        precoder=p_mat, forward=f_mat, equalizer=_optimal_equalizer(know, p_mat, f_mat, stats)
+    )
+    achieved = _residual_weighted_mse(cfg, know, p_mat, tilde_f, maps, stats)
+    direct = _weighted_mse(cfg, know, tx, stats)
+    gram_p = p_mat @ _ct(p_mat)
+    power_p = np.real(_trace(gram_p))
+    power_f = np.real(_trace(f_mat @ stats.r_x @ _ct(f_mat)))
+    fixed_point = np.real(_trace(gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
+    if alloc.eta_p is None:
+        alloc = replace(alloc, eta_p=fixed_point, objective_trace=achieved[:, None])
+    checks = zip(
+        power_p.tolist(), power_f.tolist(), np.asarray(alloc.eta_p, dtype=float).tolist(),
+        fixed_point.tolist(), achieved.tolist(), direct.tolist(),
+    )
+    failures = tuple(
+        fail if fail is not None else _contract_failure(cfg, *vals)
+        for fail, vals in zip(failures, checks)
+    )
+    solution = TransceiverSolution(
+        tx=tx, tilde_forward=tilde_f, alloc=alloc, spectral=spectral, achieved_wmse=achieved
+    )
+    return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
+
+
+def _assemble(cfg, know, spectral, alloc, u_w, failures) -> DesignBatch:
+    """:func:`assemble` given the weight eigenvectors ``u_w`` and the
+    draws' allocation failures."""
     n = cfg.n_streams
     eta = np.asarray(alloc.eta_p, dtype=float)
     safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
@@ -697,27 +722,7 @@ def _assemble(cfg, know, spectral, alloc, u_w) -> DesignBatch:
     p_mat = (np.sqrt(safe_eta)[:, None, None] * spectral.whiten_sr) @ tilde_p
     tilde_f = (v_rd_n * alloc.f_alloc[:, None, :]) @ _ct(u_sr_n)
     maps = tilde_maps(cfg, know, p_mat)
-    tx, stats, achieved, direct = _finish(cfg, know, p_mat, tilde_f, maps)
-    gram_p = p_mat @ _ct(p_mat)
-    power_p = np.real(_trace(gram_p))
-    power_f = np.real(_trace(tx.forward @ stats.r_x @ _ct(tx.forward)))
-    fixed_point = np.real(_trace(gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
-    failures = tuple(
-        _joint_failure(cfg, *vals)
-        for vals in zip(
-            power_p.tolist(), power_f.tolist(), eta.tolist(),
-            fixed_point.tolist(), achieved.tolist(), direct.tolist(),
-        )
-    )
-    solution = TransceiverSolution(
-        tx=tx,
-        tilde_forward=tilde_f,
-        tilde_precoder=tilde_p,
-        alloc=alloc,
-        spectral=spectral,
-        achieved_wmse=achieved,
-    )
-    return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
+    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
 
 
 def assemble(
@@ -736,39 +741,21 @@ def assemble(
     evaluation at the LMMSE equalizer.  A draw that misses a contract is
     listed in the returned batch's ``failures`` as a :class:`ContractError`.
     """
-    return _assemble(cfg, know, spectral, alloc, weight_eigensystem(cfg.weight).vectors)
+    u_w = weight_eigensystem(cfg.weight).vectors
+    return _assemble(cfg, know, spectral, alloc, u_w, (None,) * know.est_sr.shape[0])
 
 
-def _scaled_identity_precoder(cfg: SystemConfig) -> np.ndarray:
-    """Uniform per-stream precoder spending the full source budget."""
-    return np.sqrt(cfg.p_s / cfg.n_streams) * np.eye(
-        cfg.n_s, cfg.n_streams, dtype=np.complex128
-    )
-
-
-def _design_relay_only(cfg, know, spectral, opts) -> DesignBatch:
-    """Robust F and G for a fixed precoder (no source optimization).
+def _design_relay_only(cfg, know, spectral) -> DesignBatch:
+    """Robust F and G for the scaled-identity precoder that spends the
+    source budget evenly over the streams (no source optimization).
 
     The per-stream coefficients come from the SVD of
     A = Pi_P^{-1/2} K1^{-1/2} Hsr P W^{1/2}; a single water-filling pass
     against the whitened second-hop gains yields the relay diagonal.
     """
     n = cfg.n_streams
-    if opts.fixed_precoder is None:
-        p_one = _scaled_identity_precoder(cfg)
-    else:
-        p_one = np.asarray(opts.fixed_precoder, dtype=np.complex128)
-        if p_one.shape != (cfg.n_s, n):
-            raise ValueError(
-                f"fixed_precoder must be ({cfg.n_s}, {n}), got {p_one.shape}"
-            )
-    power_p = float(np.real(np.trace(p_one @ p_one.conj().T)))
-    if abs(power_p - cfg.p_s) > 1e-8 * cfg.p_s:
-        raise ValueError(
-            f"fixed precoder must spend the source budget exactly "
-            f"(tr = {power_p:.6e}, budget {cfg.p_s:.6e})"
-        )
     draws = know.est_sr.shape[0]
+    p_one = np.sqrt(cfg.p_s / n) * np.eye(cfg.n_s, n, dtype=np.complex128)
     p_mat = np.broadcast_to(p_one, (draws, *p_one.shape))
     maps = tilde_maps(cfg, know, p_mat)
     a_svd = svd_ordered(maps.whitened_source @ know.est_sr @ p_mat @ cfg.weight_half)
@@ -778,35 +765,21 @@ def _design_relay_only(cfg, know, spectral, opts) -> DesignBatch:
     tilde_f = (spectral.second_hop.right[..., :n] * f_alloc[:, None, :]) @ _ct(
         a_svd.left[..., :n]
     )
-    tx, _, achieved, direct = _finish(cfg, know, p_mat, tilde_f, maps)
-    failures = tuple(
-        InfeasibleAllocationError("all channel gains are zero")
-        if bad
-        else _agreement_failure(cfg, a, d)
-        for bad, a, d in zip(terms[3].tolist(), achieved.tolist(), direct.tolist())
-    )
-    eta_p = np.real(_trace(p_mat @ _ct(p_mat) @ spectral.psi_eff)) + cfg.sigma1_sq
-    b_sr = cfg.p_s * spectral.psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
-    tilde_p = herm_sqrt(b_sr) @ p_mat / np.sqrt(eta_p)[:, None, None]
     alloc = AllocationState(
         p_alloc=np.linalg.norm(p_mat, axis=-2),
         f_alloc=f_alloc,
         mu_p=np.full(draws, np.nan),
         mu_f=mu_f,
-        eta_p=eta_p,
-        objective_trace=achieved[:, None],
+        eta_p=None,
+        objective_trace=None,
         n_iters=np.ones(draws, dtype=int),
         converged=np.ones(draws, dtype=bool),
     )
-    solution = TransceiverSolution(
-        tx=tx,
-        tilde_forward=tilde_f,
-        tilde_precoder=tilde_p,
-        alloc=alloc,
-        spectral=spectral,
-        achieved_wmse=achieved,
-    )
-    return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
+    failures = [
+        InfeasibleAllocationError("all channel gains are zero") if bad else None
+        for bad in terms[3].tolist()
+    ]
+    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
 
 
 def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
@@ -830,8 +803,6 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
         cfg.p_s,
         cfg.p_r,
         np.repeat(np.stack(inits), draws, axis=0),
-        opts.tol,
-        opts.max_iters,
     )
     last = rows.objective_trace[np.arange(rows.n_iters.shape[0]), np.maximum(2 * rows.n_iters - 1, 0)]
     final = np.where(rows.converged, last, np.inf).reshape(n_inits, draws)
@@ -853,7 +824,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
         elif not alloc.converged[d]:
             # every init failed: report the last one, as the loop over inits did
             failures[d] = _not_converged(
-                opts.max_iters, rows.objective_trace[(n_inits - 1) * draws + d]
+                MAX_ITERS, rows.objective_trace[(n_inits - 1) * draws + d]
             )
     failed = np.array([f is not None for f in failures])
     if failed.any():
@@ -864,11 +835,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             f_alloc=np.where(failed[:, None], np.sqrt(cfg.p_r / n), alloc.f_alloc),
         )
     alloc = replace(alloc, eta_p=solve_eta_p(alloc.p_alloc, spectral, cfg.p_s))
-    batch = _assemble(cfg, know, spectral, alloc, weights.vectors)
-    return replace(
-        batch,
-        failures=tuple(f if f is not None else g for f, g in zip(failures, batch.failures)),
-    )
+    return _assemble(cfg, know, spectral, alloc, weights.vectors, failures)
 
 
 def design_batch(
@@ -893,7 +860,7 @@ def design_batch(
     try:
         spectral = spectral_decompose(cfg, stack)
         if opts.mode == "relay_only":
-            return _design_relay_only(cfg, stack, spectral, opts)
+            return _design_relay_only(cfg, stack, spectral)
         return _design_joint(cfg, stack, spectral, opts)
     except (LinalgError, np.linalg.LinAlgError) as err:
         raise NumericalError(str(err)) from err

@@ -26,9 +26,10 @@ aborts the sweep.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -76,6 +77,26 @@ def _floats(values) -> tuple[float, ...]:
     return tuple(float(v) for v in values)
 
 
+def _count(value) -> int:
+    """``value`` as an int, refusing what ``int()`` would truncate (2.7)."""
+    out = int(value)
+    if out != float(value):
+        raise ValueError(f"{value!r} is not integral")
+    return out
+
+
+def _linear(name: str, db: float) -> float:
+    """10^(db/10), or a :class:`ConfigError` naming the field where that
+    overflows or underflows to zero."""
+    try:
+        lin = 10.0 ** (db / 10.0)
+    except OverflowError:
+        lin = float("inf")
+    if not 0.0 < lin < float("inf"):
+        raise ConfigError(f"{name} entry {db!r} dB has no finite positive linear value")
+    return lin
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One sweep: dimensions, SNRs, weighting, draw counts, algorithms.
@@ -100,33 +121,19 @@ class ExperimentSpec:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = {
-            "dims",
-            "n_streams",
-            "alpha",
-            "data_snr_db",
-            "est_snr_db",
-            "weights",
-            "n_channel_draws",
-            "n_symbols",
-            "seed",
-            "algorithms",
-            "p_s",
-            "p_r",
-            "workers",
-        }
+        known = {f.name for f in fields(cls)}
         for key in raw:
             if key not in known:
                 raise ConfigError(f"unknown config field {key!r}")
         try:
-            dims = tuple(int(d) for d in raw["dims"])
+            dims = tuple(_count(d) for d in raw["dims"])
         except (KeyError, TypeError, ValueError, OverflowError):
             raise ConfigError("dims must be a list of four antenna counts") from None
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise ConfigError("dims must be four positive antenna counts")
         if "n_streams" not in raw:
             raise ConfigError("n_streams is required")
-        n = _parse("n_streams", int, raw["n_streams"])
+        n = _parse("n_streams", _count, raw["n_streams"])
         if not 1 <= n <= min(dims):
             raise ConfigError("n_streams must be in [1, min(dims)]")
         alpha = _parse("alpha", float, raw.get("alpha", 0.0))
@@ -156,8 +163,8 @@ class ExperimentSpec:
             _as_psd(w, "weights")
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        draws = _parse("n_channel_draws", int, raw.get("n_channel_draws", 1000))
-        symbols = _parse("n_symbols", int, raw.get("n_symbols", 1000))
+        draws = _parse("n_channel_draws", _count, raw.get("n_channel_draws", 1000))
+        symbols = _parse("n_symbols", _count, raw.get("n_symbols", 1000))
         if draws < 1 or symbols < 1:
             raise ConfigError("n_channel_draws and n_symbols must be >= 1")
         algorithms = _parse("algorithms", tuple, raw.get("algorithms", list(ALGORITHMS)))
@@ -172,7 +179,15 @@ class ExperimentSpec:
         p_r = _parse("p_r", float, raw.get("p_r", 1.0))
         if not all(np.isfinite(p) and p > 0 for p in (p_s, p_r)):
             raise ConfigError("p_s and p_r must be positive and finite")
-        workers = _parse("workers", int, raw.get("workers", 1))
+        for x in est_snr:
+            _linear("est_snr_db", x)
+        for power, name, snr in zip((p_s, p_r), ("p_s", "p_r"), data_snr):
+            if not 0.0 < power / _linear("data_snr_db", snr) < float("inf"):
+                raise ConfigError(
+                    f"{name} = {power!r} at data_snr_db {snr!r} gives a noise "
+                    "variance that is not positive and finite"
+                )
+        workers = _parse("workers", _count, raw.get("workers", 1))
         if workers < 1:
             raise ConfigError("workers must be >= 1")
         return cls(
@@ -184,7 +199,7 @@ class ExperimentSpec:
             weights=w,
             n_channel_draws=draws,
             n_symbols=symbols,
-            seed=_parse("seed", int, raw.get("seed", 0)),
+            seed=_parse("seed", _count, raw.get("seed", 0)),
             algorithms=algorithms,
             p_s=p_s,
             p_r=p_r,
@@ -255,8 +270,8 @@ def system_config(spec: ExperimentSpec) -> SystemConfig:
         n_streams=spec.n_streams,
         p_s=spec.p_s,
         p_r=spec.p_r,
-        sigma1_sq=spec.p_s / 10.0 ** (spec.data_snr_db[0] / 10.0),
-        sigma2_sq=spec.p_r / 10.0 ** (spec.data_snr_db[1] / 10.0),
+        sigma1_sq=spec.p_s / _linear("data_snr_db", spec.data_snr_db[0]),
+        sigma2_sq=spec.p_r / _linear("data_snr_db", spec.data_snr_db[1]),
         weight=spec.weights,
     )
 
@@ -354,7 +369,7 @@ def _run_chunk(spec: ExperimentSpec, point: int, start: int, stop: int) -> dict:
     """Draws start..stop-1 of one sweep point: algorithm -> per-draw outcomes."""
     cfg = system_config(spec)
     draws = range(start, stop)
-    snr_est = 10.0 ** (spec.est_snr_db[point] / 10.0)
+    snr_est = _linear("est_snr_db", spec.est_snr_db[point])
     know, truth = sample_scenario_stack(
         cfg, snr_est, spec.alpha, [_draw_rng(spec.seed, point, d, 0) for d in draws]
     )
@@ -401,21 +416,30 @@ def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> Exper
 
 
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRecord]:
-    """Run the full sweep; one record per (sweep point, algorithm)."""
-    records = []
+    """Run the full sweep; one record per (sweep point, algorithm).
+
+    With ``workers`` > 1 one process pool serves every chunk of every
+    point; it starts no more processes than there are chunks or CPUs.
+    """
     step = _chunk_draws(spec)
-    for point in range(len(spec.est_snr_db)):
-        jobs = [
-            (spec, point, start, min(start + step, spec.n_channel_draws))
-            for start in range(0, spec.n_channel_draws, step)
-        ]
-        if spec.workers > 1:
-            with ProcessPoolExecutor(max_workers=spec.workers) as pool:
-                chunks = list(pool.map(_chunk_worker, jobs))
-        else:
-            chunks = [_run_chunk(*job) for job in jobs]
+    starts = range(0, spec.n_channel_draws, step)
+    points = range(len(spec.est_snr_db))
+    jobs = [
+        (spec, point, start, min(start + step, spec.n_channel_draws))
+        for point in points
+        for start in starts
+    ]
+    workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_chunk_worker, jobs))
+    else:
+        chunks = [_run_chunk(*job) for job in jobs]
+    records = []
+    for point in points:
+        point_chunks = chunks[point * len(starts) : (point + 1) * len(starts)]
         for alg in spec.algorithms:
-            outcomes = [out for chunk in chunks for out in chunk[alg]]
+            outcomes = [out for chunk in point_chunks for out in chunk[alg]]
             records.append(_record(spec, point, alg, outcomes))
     return records
 

@@ -495,6 +495,26 @@ class TestDesign:
         direct = weighted_mse(cfg, know, sol.tx)
         assert abs(sol.achieved_wmse - direct) <= 1e-9 * direct
 
+    def test_relay_only_budget_miss_is_a_contract_failure(self, monkeypatch):
+        import importlib
+
+        from afrelay.design import ContractError, design_batch
+
+        # the package re-exports the function design under the module's name
+        design_mod = importlib.import_module("afrelay.design")
+
+        cfg, know, _ = make_instance(33)
+        real = design_mod._waterfill
+
+        def overspend(coeffs, terms, budget):
+            levels, mu = real(coeffs, terms, budget)
+            return 1.1 * levels, mu
+
+        monkeypatch.setattr(design_mod, "_waterfill", overspend)
+        (failure,) = design_batch(cfg, know, DesignOptions(mode="relay_only")).failures
+        assert isinstance(failure, ContractError)
+        assert failure.cause == "relay_power"
+
     def test_rectangular_antenna_configuration(self):
         from afrelay.mse import second_order_stats
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import pathlib
 
@@ -76,6 +77,12 @@ class TestSpecValidation:
             ({"weights": [0.6, -0.4]}, "weights"),
             ({"weights": [[0.5, 0.9], [0.9, 0.5]]}, "weights"),
             ({"weights": [[0.5, 0.1], [0.0, 0.5]]}, "weights"),
+            ({"data_snr_db": [4000, 20]}, "data_snr_db"),
+            ({"data_snr_db": [-4000, 20]}, "data_snr_db"),
+            ({"est_snr_db": [5000.0]}, "est_snr_db"),
+            ({"p_s": 1e308, "data_snr_db": [-300, 20]}, "p_s"),
+            ({"n_streams": 2.7}, "n_streams"),
+            ({"n_channel_draws": 3.9}, "n_channel_draws"),
         ],
     )
     def test_errors_name_the_field(self, patch, field):
@@ -126,10 +133,46 @@ class TestRunExperiment:
         b = run_experiment(spec)
         assert a == b
 
-    def test_worker_pool_matches_serial(self):
-        serial = run_experiment(tiny_spec(n_channel_draws=4, n_symbols=50))
-        pooled = run_experiment(tiny_spec(n_channel_draws=4, n_symbols=50, workers=2))
+    def test_worker_pool_matches_serial(self, monkeypatch):
+        import afrelay.sim as sim_mod
+
+        # two sweep points make two chunks, so two workers really start
+        monkeypatch.setattr(sim_mod.os, "cpu_count", lambda: 2)
+        spec = tiny_spec(n_channel_draws=4, n_symbols=50, est_snr_db=(5.0, 15.0))
+        serial = run_experiment(spec)
+        pooled = run_experiment(dataclasses.replace(spec, workers=2))
         assert serial == pooled
+
+    def test_one_pool_per_run_capped_at_chunks_and_cpus(self, monkeypatch):
+        import afrelay.sim as sim_mod
+
+        pools = []
+
+        class FakePool:
+            """Runs the jobs in this process, so no worker is started."""
+
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        spec = tiny_spec(n_channel_draws=7, est_snr_db=(5.0, 15.0))
+        serial = run_experiment(spec)
+        monkeypatch.setattr(sim_mod, "ProcessPoolExecutor", FakePool)
+        # three chunks per point, six in the run
+        monkeypatch.setattr(sim_mod, "CHUNK_ELEMS", 3 * spec.n_symbols * max(spec.dims))
+        huge = dataclasses.replace(spec, workers=100_000)
+        for cpus, expected in ((64, [6]), (4, [6, 4]), (None, [6, 4])):
+            monkeypatch.setattr(sim_mod.os, "cpu_count", lambda cpus=cpus: cpus)
+            assert run_experiment(huge) == serial
+            assert pools == expected
 
     def test_design_failures_are_counted_and_excluded(self, monkeypatch):
         import dataclasses
