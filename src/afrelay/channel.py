@@ -231,12 +231,27 @@ def exact_knowledge(h_sr, h_rd) -> ChannelKnowledge:
     return ChannelKnowledge(h_sr, h_rd, zero_sr, zero_rd)
 
 
+def _complex_parts(parts: np.ndarray, scale: float, out=None) -> np.ndarray:
+    """``scale * (parts[0] + 1j * parts[1])``, written part by part into
+    ``out`` (a new complex128 array, or a view into a larger block).
+
+    Bit-identical to that expression, and for ``scale = 1 / d`` to the sum
+    divided by ``d`` (numpy's complex division multiplies by the
+    reciprocal), without the expression's temporaries.
+    """
+    if out is None:
+        out = np.empty(parts.shape[1:], dtype=np.complex128)
+    np.multiply(parts[0], scale, out=out.real)
+    np.multiply(parts[1], scale, out=out.imag)
+    return out
+
+
 def complex_gaussian(rng, *shape) -> np.ndarray:
-    """i.i.d. circularly symmetric CN(0, 1) entries (variance 1/2 per part)."""
-    rng = as_generator(rng)
-    re = rng.standard_normal(shape)
-    im = rng.standard_normal(shape)
-    return (re + 1j * im) / np.sqrt(2.0)
+    """i.i.d. circularly symmetric CN(0, 1) entries (variance 1/2 per part).
+
+    The real parts are drawn first, then the imaginary parts.
+    """
+    return _complex_parts(as_generator(rng).standard_normal((2, *shape)), 1 / np.sqrt(2.0))
 
 
 def _sample_error_from_roots(left: np.ndarray, right: np.ndarray, n: int, rng) -> np.ndarray:
@@ -303,8 +318,8 @@ def sample_scenario_stack(cfg, snr_est: float, alpha: float, rngs):
     z = np.stack([as_generator(rng).standard_normal(2 * sum(sizes)) for rng in rngs])
     white, start = [], 0
     for (rows, cols), size in zip(shapes, sizes):
-        re, im = z[:, start : start + size], z[:, start + size : start + 2 * size]
-        white.append(((re + 1j * im) / np.sqrt(2.0)).reshape(-1, rows, cols))
+        parts = z[:, start : start + 2 * size].reshape(-1, 2, rows, cols)
+        white.append(_complex_parts(parts.swapaxes(0, 1), 1 / np.sqrt(2.0)))
         start += 2 * size
     est_sr, delta_sr, est_rd, delta_rd = (
         left[None] @ hw @ right[None] for (left, right), hw in zip(roots, white)

@@ -80,12 +80,8 @@ class OrderedSVD:
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        rows = self.left.shape[0]
-        cols = self.right.shape[0]
-        sigma = np.zeros((rows, cols), dtype=np.complex128)
-        k = self.values.shape[0]
-        sigma[np.arange(k), np.arange(k)] = self.values
-        return self.left @ sigma @ self.right.conj().T
+        k = self.values.shape[-1]
+        return (self.left[..., :k] * self.values[..., None, :]) @ _ct(self.right[..., :k])
 
 
 @dataclass(frozen=True)
@@ -93,13 +89,14 @@ class OrderedHermitianEig:
     """Eigendecomposition ``m = vectors @ diag(values) @ vectors^H``.
 
     ``values`` are real and nonincreasing, ``vectors`` is unitary.
+    Factors of a (B, n, n) stack carry the same leading axis.
     """
 
     vectors: np.ndarray
     values: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        return (self.vectors * self.values) @ self.vectors.conj().T
+        return (self.vectors * self.values[..., None, :]) @ _ct(self.vectors)
 
 
 def _ct(a: np.ndarray) -> np.ndarray:

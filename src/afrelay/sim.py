@@ -13,14 +13,19 @@ symbols) block of a chunk stays within ``CHUNK_ELEMS`` entries.  A chunk
 samples every draw from its own RNG streams, keyed by
 (seed, sweep point, draw index, stream) exactly as a draw-by-draw loop
 would key them (stream 0: channels, stream 1: QPSK bits and noise),
-stacks the draws, designs each algorithm on the whole stack
-(:func:`afrelay.design.design_batch`) and transmits all draws with one
-batched matmul chain.  Draw i of a stack gets the same numbers as draw i
-designed alone, so the chunking, like a worker pool, changes nothing:
-identical spec + seed reproduces identical results byte for byte.  A
-draw whose design fails is excluded from the averages and counted in
-``n_failed`` and, by cause, in ``ExperimentRecord.failures``; it never
-aborts the sweep.
+stacks the draws and designs each algorithm on the whole stack
+(:func:`afrelay.design.design_batch`).  Each draw's QPSK symbols and both
+noise blocks sit in one (n + m_r + m_d, N) block z, whose Gram z z^H is
+formed once per chunk and shared by every algorithm.  An algorithm's
+transceiver and the draw's true channels compose, on the small matrices,
+into K = [G H_rd F H_sr P, G H_rd F, G], so the received estimates are
+one batched product K z and the empirical weighted MSE is
+Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].  Draw i of a stack
+gets the same numbers as draw i designed alone, so the chunking, like a
+worker pool, changes nothing: identical spec + seed reproduces identical
+results byte for byte.  A draw whose design fails is excluded from the
+averages and counted in ``n_failed`` and, by cause, in
+``ExperimentRecord.failures``; it never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -33,9 +38,9 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .channel import exact_knowledge, sample_scenario_stack
+from .channel import _complex_parts, exact_knowledge, sample_scenario_stack
 from .design import DesignError, DesignOptions, design, design_batch
-from .linalg import _as_psd
+from .linalg import _as_psd, _ct
 from .mse import SystemConfig, weighted_mse
 
 __all__ = [
@@ -55,9 +60,9 @@ CSV_HEADER = "est_snr_db,algorithm,wmse_analytic,wmse_empirical,ber,n_draws,n_fa
 # Draws per batched chunk of a sweep point, at most.
 CHUNK_DRAWS = 64
 # Entries per (draws, antennas, symbols) block a chunk materialises (the
-# QPSK symbols, both noises and every stage of the transmit): 4 MB of
-# complex128, which is 64 draws of 1000 symbols on 4 antennas.  Longer
-# blocks or more antennas get fewer draws per chunk, down to one.
+# symbol-and-noise block z holds three of them, each algorithm's K z one):
+# 4 MB of complex128, which is 64 draws of 1000 symbols on 4 antennas.
+# Longer blocks or more antennas get fewer draws per chunk, down to one.
 CHUNK_ELEMS = 256_000
 
 
@@ -294,42 +299,51 @@ def _design_algorithm(algorithm: str, cfg: SystemConfig, know):
 
 
 def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> list:
-    """The stacked (h_sr, h_rd, bits, symbols, noise1, noise2) of the draws.
+    """The stacked (h_sr, h_rd, z, gram) of the draws.
 
-    Each draw's stream 1 gives its Gray-coded unit-energy QPSK block
-    (independent sign bits on I and Q), then both hops' noise.
+    ``z`` is each draw's (n + m_r + m_d, N) block: its Gray-coded
+    unit-energy QPSK symbols (independent sign bits on I and Q), the
+    relay noise and the destination noise, drawn from stream 1 in that
+    order; ``gram`` is each draw's z z^H, which every algorithm shares.
     """
-    n_sym = spec.n_symbols
-    bits = np.empty((len(draws), 2, cfg.n_streams, n_sym), dtype=bool)
-    noise1 = np.empty((len(draws), cfg.m_r, n_sym), dtype=np.complex128)
-    noise2 = np.empty((len(draws), cfg.m_d, n_sym), dtype=np.complex128)
+    n, n_sym = cfg.n_streams, spec.n_symbols
+    z = np.empty((len(draws), n + cfg.m_r + cfg.m_d, n_sym), dtype=np.complex128)
+    noises = ((slice(n, n + cfg.m_r), cfg.sigma1_sq), (slice(n + cfg.m_r, None), cfg.sigma2_sq))
     for i, draw in enumerate(draws):
         rng = _draw_rng(spec.seed, point, draw, 1)
-        bits[i] = rng.integers(0, 2, size=(2, cfg.n_streams, n_sym))
-        for noise, var in ((noise1, cfg.sigma1_sq), (noise2, cfg.sigma2_sq)):
-            shape = noise.shape[1:]
-            noise[i] = np.sqrt(var / 2.0) * (
-                rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-            )
-    symbols = ((1 - 2 * bits[:, 0]) + 1j * (1 - 2 * bits[:, 1])) / np.sqrt(2.0)
-    return [truth.h_sr, truth.h_rd, bits, symbols, noise1, noise2]
+        signs = 1 - 2 * rng.integers(0, 2, size=(2, n, n_sym))
+        _complex_parts(signs, 1 / np.sqrt(2.0), z[i, :n])
+        for rows, var in noises:
+            block = z[i, rows]
+            _complex_parts(rng.standard_normal((2, *block.shape)), np.sqrt(var / 2.0), block)
+    return [truth.h_sr, truth.h_rd, z, z @ _ct(z)]
 
 
 def _transmit(tx, link, weight):
-    """Push each draw's QPSK block through its true channels; per-draw
-    weighted MSE and BER.  ``link`` holds the stacked (h_sr, h_rd, bits,
-    symbols, noise1, noise2) of the draws."""
-    h_sr, h_rd, bits, symbols, noise1, noise2 = link
-    x = h_sr @ (tx.precoder @ symbols)
-    x += noise1
-    y = h_rd @ (tx.forward @ x)
-    y += noise2
-    s_hat = tx.equalizer @ y
-    err = s_hat - symbols
-    wmse = np.mean(np.real(np.einsum("bin,ij,bjn->bn", err.conj(), weight, err)), axis=-1)
-    detected = np.stack([s_hat.real < 0, s_hat.imag < 0], axis=1)
-    ber = np.mean(detected != bits, axis=(1, 2, 3))
-    return wmse, ber
+    """Per-draw empirical weighted MSE and BER of each draw's QPSK block
+    pushed through its true channels.  ``link`` holds the stacked
+    (h_sr, h_rd, z, gram) of the draws.
+
+    The received estimate is s_hat = K z with K = [G H_rd F H_sr P,
+    G H_rd F, G], composed per draw on the small matrices, and the
+    weighted MSE is Re tr(W K_e gram K_e^H) / N with K_e = K - [I 0 0]:
+    the mean of e^H W e over the symbols of the error e = K_e z.  A bit
+    is in error where the sign of a part of s_hat differs from the sign
+    of the sent symbol, which carries the (Gray-coded) bit.
+    """
+    h_sr, h_rd, z, gram = link
+    g = tx.equalizer
+    ghf = g @ h_rd @ tx.forward
+    k = np.concatenate([ghf @ h_sr @ tx.precoder, ghf, g], axis=-1)
+    s_hat = k @ z
+    n, n_sym = s_hat.shape[-2:]
+    k_err = k.copy()
+    k_err[..., np.arange(n), np.arange(n)] -= 1.0
+    wmse = np.einsum("ij,bji->b", weight, k_err @ gram @ _ct(k_err)).real / n_sym
+    sent = z[:, :n]
+    flips = np.count_nonzero((s_hat.real < 0) != (sent.real < 0), axis=(1, 2))
+    flips += np.count_nonzero((s_hat.imag < 0) != (sent.imag < 0), axis=(1, 2))
+    return wmse, flips / (2 * n * n_sym)
 
 
 def _evaluate(algorithm: str, cfg: SystemConfig, know, link) -> list:

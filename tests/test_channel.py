@@ -138,6 +138,15 @@ class TestErrorSampling:
             ref = left @ hw @ right
             assert np.linalg.norm(draw - ref) <= 1e-12 * np.linalg.norm(ref)
 
+    @pytest.mark.parametrize("shape", [(20000, 4, 4), (20000, 3, 3), (100000, 2), (7,)])
+    def test_complex_gaussian_matches_two_draw_formula(self, shape):
+        rng = np.random.default_rng(21)
+        re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+        ref = (re + 1j * im) / np.sqrt(2.0)
+        got = complex_gaussian(np.random.default_rng(21), *shape)
+        assert got.dtype == np.complex128
+        assert got.tobytes() == ref.tobytes()
+
     def test_same_seed_same_draw(self):
         stats = ErrorStats(np.eye(3), np.eye(3))
         assert np.array_equal(sample_error(stats, 42), sample_error(stats, 42))
@@ -150,6 +159,27 @@ class TestScenario:
         k2, t2 = sample_scenario(cfg, 10.0, 0.3, 123)
         assert np.array_equal(k1.est_sr, k2.est_sr)
         assert np.array_equal(t1.h_rd, t2.h_rd)
+
+    def test_stack_matches_per_block_formula(self):
+        from afrelay.channel import _scenario_factors
+
+        cfg = make_config(dims=(3, 2, 4, 3), n_streams=2)
+        know, truth = sample_scenario_stack(
+            cfg, 10.0, 0.3, [np.random.default_rng(s) for s in (1, 2)]
+        )
+        _, _, roots = _scenario_factors(cfg, 10.0, 0.3)
+        for i, seed in enumerate((1, 2)):
+            rng = np.random.default_rng(seed)
+            blocks = []
+            for left, right in roots:
+                shape = (left.shape[0], right.shape[0])
+                re, im = rng.standard_normal(shape), rng.standard_normal(shape)
+                blocks.append(left @ ((re + 1j * im) / np.sqrt(2.0)) @ right)
+            est_sr, delta_sr, est_rd, delta_rd = blocks
+            assert know.est_sr[i].tobytes() == est_sr.tobytes()
+            assert know.est_rd[i].tobytes() == est_rd.tobytes()
+            assert truth.delta_sr[i].tobytes() == delta_sr.tobytes()
+            assert truth.delta_rd[i].tobytes() == delta_rd.tobytes()
 
     def test_truth_is_estimate_plus_error(self):
         cfg = make_config()

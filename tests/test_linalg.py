@@ -39,6 +39,17 @@ class TestSvdOrdered:
         rel = np.linalg.norm(s.reconstruct() - m) / np.linalg.norm(m)
         assert rel <= 1e-9
 
+    def test_stack_reconstruction(self):
+        rng = np.random.default_rng(11)
+        m = rng.standard_normal((3, 4, 2)) + 1j * rng.standard_normal((3, 4, 2))
+        s = svd_ordered(m)
+        assert s.left.shape == (3, 4, 4) and s.right.shape == (3, 2, 2)
+        out = s.reconstruct()
+        assert out.shape == m.shape
+        for b in range(3):
+            assert np.linalg.norm(out[b] - m[b]) <= 1e-9 * np.linalg.norm(m[b])
+            assert np.array_equal(out[b], svd_ordered(m[b]).reconstruct())
+
     def test_invariants_on_1000_random_matrices(self):
         rng = np.random.default_rng(2)
         for _ in range(1000):
@@ -98,6 +109,18 @@ class TestEigHermitianOrdered:
         rel = np.linalg.norm(e.reconstruct() - m) / np.linalg.norm(m)
         assert rel <= 1e-9
         assert np.all(np.diff(e.values) <= 0)
+
+    def test_stack_reconstruction(self):
+        rng = np.random.default_rng(12)
+        a = rng.standard_normal((3, 4, 4)) + 1j * rng.standard_normal((3, 4, 4))
+        m = a + a.conj().swapaxes(-1, -2)
+        e = eig_hermitian_ordered(m)
+        assert e.vectors.shape == (3, 4, 4) and e.values.shape == (3, 4)
+        out = e.reconstruct()
+        assert out.shape == m.shape
+        for b in range(3):
+            assert np.linalg.norm(out[b] - m[b]) <= 1e-9 * np.linalg.norm(m[b])
+            assert np.array_equal(out[b], eig_hermitian_ordered(m[b]).reconstruct())
 
     def test_deterministic_bit_identical(self):
         rng = np.random.default_rng(6)

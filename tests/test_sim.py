@@ -5,6 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from afrelay.channel import sample_scenario_stack
 from afrelay.cli import cli_main
 from afrelay.sim import (
     ConfigError,
@@ -46,6 +47,38 @@ def spec_dict(**overrides):
     }
     raw.update(overrides)
     return raw
+
+
+def _reference_link(spec, cfg, point, draw):
+    """One draw's (bits, symbols, noise1, noise2), drawn and assembled as
+    separate blocks in stream 1's order."""
+    import afrelay.sim as sim_mod
+
+    rng = sim_mod._draw_rng(spec.seed, point, draw, 1)
+    bits = rng.integers(0, 2, size=(2, cfg.n_streams, spec.n_symbols)).astype(bool)
+    noises = []
+    for rows, var in ((cfg.m_r, cfg.sigma1_sq), (cfg.m_d, cfg.sigma2_sq)):
+        shape = (rows, spec.n_symbols)
+        noises.append(
+            np.sqrt(var / 2.0) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        )
+    symbols = ((1 - 2 * bits[0]) + 1j * (1 - 2 * bits[1])) / np.sqrt(2.0)
+    return bits, symbols, *noises
+
+
+def _reference_transmit(tx, h_sr, h_rd, bits, symbols, noise1, noise2, weight):
+    """Per-draw weighted MSE and BER through the stage-by-stage chain
+    x = H_sr P s + n1, y = H_rd F x + n2, s_hat = G y."""
+    x = h_sr @ (tx.precoder @ symbols)
+    x += noise1
+    y = h_rd @ (tx.forward @ x)
+    y += noise2
+    s_hat = tx.equalizer @ y
+    err = s_hat - symbols
+    wmse = np.mean(np.real(np.einsum("bin,ij,bjn->bn", err.conj(), weight, err)), axis=-1)
+    detected = np.stack([s_hat.real < 0, s_hat.imag < 0], axis=1)
+    ber = np.mean(detected != bits, axis=(1, 2, 3))
+    return wmse, ber
 
 
 class TestSpecValidation:
@@ -262,6 +295,71 @@ class TestRunExperiment:
             mean = np.asarray(vals).mean(axis=0)
             rec = records[alg]
             assert (rec.wmse_analytic, rec.wmse_empirical, rec.ber) == tuple(mean)
+
+    def test_link_rows_are_the_symbols_and_noises(self):
+        import afrelay.sim as sim_mod
+        from afrelay.linalg import _ct
+
+        spec = tiny_spec(dims=(3, 2, 4, 3), n_symbols=7, data_snr_db=(10.0, 25.0))
+        cfg = system_config(spec)
+        draws = [0, 3]
+        _, truth = sample_scenario_stack(
+            cfg, 1.0, spec.alpha, [sim_mod._draw_rng(spec.seed, 1, d, 0) for d in draws]
+        )
+        h_sr, h_rd, z, gram = sim_mod._link(spec, cfg, 1, draws, truth)
+        assert h_sr is truth.h_sr and h_rd is truth.h_rd
+        n, m_r = cfg.n_streams, cfg.m_r
+        assert z.shape == (2, n + m_r + cfg.m_d, spec.n_symbols)
+        for i, draw in enumerate(draws):
+            bits, symbols, noise1, noise2 = _reference_link(spec, cfg, 1, draw)
+            assert z[i, :n].tobytes() == symbols.tobytes()
+            assert z[i, n : n + m_r].tobytes() == noise1.tobytes()
+            assert z[i, n + m_r :].tobytes() == noise2.tobytes()
+        assert np.array_equal(gram, z @ _ct(z))
+
+    @pytest.mark.parametrize("case", range(60))
+    def test_composed_transmit_matches_stage_chain(self, case):
+        import afrelay.sim as sim_mod
+
+        rng = np.random.default_rng(1000 + case)
+        dims = [int(d) for d in rng.integers(1, 6, size=4)]
+        n = int(rng.integers(1, min(dims) + 1))
+        if case % 2:
+            a = rng.standard_normal((n, n))
+            weights = (a @ a.T).tolist()
+        else:
+            weights = rng.uniform(0.0, 1.0, size=n).tolist()
+        spec = ExperimentSpec.from_dict(
+            spec_dict(
+                dims=dims,
+                n_streams=n,
+                weights=weights,
+                data_snr_db=rng.uniform(-10.0, 70.0, size=2).tolist(),
+                est_snr_db=[float(rng.uniform(-20.0, 60.0))],
+                n_symbols=(1, 7, 1000)[case % 3],
+                n_channel_draws=3,
+            )
+        )
+        cfg = system_config(spec)
+        draws = range(spec.n_channel_draws)
+        know, truth = sample_scenario_stack(
+            cfg, sim_mod._linear("est_snr_db", spec.est_snr_db[0]), spec.alpha,
+            [sim_mod._draw_rng(spec.seed, 0, d, 0) for d in draws],
+        )
+        link = sim_mod._link(spec, cfg, 0, draws, truth)
+        ref_link = [np.stack(a) for a in zip(*(_reference_link(spec, cfg, 0, d) for d in draws))]
+        for alg in spec.algorithms:
+            tx = sim_mod._design_algorithm(alg, cfg, know).solution.tx
+            wmse, ber = sim_mod._transmit(tx, link, cfg.weight)
+            ref_wmse, ref_ber = _reference_transmit(
+                tx, truth.h_sr, truth.h_rd, *ref_link, cfg.weight
+            )
+            assert np.array_equal(ber, ref_ber)
+            # Both forms round the error e = s_hat - s to about eps * |s|, so
+            # their weighted MSEs differ by about eps * |e| * |s|, which is far
+            # more than eps * |e|^2 once the error is small against the symbols.
+            scale = ref_wmse + np.sqrt(ref_wmse * np.trace(cfg.weight).real)
+            assert np.all(np.abs(wmse - ref_wmse) <= 1e-12 * scale)
 
     def test_chunks_shrink_for_long_blocks(self):
         import afrelay.sim as sim_mod
