@@ -289,12 +289,18 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
         snr_est, alpha, cfg.n_s, cfg.m_r, cfg.n_r, cfg.m_d
     )
     # MMSE orthogonality with i.i.d. unit-variance true entries leaves each
-    # estimate with covariance I - (error covariance); that factors per hop
-    # because estimation_stats builds row_cov_sr and col_cov_rd as I.
+    # estimate with covariance I - (error covariance) = s R (I + s R)^{-1};
+    # that factors per hop because estimation_stats builds row_cov_sr and
+    # col_cov_rd as I.  The product form has no cancellation, so a tiny s
+    # still gives a PSD covariance.
+    def estimate_cov(n, err_cov):
+        a = snr_est * exp_corr(alpha, n) @ err_cov
+        return 0.5 * (a + a.conj().T)
+
     covs = (
-        (stats_sr.row_cov, np.eye(cfg.n_s) - stats_sr.col_cov),
+        (stats_sr.row_cov, estimate_cov(cfg.n_s, stats_sr.col_cov)),
         (stats_sr.row_cov, stats_sr.col_cov),
-        (np.eye(cfg.m_d) - stats_rd.row_cov, stats_rd.col_cov),
+        (estimate_cov(cfg.m_d, stats_rd.row_cov), stats_rd.col_cov),
         (stats_rd.row_cov, stats_rd.col_cov),
     )
     roots = tuple((herm_sqrt(row), herm_sqrt(col)) for row, col in covs)

@@ -52,17 +52,7 @@ from .linalg import (
     herm_inv_sqrt,
     svd_ordered,
 )
-from .mse import (
-    SystemConfig,
-    Transceiver,
-    _optimal_equalizer,
-    _residual_weighted_mse,
-    _scalar,
-    _second_order_stats,
-    _trace,
-    _weighted_mse,
-    tilde_maps,
-)
+from .mse import SystemConfig, Transceiver, _checked, _link, _scalar, _trace, tilde_maps
 
 __all__ = [
     "DesignError",
@@ -317,14 +307,7 @@ def _fold_stats(cfg: SystemConfig, know: ChannelKnowledge):
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
     """Ordered SVDs of both whitened hop estimates plus truncated gains."""
-    if know.est_sr.shape[-2:] != (cfg.m_r, cfg.n_s) or know.est_rd.shape[-2:] != (
-        cfg.m_d,
-        cfg.n_r,
-    ):
-        raise ValueError(
-            f"channel knowledge shapes {know.est_sr.shape}/{know.est_rd.shape} do "
-            f"not match the config ({cfg.m_r}, {cfg.n_s})/({cfg.m_d}, {cfg.n_r})"
-        )
+    _checked(cfg, know)
     psi_eff, sigma_rd_eff = _fold_stats(cfg, know)
     n = cfg.n_streams
     b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
@@ -433,8 +416,14 @@ def waterfill_source(f_alloc, gains_sr, gains_rd, weights, budget):
     return np.sqrt(levels), mu
 
 
-def _kkt_residual(levels_sq, mu, coeffs, gains):
-    """Row-wise :func:`waterfill_kkt_residual` on (..., n) arrays."""
+def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
+    """Max relative KKT violation of a water-filling solution.
+
+    Active streams must satisfy (1 + x g^2)^2 mu = c g^2; inactive ones
+    need mu >= c g^2 (the clamp condition).  Degenerate flat problems
+    (mu = inf) vacuously satisfy the conditions.  One value per row for
+    (..., n) arrays.
+    """
     x = np.asarray(levels_sq, dtype=float)
     g2 = np.asarray(gains, dtype=float) ** 2
     cg = np.asarray(coeffs, dtype=float) * g2
@@ -442,17 +431,7 @@ def _kkt_residual(levels_sq, mu, coeffs, gains):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         res = np.where(x > 0.0, np.abs((1.0 + x * g2) ** 2 * m - cg), cg - m) / cg
     res = np.where((cg > 0.0) & (res > 0.0), res, 0.0).max(axis=-1, initial=0.0)
-    return np.where(np.isfinite(m[..., 0]), res, 0.0)
-
-
-def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
-    """Max relative KKT violation of a water-filling solution.
-
-    Active streams must satisfy (1 + x g^2)^2 mu = c g^2; inactive ones
-    need mu >= c g^2 (the clamp condition).  Degenerate flat problems
-    (mu = inf) vacuously satisfy the conditions.
-    """
-    return float(_kkt_residual(levels_sq, mu, coeffs, gains))
+    return _scalar(np.where(np.isfinite(m[..., 0]), res, 0.0))
 
 
 def scalar_objective(p_alloc, f_alloc, gains_sr, gains_rd, weights):
@@ -528,7 +507,7 @@ def _alternate(gsr, grd, w, p_s, p_r, p, tol=CONVERGENCE_TOL, max_iters=MAX_ITER
         settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
         check = settled & pending
         if check.any():
-            fin = check & (_kkt_residual(f**2, mu_f, coeff_f, grd) <= CROSS_KKT_TOL)
+            fin = check & (waterfill_kkt_residual(f**2, mu_f, coeff_f, grd) <= CROSS_KKT_TOL)
             out_p[fin], out_f[fin] = p[fin], f[fin]
             out_mu_p[fin], out_mu_f[fin] = mu_p[fin], mu_f[fin]
             n_iters[fin] = it
@@ -675,24 +654,22 @@ def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direc
 def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) -> DesignBatch:
     """Finish a stack of designs from P and F_tilde and check every draw.
 
-    Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
-    (K1/r_x/K2 and the tilde maps computed once and shared), both powers
-    and the eta_p fixed point.  A draw keeps its entry of ``failures``
-    (an allocation failure) or gets its first missed contract.  An
-    ``alloc`` whose eta_p is None belongs to a fixed precoder: its eta_p
-    is the fixed point and its objective trace the achieved weighted MSE.
+    Builds F, the LMMSE equalizer G, the residual and direct weighted MSE,
+    both powers and the eta_p fixed point, all from the one ``mse._link``
+    of (P, F) and the precoder's tilde maps.  A draw keeps its entry of
+    ``failures`` (an allocation failure) or gets its first missed
+    contract.  An ``alloc`` whose eta_p is None belongs to a fixed
+    precoder: its eta_p is the fixed point and its objective trace the
+    achieved weighted MSE.
     """
     f_mat = maps.from_tilde(tilde_f)
-    stats = _second_order_stats(cfg, know, p_mat, f_mat, maps.k1)
-    tx = Transceiver(
-        precoder=p_mat, forward=f_mat, equalizer=_optimal_equalizer(know, p_mat, f_mat, stats)
-    )
-    achieved = _residual_weighted_mse(cfg, know, p_mat, tilde_f, maps, stats)
-    direct = _weighted_mse(cfg, know, tx, stats)
-    gram_p = p_mat @ _ct(p_mat)
-    power_p = np.real(_trace(gram_p))
-    power_f = np.real(_trace(f_mat @ stats.r_x @ _ct(f_mat)))
-    fixed_point = np.real(_trace(gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
+    link = _link(cfg, know, p_mat, f_mat, maps)
+    tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=link.equalizer())
+    achieved = link.residual_weighted_mse(tilde_f, maps)
+    direct = link.weighted_mse(tx.equalizer)
+    power_p = np.real(_trace(link.gram_p))
+    power_f = np.real(_trace(link.frf))
+    fixed_point = np.real(_trace(link.gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
     if alloc.eta_p is None:
         alloc = replace(alloc, eta_p=fixed_point, objective_trace=achieved[:, None])
     checks = zip(

@@ -13,10 +13,13 @@ Conventions
   magnitude is rotated to be real and nonnegative; the paired right
   singular vector absorbs the opposite rotation so the factorization is
   unchanged.
-* Within a group of (numerically) tied singular values the columns are
-  re-sorted in descending lexicographic order of the phase-fixed left
-  vectors, interleaving real and imaginary parts.  The choice inside a
-  degenerate subspace is implementation-defined but deterministic.
+* A tie group is a run of consecutive values whose neighbours differ by
+  at most TIE_RTOL times the largest magnitude.  Inside each group the
+  columns are re-sorted in descending lexicographic order of the
+  phase-fixed left vectors, real and imaginary parts interleaved row by
+  row; equal keys keep their order.  One stable sort over the tied
+  matrices of a stack does this.  The choice inside a degenerate
+  subspace is implementation-defined but deterministic.
 """
 
 from __future__ import annotations
@@ -155,66 +158,36 @@ def _phase_factors(cols: np.ndarray) -> np.ndarray:
     return np.where(mag == 0.0, 1.0 + 0.0j, np.conj(dom / np.where(mag == 0.0, 1.0, mag)))
 
 
-def _lex_key(col: np.ndarray) -> tuple:
-    key = np.empty(2 * col.shape[0])
-    key[0::2] = col.real
-    key[1::2] = col.imag
-    return tuple(key.tolist())
-
-
-def _tie_groups(values: np.ndarray, rtol: float = TIE_RTOL) -> list[slice]:
-    """Slices of consecutive indices whose values are numerically tied."""
-    n = values.shape[0]
-    if n == 0:
-        return []
-    scale = max(float(np.max(np.abs(values))), 1e-300)
-    groups = []
-    start = 0
-    for i in range(1, n):
-        if abs(values[i - 1] - values[i]) > rtol * scale:
-            groups.append(slice(start, i))
-            start = i
-    groups.append(slice(start, n))
-    return groups
-
-
-def _sort_tied_columns(values, *column_sets):
-    """Reorder columns inside tied-value groups by descending lex key.
-
-    The key is taken from the first column set; all sets are permuted
-    identically.  Values themselves are left untouched so the ordering
-    guarantee on them is never disturbed.  This per-matrix sort is the
-    reference; :func:`_sort_ties` only routes tied matrices here.
-    """
-    primary = column_sets[0]
-    for grp in _tie_groups(values):
-        width = grp.stop - grp.start
-        if width < 2:
-            continue
-        order = sorted(
-            range(grp.start, grp.stop),
-            key=lambda j: _lex_key(primary[:, j]),
-            reverse=True,
-        )
-        if list(order) != list(range(grp.start, grp.stop)):
-            for cols in column_sets:
-                cols[:, grp] = cols[:, order]
-
-
 def _sort_ties(values: np.ndarray, *column_sets) -> None:
-    """Apply :func:`_sort_tied_columns` to every matrix of a stack whose
-    (nonincreasing) values contain a tie; untied matrices, nearly all of
-    them, are left alone."""
+    """Reorder, in place, the columns inside each group of tied values by
+    descending lexicographic key of the first column set (real and
+    imaginary parts interleaved, row by row); every set is permuted alike.
+
+    Values are left untouched, so their ordering guarantee is never
+    disturbed.  The sort is one stable ``np.lexsort`` over the matrices of
+    the stack whose (nonincreasing) values contain a tie; untied matrices,
+    nearly all of them, are left alone.
+    """
     if values.shape[-1] < 2:
         return
     scale = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
     tied = (values[..., :-1] - values[..., 1:] <= TIE_RTOL * scale).any(axis=-1)
     if not tied.any():
         return
-    vals = values.reshape(-1, values.shape[-1])
+    idx = np.flatnonzero(tied)
+    vals = values.reshape(-1, values.shape[-1])[idx]
     sets = [c.reshape(-1, *c.shape[-2:]) for c in column_sets]
-    for i in np.flatnonzero(tied):
-        _sort_tied_columns(vals[i], *(c[i] for c in sets))
+    # A new group starts wherever consecutive values are not tied.
+    split = np.abs(vals[:, :-1] - vals[:, 1:]) > TIE_RTOL * np.maximum(
+        np.abs(vals).max(axis=-1, keepdims=True), 1e-300
+    )
+    group = np.concatenate([np.zeros((idx.size, 1)), np.cumsum(split, axis=-1)], axis=-1)
+    primary = sets[0][idx]
+    key = np.stack([primary.real, primary.imag], axis=2).reshape(idx.size, -1, vals.shape[-1])
+    # np.lexsort sorts by its last key first: the group, then key rows 0, 1, ...
+    order = np.lexsort(np.concatenate([-key[:, ::-1].swapaxes(0, 1), group[None]]), axis=-1)
+    for cols in sets:
+        cols[idx] = np.take_along_axis(cols[idx], order[:, None, :], axis=-1)
 
 
 def svd_ordered(m) -> OrderedSVD:

@@ -16,9 +16,12 @@ quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
 Every function takes one draw, or (B, ., .) stacks of draws that share
-the config and error statistics, and then works draw by draw.  The
-private helpers take checked inputs plus the K1/r_x/K2 of (P, F), so a
-designer computes those once and shares them.
+the config and error statistics, and then works draw by draw.  Each
+public entry checks its arguments once (``_checked``) and evaluates
+through one builder, ``_Link``, which forms P P^H, K1, Rx, F Rx F^H, K2,
+Hrd F and the destination covariance each at most once, on first use.
+The designer builds one per stack, with P P^H and K1 taken from the
+precoder's tilde maps, and reads every quantity it checks from it.
 """
 
 from __future__ import annotations
@@ -139,98 +142,32 @@ def _solve_hermitian(c: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _check_tx_dims(cfg: SystemConfig, know: ChannelKnowledge, p, f, g=None):
-    if know.est_sr.shape[-2:] != (cfg.m_r, cfg.n_s):
-        raise ValueError(
-            f"est_sr shape {know.est_sr.shape} does not match config "
-            f"({cfg.m_r}, {cfg.n_s})"
-        )
-    if know.est_rd.shape[-2:] != (cfg.m_d, cfg.n_r):
-        raise ValueError(
-            f"est_rd shape {know.est_rd.shape} does not match config "
-            f"({cfg.m_d}, {cfg.n_r})"
-        )
-    if p.shape[-2:] != (cfg.n_s, cfg.n_streams):
-        raise ValueError(f"precoder must be ({cfg.n_s}, {cfg.n_streams}), got {p.shape}")
-    if f is not None and f.shape[-2:] != (cfg.n_r, cfg.m_r):
-        raise ValueError(f"forward must be ({cfg.n_r}, {cfg.m_r}), got {f.shape}")
-    if g is not None and g.shape[-2:] != (cfg.n_streams, cfg.m_d):
-        raise ValueError(f"equalizer must be ({cfg.n_streams}, {cfg.m_d}), got {g.shape}")
+def _checked(cfg: SystemConfig, know: ChannelKnowledge, **arrays) -> list[np.ndarray]:
+    """Check both estimates against ``cfg``; return the named arrays
+    (precoder, forward, tilde_forward, equalizer) as complex128, each
+    checked against its shape.  A mismatch raises a ValueError naming
+    the argument.  The one shape check of this module and the designer."""
+    shapes = {
+        "est_sr": (cfg.m_r, cfg.n_s),
+        "est_rd": (cfg.m_d, cfg.n_r),
+        "precoder": (cfg.n_s, cfg.n_streams),
+        "forward": (cfg.n_r, cfg.m_r),
+        "tilde_forward": (cfg.n_r, cfg.m_r),
+        "equalizer": (cfg.n_streams, cfg.m_d),
+    }
+    named = {"est_sr": know.est_sr, "est_rd": know.est_rd}
+    named.update((name, np.asarray(a, dtype=np.complex128)) for name, a in arrays.items())
+    for name, a in named.items():
+        if a.shape[-2:] != shapes[name]:
+            raise ValueError(f"{name} must be {shapes[name]}, got shape {a.shape}")
+    return [named[name] for name in arrays]
 
 
-def _first_hop_noise(cfg: SystemConfig, know: ChannelKnowledge, gram_p) -> np.ndarray:
-    """K1 = tr(P P^H col_sr) row_sr + sigma1^2 I for the precoder Gram matrix."""
-    load = np.real(_trace(gram_p @ know.stats_sr.col_cov))[..., None, None]
-    return load * know.stats_sr.row_cov + cfg.sigma1_sq * np.eye(cfg.m_r)
-
-
-def _second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, p, f, k1) -> SecondOrderStats:
-    """r_x, k1, k2 of (P, F) given the precoder's K1 (checked inputs)."""
+def _first_hop(cfg: SystemConfig, know: ChannelKnowledge, p):
+    """P P^H and K1 = tr(P P^H col_sr) row_sr + sigma1^2 I of a checked precoder."""
     gram_p = p @ _ct(p)
-    r_x = _herm(know.est_sr @ gram_p @ _ct(know.est_sr) + k1)
-    frf = f @ r_x @ _ct(f)
-    k2 = (
-        np.real(_trace(frf @ know.stats_rd.col_cov))[..., None, None]
-        * know.stats_rd.row_cov
-        + cfg.sigma2_sq * np.eye(cfg.m_d)
-    )
-    return SecondOrderStats(r_x=r_x, k1=_herm(k1), k2=_herm(k2))
-
-
-def second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> SecondOrderStats:
-    """r_x, k1, k2 for a given precoder and relay forward matrix."""
-    p = np.asarray(precoder, dtype=np.complex128)
-    f = np.asarray(forward, dtype=np.complex128)
-    _check_tx_dims(cfg, know, p, f)
-    return _second_order_stats(cfg, know, p, f, _first_hop_noise(cfg, know, p @ _ct(p)))
-
-
-def _received_covariance(know: ChannelKnowledge, f, so: SecondOrderStats):
-    """Hrd F and the destination covariance Hrd F Rx F^H Hrd^H + K2."""
-    hf = know.est_rd @ f
-    return hf, hf @ so.r_x @ _ct(hf) + so.k2
-
-
-def _mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, p, f, g, so: SecondOrderStats):
-    """The MSE matrix of checked (P, F, G) whose (P, F) have the stats ``so``."""
-    hf, cov_y = _received_covariance(know, f, so)
-    lin = g @ hf @ know.est_sr @ p
-    return _herm(g @ cov_y @ _ct(g) + np.eye(cfg.n_streams) - lin - _ct(lin))
-
-
-def _weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver, so: SecondOrderStats):
-    """tr(W E) of a checked transceiver whose (P, F) have the stats ``so``."""
-    e = _mse_matrix(cfg, know, tx.precoder, tx.forward, tx.equalizer, so)
-    return np.real(_trace(cfg.weight @ e))
-
-
-def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
-    """N x N detection MSE matrix (expectation over data, errors, noises)."""
-    p = np.asarray(tx.precoder, dtype=np.complex128)
-    f = np.asarray(tx.forward, dtype=np.complex128)
-    g = np.asarray(tx.equalizer, dtype=np.complex128)
-    _check_tx_dims(cfg, know, p, f, g)
-    return _mse_matrix(cfg, know, p, f, g, second_order_stats(cfg, know, p, f))
-
-
-def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
-    """tr(W E) for the MSE matrix E of the given transceiver.
-
-    A float for one draw, an array of B values for a stack.
-    """
-    return _scalar(np.real(_trace(cfg.weight @ mse_matrix(cfg, know, tx))))
-
-
-def _optimal_equalizer(know: ChannelKnowledge, p, f, so: SecondOrderStats) -> np.ndarray:
-    hf, cov_y = _received_covariance(know, f, so)
-    return _ct(_solve_hermitian(cov_y, hf @ know.est_sr @ p))
-
-
-def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
-    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}."""
-    p = np.asarray(precoder, dtype=np.complex128)
-    f = np.asarray(forward, dtype=np.complex128)
-    return _optimal_equalizer(know, p, f, second_order_stats(cfg, know, p, f))
+    load = np.real(_trace(gram_p @ know.stats_sr.col_cov))[..., None, None]
+    return gram_p, _herm(load * know.stats_sr.row_cov + cfg.sigma1_sq * np.eye(cfg.m_r))
 
 
 @dataclass(frozen=True)
@@ -244,6 +181,7 @@ class TildeMaps:
 
     pi_p: np.ndarray
     k1: np.ndarray
+    _gram_p: np.ndarray = field(repr=False)
     _k1_half: np.ndarray = field(repr=False)
     _k1_inv_half: np.ndarray = field(repr=False)
     _pi_half: np.ndarray = field(repr=False)
@@ -263,11 +201,109 @@ class TildeMaps:
         return self._pi_inv_half @ self._k1_inv_half
 
 
+@dataclass(frozen=True)
+class _Link:
+    """The second-order quantities of checked (P, F), draw by draw.
+
+    ``gram_p`` is P P^H and ``k1`` is K1; r_x, F Rx F^H (``frf``), K2,
+    Hrd F (``hf``) and the destination covariance Hrd F Rx F^H Hrd^H + K2
+    (``cov_y``) are each formed once, on first use.
+    """
+
+    cfg: SystemConfig
+    know: ChannelKnowledge
+    p: np.ndarray
+    f: np.ndarray
+    gram_p: np.ndarray
+    k1: np.ndarray
+
+    @cached_property
+    def r_x(self) -> np.ndarray:
+        est = self.know.est_sr
+        return _herm(est @ self.gram_p @ _ct(est) + self.k1)
+
+    @cached_property
+    def frf(self) -> np.ndarray:
+        return self.f @ self.r_x @ _ct(self.f)
+
+    @cached_property
+    def k2(self) -> np.ndarray:
+        stats = self.know.stats_rd
+        load = np.real(_trace(self.frf @ stats.col_cov))[..., None, None]
+        return _herm(load * stats.row_cov + self.cfg.sigma2_sq * np.eye(self.cfg.m_d))
+
+    @cached_property
+    def hf(self) -> np.ndarray:
+        return self.know.est_rd @ self.f
+
+    @cached_property
+    def cov_y(self) -> np.ndarray:
+        return self.hf @ self.r_x @ _ct(self.hf) + self.k2
+
+    def equalizer(self) -> np.ndarray:
+        """The LMMSE equalizer (Hrd F Hsr P)^H cov_y^{-1}."""
+        return _ct(_solve_hermitian(self.cov_y, self.hf @ self.know.est_sr @ self.p))
+
+    def mse_matrix(self, g) -> np.ndarray:
+        lin = g @ self.hf @ self.know.est_sr @ self.p
+        return _herm(g @ self.cov_y @ _ct(g) + np.eye(self.cfg.n_streams) - lin - _ct(lin))
+
+    def weighted_mse(self, g) -> np.ndarray:
+        return np.real(_trace(self.cfg.weight @ self.mse_matrix(g)))
+
+    def residual_weighted_mse(self, ft, maps: TildeMaps) -> np.ndarray:
+        """tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B] for F the image
+        of ``ft`` under the precoder's ``maps``; forms neither Hrd F nor
+        cov_y."""
+        est_rd = self.know.est_rd
+        b = est_rd @ ft @ maps.whitened_source @ self.know.est_sr @ self.p @ self.cfg.weight_half
+        hft = est_rd @ ft
+        cov = hft @ _ct(hft) + self.k2
+        quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
+        return float(np.real(np.trace(self.cfg.weight))) - quad
+
+
+def _link(cfg: SystemConfig, know: ChannelKnowledge, p, f, maps: TildeMaps | None = None) -> _Link:
+    """The :class:`_Link` of checked (P, F); P P^H and K1 are taken from
+    the precoder's ``maps`` when given."""
+    first = (maps._gram_p, maps.k1) if maps is not None else _first_hop(cfg, know, p)
+    return _Link(cfg, know, p, f, *first)
+
+
+def second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> SecondOrderStats:
+    """r_x, k1, k2 for a given precoder and relay forward matrix."""
+    link = _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward))
+    return SecondOrderStats(r_x=link.r_x, k1=link.k1, k2=link.k2)
+
+
+def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
+    """N x N detection MSE matrix (expectation over data, errors, noises)."""
+    p, f, g = _checked(
+        cfg, know, precoder=tx.precoder, forward=tx.forward, equalizer=tx.equalizer
+    )
+    return _link(cfg, know, p, f).mse_matrix(g)
+
+
+def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
+    """tr(W E) for the MSE matrix E of the given transceiver.
+
+    A float for one draw, an array of B values for a stack.
+    """
+    p, f, g = _checked(
+        cfg, know, precoder=tx.precoder, forward=tx.forward, equalizer=tx.equalizer
+    )
+    return _scalar(_link(cfg, know, p, f).weighted_mse(g))
+
+
+def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
+    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}."""
+    return _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward)).equalizer()
+
+
 def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps:
     """Build the F <-> F_tilde maps for the given precoder (or stack)."""
-    p = np.asarray(precoder, dtype=np.complex128)
-    _check_tx_dims(cfg, know, p, None)
-    k1 = _herm(_first_hop_noise(cfg, know, p @ _ct(p)))
+    (p,) = _checked(cfg, know, precoder=precoder)
+    gram_p, k1 = _first_hop(cfg, know, p)
     k1_half, k1_inv_half = herm_roots(k1)
     x = k1_inv_half @ know.est_sr @ p
     # pi_p = I + x x^H is always PD with min eigenvalue 1, so its roots are
@@ -281,21 +317,12 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     return TildeMaps(
         pi_p=pi_p,
         k1=k1,
+        _gram_p=gram_p,
         _k1_half=k1_half,
         _k1_inv_half=k1_inv_half,
         _pi_half=pi_half,
         _pi_inv_half=pi_inv_half,
     )
-
-
-def _residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, p, ft, maps: TildeMaps, so: SecondOrderStats):
-    """The residual weighted MSE of checked inputs, given the precoder's
-    maps and the stats ``so`` of (P, F)."""
-    b = know.est_rd @ ft @ maps.whitened_source @ know.est_sr @ p @ cfg.weight_half
-    hft = know.est_rd @ ft
-    cov = hft @ _ct(hft) + so.k2
-    quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
-    return float(np.real(np.trace(cfg.weight))) - quad
 
 
 def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, tilde_forward):
@@ -305,12 +332,7 @@ def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, t
     B = Hrd Ft pi_p^{-1/2} k1^{-1/2} Hsr P W^{1/2}.  Matches
     ``weighted_mse`` at the LMMSE equalizer to solver precision.
     """
-    p = np.asarray(precoder, dtype=np.complex128)
-    ft = np.asarray(tilde_forward, dtype=np.complex128)
-    if ft.shape[-2:] != (cfg.n_r, cfg.m_r):
-        raise ValueError(
-            f"tilde_forward must be ({cfg.n_r}, {cfg.m_r}), got {ft.shape}"
-        )
+    p, ft = _checked(cfg, know, precoder=precoder, tilde_forward=tilde_forward)
     maps = tilde_maps(cfg, know, p)
-    so = _second_order_stats(cfg, know, p, maps.from_tilde(ft), maps.k1)
-    return _scalar(_residual_weighted_mse(cfg, know, p, ft, maps, so))
+    link = _link(cfg, know, p, maps.from_tilde(ft), maps)
+    return _scalar(link.residual_weighted_mse(ft, maps))

@@ -181,6 +181,25 @@ class TestScenario:
             assert truth.delta_sr[i].tobytes() == delta_sr.tobytes()
             assert truth.delta_rd[i].tobytes() == delta_rd.tobytes()
 
+    @pytest.mark.parametrize("snr_db", [-300.0, -100.0, 10.0])
+    def test_estimate_covariance_is_identity_minus_error(self, snr_db):
+        from afrelay.channel import _scenario_factors
+
+        cfg = make_config(dims=(3, 2, 4, 3), n_streams=2)
+        snr = 10.0 ** (snr_db / 10.0)
+        stats_sr, stats_rd, roots = _scenario_factors(cfg, snr, 0.5)
+        cases = (
+            (roots[0][1], stats_sr.col_cov, exp_corr(0.5, 3)),
+            (roots[2][0], stats_rd.row_cov, exp_corr(0.5, 3)),
+        )
+        for root, err_cov, r in cases:
+            cov = root @ root
+            # I - error covariance, exact to rounding where it does not cancel
+            assert np.linalg.norm(cov - (np.eye(3) - err_cov)) <= 1e-12
+            # and s R to first order, to relative precision where it does
+            if snr < 1e-6:
+                assert np.linalg.norm(cov - snr * r) <= 1e-9 * snr * np.linalg.norm(r)
+
     def test_truth_is_estimate_plus_error(self):
         cfg = make_config()
         know, truth = sample_scenario(cfg, 5.0, 0.3, 7)

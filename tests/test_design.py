@@ -19,7 +19,7 @@ from afrelay.design import (
     weight_eigensystem,
 )
 from afrelay.linalg import NotPSDError, svd_ordered
-from afrelay.mse import tilde_maps, weighted_mse
+from afrelay.mse import optimal_equalizer, tilde_maps, weighted_mse
 from conftest import make_config, make_instance, rand_complex
 
 
@@ -532,6 +532,47 @@ class TestDesign:
             relay = np.real(np.trace(sol.tx.forward @ so.r_x @ sol.tx.forward.conj().T))
             assert abs(relay - cfg.p_r) <= 1e-8 * cfg.p_r
             assert abs(sol.achieved_wmse - weighted_mse(cfg, know, sol.tx)) <= 1e-9
+
+    @pytest.mark.parametrize("algorithm", ["robust_full", "robust_nopre", "naive"])
+    def test_batch_evaluation_is_the_public_one_bit_for_bit(self, algorithm):
+        """A stack's direct weighted MSE and equalizer are exactly what the
+        public entries give for its (P, F), so the CSV's analytic column is
+        the public evaluation."""
+        from afrelay.channel import exact_knowledge, sample_scenario_stack
+        from afrelay.design import design_batch
+        from afrelay.sim import ExperimentSpec, system_config
+
+        rng = np.random.default_rng(70)
+        for case in range(60):
+            dims = [int(d) for d in rng.integers(1, 6, size=4)]
+            n = int(rng.integers(1, min(dims) + 1))
+            weights = np.round(rng.uniform(0.0, 1.0, size=n), 1)
+            weights[0] = max(weights[0], 0.1)
+            spec = ExperimentSpec.from_dict({
+                "dims": dims,
+                "n_streams": n,
+                "alpha": float(rng.uniform(0.0, 0.9)),
+                "data_snr_db": rng.uniform(-10.0, 70.0, size=2).tolist(),
+                "est_snr_db": [float(rng.uniform(-20.0, 60.0))],
+                "weights": weights.tolist(),
+                "n_channel_draws": 3,
+                "n_symbols": 1,
+                "seed": case,
+            })
+            cfg = system_config(spec)
+            know, _ = sample_scenario_stack(
+                cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha,
+                [np.random.default_rng((case, d)) for d in range(3)],
+            )
+            if algorithm == "naive":
+                know = exact_knowledge(know.est_sr, know.est_rd)
+            mode = "relay_only" if algorithm == "robust_nopre" else "joint"
+            batch = design_batch(cfg, know, DesignOptions(mode=mode))
+            tx = batch.solution.tx
+            assert np.array_equal(batch.direct_wmse, weighted_mse(cfg, know, tx))
+            assert np.array_equal(
+                tx.equalizer, optimal_equalizer(cfg, know, tx.precoder, tx.forward)
+            )
 
     def test_mismatched_knowledge_shapes_rejected(self):
         cfg, _, _ = make_instance(37)

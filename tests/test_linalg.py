@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+import afrelay.linalg as linalg_mod
 from afrelay.linalg import (
+    TIE_RTOL,
     NotHermitianError,
     NotPSDError,
     SingularMatrixError,
@@ -188,3 +190,181 @@ class TestHermInvSqrt:
             herm_inv_sqrt(np.diag([1.0, 1e-14]))
         with pytest.raises(SingularMatrixError):
             herm_inv_sqrt(np.zeros((2, 2)))
+
+
+# The per-matrix tie sort that the stacked ``np.lexsort`` in
+# ``linalg._sort_ties`` replaced, kept as the reference it must match bit
+# for bit: tie groups found by a loop, each sorted by a Python tuple key.
+def _lex_key(col):
+    key = np.empty(2 * col.shape[0])
+    key[0::2] = col.real
+    key[1::2] = col.imag
+    return tuple(key.tolist())
+
+
+def _tie_groups(values, rtol=TIE_RTOL):
+    n = values.shape[0]
+    if n == 0:
+        return []
+    scale = max(float(np.max(np.abs(values))), 1e-300)
+    groups = []
+    start = 0
+    for i in range(1, n):
+        if abs(values[i - 1] - values[i]) > rtol * scale:
+            groups.append(slice(start, i))
+            start = i
+    groups.append(slice(start, n))
+    return groups
+
+
+def _sort_tied_columns(values, *column_sets):
+    """Returns whether any column moved."""
+    primary = column_sets[0]
+    moved = False
+    for grp in _tie_groups(values):
+        if grp.stop - grp.start < 2:
+            continue
+        order = sorted(
+            range(grp.start, grp.stop),
+            key=lambda j: _lex_key(primary[:, j]),
+            reverse=True,
+        )
+        if list(order) != list(range(grp.start, grp.stop)):
+            moved = True
+            for cols in column_sets:
+                cols[:, grp] = cols[:, order]
+    return moved
+
+
+class _ReferenceSortTies:
+    """The old router: the same untied pre-filter, then the per-matrix sort;
+    counts the matrices it reorders."""
+
+    def __init__(self):
+        self.reordered = 0
+
+    def __call__(self, values, *column_sets):
+        if values.shape[-1] < 2:
+            return
+        scale = np.maximum(np.abs(values[..., :1]), np.abs(values[..., -1:]))
+        tied = (values[..., :-1] - values[..., 1:] <= TIE_RTOL * scale).any(axis=-1)
+        vals = values.reshape(-1, values.shape[-1])
+        sets = [c.reshape(-1, *c.shape[-2:]) for c in column_sets]
+        for i in np.flatnonzero(tied):
+            self.reordered += _sort_tied_columns(vals[i], *(c[i] for c in sets))
+
+
+def _unitary(rng, n):
+    q, r = np.linalg.qr(_rand_complex(rng, n, n))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def _tied_values(rng, n):
+    return rng.choice([0.0, 1.0, 2.0, 3.0], size=n, p=[0.1, 0.5, 0.3, 0.1])
+
+
+def _tied_general(rng, kind, rows, cols):
+    """A (rows, cols) matrix with repeated singular values."""
+    if kind == "diagonal":
+        m = np.zeros((rows, cols), dtype=complex)
+        k = min(rows, cols)
+        m[np.arange(k), np.arange(k)] = _tied_values(rng, k)
+        return m
+    if kind == "mixed":
+        d = np.zeros((rows, cols))
+        k = min(rows, cols)
+        d[np.arange(k), np.arange(k)] = _tied_values(rng, k)
+        return _unitary(rng, rows) @ d @ _unitary(rng, cols).conj().T
+    if kind == "integer":
+        return rng.integers(-1, 2, (rows, cols)) + 1j * rng.integers(-1, 2, (rows, cols))
+    return 2.0 * np.eye(rows, cols)
+
+
+def _tied_hermitian(rng, kind, n):
+    """An (n, n) Hermitian matrix with repeated eigenvalues."""
+    if kind == "diagonal":
+        return np.diag(_tied_values(rng, n) - 1.0).astype(complex)
+    if kind == "mixed":
+        q = _unitary(rng, n)
+        return (q * (_tied_values(rng, n) - 1.0)) @ q.conj().T
+    if kind == "integer":
+        a = rng.integers(-1, 2, (n, n)) + 1j * rng.integers(-1, 2, (n, n))
+        return a + a.conj().T
+    return np.eye(n, dtype=complex)
+
+
+def _stacks(rng, tied, untied):
+    """2-D inputs, B = 1 stacks and B > 1 stacks that mix tied matrices
+    with untied random ones."""
+    yield tied()
+    yield tied()[None]
+    yield np.stack([tied() if rng.random() < 0.5 else untied() for _ in range(int(rng.integers(2, 9)))])
+
+
+class TestStackedTieSort:
+    KINDS = ("diagonal", "mixed", "integer", "identity")
+
+    def _check(self, monkeypatch, decompose, inputs):
+        """Every input gives bit-identical factors with the stacked sort and
+        the reference; returns the number of matrices and of reorderings."""
+        ref = _ReferenceSortTies()
+        matrices = 0
+        for m in inputs:
+            new = decompose(m)
+            with monkeypatch.context() as mp:
+                mp.setattr(linalg_mod, "_sort_ties", ref)
+                old = decompose(m)
+            for a, b in zip(vars(new).values(), vars(old).values()):
+                assert np.array_equal(a, b)
+            matrices += 1 if m.ndim == 2 else m.shape[0]
+        return matrices, ref.reordered
+
+    def test_svd_matches_per_matrix_reference(self, monkeypatch):
+        rng = np.random.default_rng(40)
+
+        def inputs():
+            for _ in range(400):
+                kind = self.KINDS[int(rng.integers(4))]
+                shape = (int(rng.integers(1, 6)), int(rng.integers(1, 6)))
+                yield from _stacks(
+                    rng, lambda: _tied_general(rng, kind, *shape), lambda: _rand_complex(rng, *shape)
+                )
+
+        matrices, reordered = self._check(monkeypatch, svd_ordered, inputs())
+        assert matrices >= 2000 and reordered >= 100
+
+    def test_eig_matches_per_matrix_reference(self, monkeypatch):
+        rng = np.random.default_rng(41)
+
+        def untied(n):
+            a = _rand_complex(rng, n, n)
+            return a + a.conj().T
+
+        def inputs():
+            for _ in range(400):
+                kind = self.KINDS[int(rng.integers(4))]
+                n = int(rng.integers(1, 7))
+                yield from _stacks(rng, lambda: _tied_hermitian(rng, kind, n), lambda: untied(n))
+
+        matrices, reordered = self._check(monkeypatch, eig_hermitian_ordered, inputs())
+        assert matrices >= 2000 and reordered >= 100
+
+    def test_sort_ties_matches_reference_on_quantized_columns(self):
+        # Entries from {-1, 0, 1} + 1j {-1, 0, 1} make keys collide in their
+        # leading entries and repeat whole columns, which pins the key's
+        # interleaving and the order of equal keys.
+        rng = np.random.default_rng(42)
+        ref = _ReferenceSortTies()
+        for _ in range(500):
+            b, rows, k = (int(x) for x in rng.integers((1, 1, 2), (6, 5, 6)))
+            values = -np.sort(-rng.choice([0.0, 1.0, 2.0], size=(b, k)), axis=-1)
+            sets = [
+                rng.integers(-1, 2, (b, r, k)) + 1j * rng.integers(-1, 2, (b, r, k))
+                for r in (rows, int(rng.integers(1, 5)))
+            ]
+            new = [c.copy() for c in sets]
+            linalg_mod._sort_ties(values, *new)
+            ref(values, *sets)
+            for a, c in zip(new, sets):
+                assert np.array_equal(a, c)
+        assert ref.reordered >= 500

@@ -276,3 +276,64 @@ class TestSystemConfigValidation:
     def test_rejects_non_finite_power_and_noise(self, name, value):
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(make_config(), **{name: value})
+
+
+def _entry_calls():
+    """Each public entry, called with a dict of its (possibly wrong) arguments."""
+    def tx(a):
+        return Transceiver(a["precoder"], a["forward"], a["equalizer"])
+
+    return {
+        "second_order_stats": (
+            ("precoder", "forward"),
+            lambda cfg, know, a: second_order_stats(cfg, know, a["precoder"], a["forward"]),
+        ),
+        "mse_matrix": (
+            ("precoder", "forward", "equalizer"),
+            lambda cfg, know, a: mse_matrix(cfg, know, tx(a)),
+        ),
+        "weighted_mse": (
+            ("precoder", "forward", "equalizer"),
+            lambda cfg, know, a: weighted_mse(cfg, know, tx(a)),
+        ),
+        "optimal_equalizer": (
+            ("precoder", "forward"),
+            lambda cfg, know, a: optimal_equalizer(cfg, know, a["precoder"], a["forward"]),
+        ),
+        "tilde_maps": (("precoder",), lambda cfg, know, a: tilde_maps(cfg, know, a["precoder"])),
+        "residual_weighted_mse": (
+            ("precoder", "tilde_forward"),
+            lambda cfg, know, a: residual_weighted_mse(cfg, know, a["precoder"], a["tilde_forward"]),
+        ),
+    }
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        (entry, name)
+        for entry, (names, _) in _entry_calls().items()
+        for name in (*names, "est_sr", "est_rd")
+    ],
+)
+def test_wrong_shape_is_rejected_by_name(entry, name):
+    dims = (4, 3, 5, 3)
+    weight = np.diag([0.6, 0.4])
+    cfg, know, _ = make_instance(50, dims=dims, n_streams=2, weight=weight)
+    rng = np.random.default_rng(51)
+    args = {
+        "precoder": rand_complex(rng, 4, 2),
+        "forward": rand_complex(rng, 5, 3),
+        "tilde_forward": rand_complex(rng, 5, 3),
+        "equalizer": rand_complex(rng, 2, 3),
+    }
+    _, call = _entry_calls()[entry]
+    call(cfg, know, args)
+    if name in args:
+        args[name] = args[name].T
+    else:
+        # knowledge whose other estimate still matches the config
+        wrong = (3, 3, 5, 3) if name == "est_sr" else (4, 3, 4, 3)
+        _, know, _ = make_instance(52, dims=wrong, n_streams=2, weight=weight)
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        call(cfg, know, args)

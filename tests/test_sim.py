@@ -236,6 +236,22 @@ class TestRunExperiment:
         assert records["naive"].failures == {"convergence": 3}
         assert records["robust_full"].failures == {}
 
+    def test_vanishing_estimation_snr_counts_failures_and_runs(self):
+        # At -300 dB the estimate covariance s R (I + s R)^{-1} is about
+        # 1e-30 R; formed as I - (I + s R)^{-1} it cancelled to a negative
+        # eigenvalue and the sweep aborted in herm_sqrt.
+        spec = tiny_spec(
+            alpha=0.5, est_snr_db=(-300.0, -100.0), n_channel_draws=40, n_symbols=100, seed=3
+        )
+        records = run_experiment(spec)
+        assert len(records) == 6
+        for rec in records:
+            assert rec.n_draws + rec.n_failed == 40
+            assert sum(rec.failures.values()) == rec.n_failed
+            assert set(rec.failures) <= {
+                "convergence", "source_power", "relay_power", "eta_p", "wmse_agreement"
+            }
+
     def test_stack_wide_numerical_failure_is_isolated(self, monkeypatch):
         import afrelay.sim as sim_mod
         from afrelay.channel import sample_scenario
