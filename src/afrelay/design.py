@@ -52,7 +52,7 @@ from .linalg import (
     herm_inv_sqrt,
     svd_ordered,
 )
-from .mse import SystemConfig, Transceiver, _checked, _link, _scalar, _trace, tilde_maps
+from .mse import SystemConfig, Transceiver, _checked, _identity_scale, _link, _scalar, _trace, tilde_maps
 
 __all__ = [
     "DesignError",
@@ -275,40 +275,13 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
     )
 
 
-def _fold_stats(cfg: SystemConfig, know: ChannelKnowledge):
-    """Reduce the error stats to the designer's canonical form.
-
-    The training-based model gives row_cov_sr and col_cov_rd as (scaled)
-    identities; the scales are folded into the opposite factors so the
-    designer works with a single column covariance per hop.
-    """
-    row_sr = know.stats_sr.row_cov
-    scale_sr = float(np.real(np.trace(row_sr))) / cfg.m_r
-    if np.linalg.norm(row_sr - scale_sr * np.eye(cfg.m_r)) > 1e-10 * max(
-        scale_sr * np.sqrt(cfg.m_r), 1e-300
-    ):
-        raise ValueError(
-            "designer requires the first-hop row covariance to be a scaled "
-            "identity (training from the source guarantees this)"
-        )
-    col_rd = know.stats_rd.col_cov
-    scale_rd = float(np.real(np.trace(col_rd))) / cfg.n_r
-    if np.linalg.norm(col_rd - scale_rd * np.eye(cfg.n_r)) > 1e-10 * max(
-        scale_rd * np.sqrt(cfg.n_r), 1e-300
-    ):
-        raise ValueError(
-            "designer requires the second-hop column covariance to be a "
-            "scaled identity (training toward the relay guarantees this)"
-        )
-    psi_eff = scale_sr * know.stats_sr.col_cov
-    sigma_rd_eff = scale_rd * know.stats_rd.row_cov
-    return psi_eff, sigma_rd_eff
-
-
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
     """Ordered SVDs of both whitened hop estimates plus truncated gains."""
     _checked(cfg, know)
-    psi_eff, sigma_rd_eff = _fold_stats(cfg, know)
+    sr, rd = know.stats_sr, know.stats_rd
+    # Each hop's identity-side scale folds into its other factor.
+    psi_eff = _identity_scale(sr.row_cov, "stats_sr.row_cov") * sr.col_cov
+    sigma_rd_eff = _identity_scale(rd.col_cov, "stats_rd.col_cov") * rd.row_cov
     n = cfg.n_streams
     b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
     whiten_sr = herm_inv_sqrt(b_sr)
@@ -546,11 +519,11 @@ def iterate_allocations(
     p_s: float,
     p_r: float,
     *,
-    init_p=None,
     tol: float = CONVERGENCE_TOL,
     max_iters: int = MAX_ITERS,
 ) -> AllocationState:
-    """Alternate the two water-filling updates until the objective settles.
+    """Alternate the two water-filling updates, from uniform source
+    amplitudes, until the objective settles.
 
     Each half step solves its subproblem exactly, so the recorded
     objective trace is nonincreasing (modulo ~1e-16 float noise).  Stops
@@ -563,7 +536,7 @@ def iterate_allocations(
     gsr, grd, w = _validate_scalar_inputs(gains_sr, gains_rd, weights)
     if p_s <= 0 or p_r <= 0:
         raise ValueError("power budgets must be positive")
-    p = _initial_source(w.shape[0], p_s, init_p)
+    p = _initial_source(w.shape[0], p_s)
     state, infeasible = _alternate(
         gsr[None], grd[None], w, p_s, p_r, p[None], tol, max_iters
     )
@@ -574,17 +547,12 @@ def iterate_allocations(
     return state.draw(0)
 
 
-def _initial_source(n: int, p_s: float, init_p=None) -> np.ndarray:
-    """Uniform source amplitudes, or ``init_p`` rescaled onto the budget."""
-    if init_p is None:
+def _initial_source(n: int, p_s: float, start=None) -> np.ndarray:
+    """Uniform source amplitudes, or the positive ``start`` rescaled onto
+    the budget."""
+    if start is None:
         return np.full(n, np.sqrt(p_s / n))
-    p = np.asarray(init_p, dtype=float).copy()
-    if p.shape != (n,) or np.any(p < 0):
-        raise ValueError("init_p must be a nonnegative length-n vector")
-    total = float(np.sum(p**2))
-    if total <= 0:
-        raise ValueError("init_p must carry positive power")
-    return p * np.sqrt(p_s / total)
+    return start * np.sqrt(p_s / float(np.sum(start**2)))
 
 
 def solve_eta_p(p_alloc, spectral: SpectralData, p_s):

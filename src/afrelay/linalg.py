@@ -39,7 +39,6 @@ __all__ = [
     "eig_hermitian_ordered",
     "herm_sqrt",
     "herm_inv_sqrt",
-    "herm_roots",
 ]
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -289,11 +288,3 @@ def herm_inv_sqrt(m) -> np.ndarray:
     _check_pd(w)
     return _rebuild(q, np.sqrt(w), inverse=True)
 
-
-def herm_roots(m) -> tuple[np.ndarray, np.ndarray]:
-    """``(herm_sqrt(m), herm_inv_sqrt(m))`` of a PD matrix (or stack) from
-    one eigendecomposition; raises as :func:`herm_inv_sqrt` does."""
-    w, q = np.linalg.eigh(_as_hermitian(m))
-    _check_pd(w)
-    root_w = np.sqrt(w)
-    return _rebuild(q, root_w), _rebuild(q, root_w, inverse=True)

@@ -8,10 +8,14 @@ and both noises):
     E = G (Hrd F Rx F^H Hrd^H + K2) G^H + I - L - L^H,
     L = G Hrd F Hsr P,
     Rx = Hsr P P^H Hsr^H + K1,
-    K1 = tr(P P^H col_sr) row_sr + sigma1^2 I,
-    K2 = tr(F Rx F^H col_rd) row_rd + sigma2^2 I,
+    K1 = (c_sr tr(P P^H col_sr) + sigma1^2) I,
+    K2 = c_rd tr(F Rx F^H) row_rd + sigma2^2 I,
 
-with Hsr/Hrd the channel estimates.  This module evaluates these
+with Hsr/Hrd the channel estimates.  Training-based estimation makes the
+first hop's row covariance c_sr I and the second hop's column covariance
+c_rd I, and every entry requires that: ``_identity_scale`` reads each c
+and rejects any other covariance by name.  So K1 is a scaled identity,
+carried as its level with scalar roots.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
@@ -32,7 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _sq_norm, herm_roots, herm_sqrt
+from .linalg import _as_psd, _ct, _sq_norm, herm_sqrt
 
 __all__ = [
     "SystemConfig",
@@ -163,11 +167,24 @@ def _checked(cfg: SystemConfig, know: ChannelKnowledge, **arrays) -> list[np.nda
     return [named[name] for name in arrays]
 
 
+def _identity_scale(cov: np.ndarray, name: str) -> float:
+    """c where ``cov`` = c I (within 1e-10 relative, Frobenius norm); any
+    other covariance raises a ValueError naming it.  The one test of the
+    identity sides, ``stats_sr.row_cov`` and ``stats_rd.col_cov``."""
+    c = float(cov[0, 0].real)
+    gap = cov - c * np.eye(len(cov))
+    if np.vdot(gap, gap).real ** 0.5 > 1e-10 * max(abs(c) * len(cov) ** 0.5, 1e-300):
+        raise ValueError(f"{name} must be a scaled identity, as training-based estimation makes it")
+    return c
+
+
 def _first_hop(cfg: SystemConfig, know: ChannelKnowledge, p):
-    """P P^H and K1 = tr(P P^H col_sr) row_sr + sigma1^2 I of a checked precoder."""
+    """P P^H and K1's level c_sr tr(P P^H col_sr) + sigma1^2, shaped
+    (..., 1, 1), of a checked precoder."""
     gram_p = p @ _ct(p)
+    c = _identity_scale(know.stats_sr.row_cov, "stats_sr.row_cov")
     load = np.real(_trace(gram_p @ know.stats_sr.col_cov))[..., None, None]
-    return gram_p, _herm(load * know.stats_sr.row_cov + cfg.sigma1_sq * np.eye(cfg.m_r))
+    return gram_p, load * c + cfg.sigma1_sq
 
 
 @dataclass(frozen=True)
@@ -176,12 +193,14 @@ class TildeMaps:
 
     ``F_tilde = F @ k1^{1/2} @ pi_p^{1/2}`` with
     ``pi_p = k1^{-1/2} Hsr P P^H Hsr^H k1^{-1/2} + I``, which makes
-    tr(F Rx F^H) = tr(F_tilde F_tilde^H) exactly.
+    tr(F Rx F^H) = tr(F_tilde F_tilde^H) exactly.  K1 = k1 I, so its
+    roots are (..., 1, 1) scalars, applied by broadcasting.
     """
 
     pi_p: np.ndarray
     k1: np.ndarray
     _gram_p: np.ndarray = field(repr=False)
+    _k1_level: np.ndarray = field(repr=False)
     _k1_half: np.ndarray = field(repr=False)
     _k1_inv_half: np.ndarray = field(repr=False)
     _pi_half: np.ndarray = field(repr=False)
@@ -189,25 +208,25 @@ class TildeMaps:
 
     def to_tilde(self, forward) -> np.ndarray:
         f = np.asarray(forward, dtype=np.complex128)
-        return f @ self._k1_half @ self._pi_half
+        return (f * self._k1_half) @ self._pi_half
 
     def from_tilde(self, tilde_forward) -> np.ndarray:
         ft = np.asarray(tilde_forward, dtype=np.complex128)
-        return ft @ self._pi_inv_half @ self._k1_inv_half
+        return (ft @ self._pi_inv_half) * self._k1_inv_half
 
     @property
     def whitened_source(self) -> np.ndarray:
         """pi_p^{-1/2} k1^{-1/2}, the factor in front of Hsr P in the MSE."""
-        return self._pi_inv_half @ self._k1_inv_half
+        return self._pi_inv_half * self._k1_inv_half
 
 
 @dataclass(frozen=True)
 class _Link:
     """The second-order quantities of checked (P, F), draw by draw.
 
-    ``gram_p`` is P P^H and ``k1`` is K1; r_x, F Rx F^H (``frf``), K2,
-    Hrd F (``hf``) and the destination covariance Hrd F Rx F^H Hrd^H + K2
-    (``cov_y``) are each formed once, on first use.
+    ``gram_p`` is P P^H and ``k1`` K1's (..., 1, 1) level; r_x, F Rx F^H
+    (``frf``), K2, Hrd F (``hf``) and the destination covariance
+    Hrd F Rx F^H Hrd^H + K2 (``cov_y``) are each formed once, on first use.
     """
 
     cfg: SystemConfig
@@ -220,7 +239,7 @@ class _Link:
     @cached_property
     def r_x(self) -> np.ndarray:
         est = self.know.est_sr
-        return _herm(est @ self.gram_p @ _ct(est) + self.k1)
+        return _herm(est @ self.gram_p @ _ct(est) + self.k1 * np.eye(self.cfg.m_r))
 
     @cached_property
     def frf(self) -> np.ndarray:
@@ -229,7 +248,9 @@ class _Link:
     @cached_property
     def k2(self) -> np.ndarray:
         stats = self.know.stats_rd
-        load = np.real(_trace(self.frf @ stats.col_cov))[..., None, None]
+        c = _identity_scale(stats.col_cov, "stats_rd.col_cov")
+        # c tr(F Rx F^H), each entry scaled before the sum as in tr(F Rx F^H c I)
+        load = np.real(_trace(c * self.frf))[..., None, None]
         return _herm(load * stats.row_cov + self.cfg.sigma2_sq * np.eye(self.cfg.m_d))
 
     @cached_property
@@ -266,14 +287,15 @@ class _Link:
 def _link(cfg: SystemConfig, know: ChannelKnowledge, p, f, maps: TildeMaps | None = None) -> _Link:
     """The :class:`_Link` of checked (P, F); P P^H and K1 are taken from
     the precoder's ``maps`` when given."""
-    first = (maps._gram_p, maps.k1) if maps is not None else _first_hop(cfg, know, p)
+    first = (maps._gram_p, maps._k1_level) if maps is not None else _first_hop(cfg, know, p)
     return _Link(cfg, know, p, f, *first)
 
 
 def second_order_stats(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> SecondOrderStats:
     """r_x, k1, k2 for a given precoder and relay forward matrix."""
     link = _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward))
-    return SecondOrderStats(r_x=link.r_x, k1=link.k1, k2=link.k2)
+    k1 = link.k1 * np.eye(cfg.m_r, dtype=np.complex128)
+    return SecondOrderStats(r_x=link.r_x, k1=k1, k2=link.k2)
 
 
 def mse_matrix(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver) -> np.ndarray:
@@ -304,8 +326,9 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     """Build the F <-> F_tilde maps for the given precoder (or stack)."""
     (p,) = _checked(cfg, know, precoder=precoder)
     gram_p, k1 = _first_hop(cfg, know, p)
-    k1_half, k1_inv_half = herm_roots(k1)
-    x = k1_inv_half @ know.est_sr @ p
+    k1_half = np.sqrt(k1)
+    k1_inv_half = 1.0 / k1_half
+    x = (k1_inv_half * know.est_sr) @ p
     # pi_p = I + x x^H is always PD with min eigenvalue 1, so its roots are
     # taken on the PSD part directly; herm_inv_sqrt's conditioning guard
     # would reject extreme but perfectly valid SNRs here.
@@ -316,8 +339,9 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     pi_inv_half = _herm((q / np.sqrt(1.0 + w)) @ _ct(q))
     return TildeMaps(
         pi_p=pi_p,
-        k1=k1,
+        k1=k1 * np.eye(cfg.m_r, dtype=np.complex128),
         _gram_p=gram_p,
+        _k1_level=k1,
         _k1_half=k1_half,
         _k1_inv_half=k1_inv_half,
         _pi_half=pi_half,

@@ -337,3 +337,107 @@ def test_wrong_shape_is_rejected_by_name(entry, name):
         _, know, _ = make_instance(52, dims=wrong, n_streams=2, weight=weight)
     with pytest.raises(ValueError, match=f"^{name} must"):
         call(cfg, know, args)
+
+
+def _with_identity_sides(know, row_sr, col_rd):
+    """``know`` with stats_sr.row_cov and stats_rd.col_cov replaced."""
+    return ChannelKnowledge(
+        know.est_sr,
+        know.est_rd,
+        ErrorStats(row_sr, know.stats_sr.col_cov),
+        ErrorStats(know.stats_rd.row_cov, col_rd),
+    )
+
+
+
+def _ct(a):
+    return a.conj().swapaxes(-1, -2)
+
+
+def _herm(a):
+    return 0.5 * (a + _ct(a))
+
+
+def _trace(a):
+    return np.real(np.trace(a, axis1=-2, axis2=-1))[..., None, None]
+
+
+@pytest.mark.parametrize("draws", [None, 1, 5])
+@pytest.mark.parametrize("c_rd", [0.0, 1.0, 0.37])
+@pytest.mark.parametrize("c_sr", [0.0, 1.0, 0.37])
+def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
+    # K1 = k1 I is applied through its scalar roots; the products must
+    # equal those with the Hermitian roots of the K1 matrix, and K1, Rx, K2
+    # the general forms tr(. col) row + sigma^2 I, bit for bit.
+    from afrelay.channel import sample_scenario_stack
+    from afrelay.linalg import herm_inv_sqrt, herm_sqrt
+
+    cfg = make_config()
+    n = draws or 1
+    know, _ = sample_scenario_stack(
+        cfg, 10.0, 0.3, [np.random.default_rng(61 + i) for i in range(n)]
+    )
+    know = _with_identity_sides(know, c_sr * np.eye(4), c_rd * np.eye(4))
+    rng = np.random.default_rng(60)
+    p, f, ft = (np.stack([rand_complex(rng, 4, 4) for _ in range(n)]) for _ in range(3))
+    if draws is None:
+        know, p, f, ft = know.select(0), p[0], f[0], ft[0]
+
+    maps = tilde_maps(cfg, know, p)
+    k1_half, k1_inv_half = herm_sqrt(maps.k1), herm_inv_sqrt(maps.k1)
+    assert np.array_equal(maps.to_tilde(f), f @ k1_half @ maps._pi_half)
+    assert np.array_equal(maps.from_tilde(ft), ft @ maps._pi_inv_half @ k1_inv_half)
+    assert np.array_equal(maps.whitened_source, maps._pi_inv_half @ k1_inv_half)
+    x = k1_inv_half @ know.est_sr @ p
+    w, q = np.linalg.eigh(_herm(x @ _ct(x)))
+    assert np.array_equal(maps.pi_p, _herm((q * (1.0 + np.clip(w, 0.0, None)[..., None, :])) @ _ct(q)))
+
+    stats_sr, stats_rd = know.stats_sr, know.stats_rd
+    gram = p @ _ct(p)
+    k1 = _herm(_trace(gram @ stats_sr.col_cov) * stats_sr.row_cov + cfg.sigma1_sq * np.eye(4))
+    r_x = _herm(know.est_sr @ gram @ _ct(know.est_sr) + k1)
+    frf = f @ r_x @ _ct(f)
+    k2 = _herm(_trace(frf @ stats_rd.col_cov) * stats_rd.row_cov + cfg.sigma2_sq * np.eye(4))
+    so = second_order_stats(cfg, know, p, f)
+    for got in (maps.k1, so.k1):
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, k1)
+    assert np.array_equal(so.r_x, r_x)
+    assert np.array_equal(so.k2, k2)
+
+
+@pytest.mark.parametrize(
+    "entry, name",
+    [
+        (entry, name)
+        for entry in (*_entry_calls(), "spectral_decompose")
+        for name in ("stats_sr.row_cov", "stats_rd.col_cov")
+        # the tilde maps read the first hop only
+        if (entry, name) != ("tilde_maps", "stats_rd.col_cov")
+    ],
+)
+def test_general_identity_side_is_rejected_by_name(entry, name):
+    from afrelay.design import spectral_decompose
+
+    dims = (4, 3, 5, 3)
+    cfg, know, _ = make_instance(53, dims=dims, n_streams=2, weight=np.diag([0.6, 0.4]))
+    rng = np.random.default_rng(54)
+    args = {
+        "precoder": rand_complex(rng, 4, 2),
+        "forward": rand_complex(rng, 5, 3),
+        "tilde_forward": rand_complex(rng, 5, 3),
+        "equalizer": rand_complex(rng, 2, 3),
+    }
+    if entry == "spectral_decompose":
+        def call(cfg, know, _):
+            return spectral_decompose(cfg, know)
+    else:
+        _, call = _entry_calls()[entry]
+    call(cfg, know, args)
+    row_sr, col_rd = know.stats_sr.row_cov, know.stats_rd.col_cov
+    if name == "stats_sr.row_cov":
+        row_sr = np.diag([1.0, 0.5, 1.0])
+    else:
+        col_rd = np.diag([0.2, 0.2, 0.2, 0.2, 0.1])
+    with pytest.raises(ValueError, match=f"^{name} must be a scaled identity"):
+        call(cfg, _with_identity_sides(know, row_sr, col_rd), args)

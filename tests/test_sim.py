@@ -129,6 +129,46 @@ class TestSpecValidation:
         assert np.isclose(cfg.sigma1_sq, 0.2)
         assert np.isclose(cfg.sigma2_sq, 0.04)
 
+    def test_to_dict_gives_every_field_as_the_provenance_line_prints_it(self):
+        spec = ExperimentSpec.from_dict(
+            {
+                "dims": [2, 3, 4, 5],
+                "n_streams": 2,
+                "alpha": 0.25,
+                "data_snr_db": [12.5, 17.0],
+                "est_snr_db": [-3.0, 7.5],
+                "weights": [[0.6, 0.1], [0.1, 0.4]],
+                "n_channel_draws": 3,
+                "n_symbols": 17,
+                "seed": 2**40 + 3,
+                "algorithms": ["robust_nopre", "naive"],
+                "p_s": 2.0,
+                "p_r": 0.5,
+                "workers": 2,
+            }
+        )
+        expected = {
+            "dims": [2, 3, 4, 5],
+            "n_streams": 2,
+            "alpha": 0.25,
+            "data_snr_db": [12.5, 17.0],
+            "est_snr_db": [-3.0, 7.5],
+            "weights": [[0.6, 0.1], [0.1, 0.4]],
+            "n_channel_draws": 3,
+            "n_symbols": 17,
+            "seed": 1099511627779,
+            "algorithms": ["robust_nopre", "naive"],
+            "p_s": 2.0,
+            "p_r": 0.5,
+            "workers": 2,
+        }
+        assert set(expected) == {f.name for f in dataclasses.fields(ExperimentSpec)}
+        for f in dataclasses.fields(ExperimentSpec):
+            assert f.default is dataclasses.MISSING or getattr(spec, f.name) != f.default
+        got = spec.to_dict()
+        assert got == expected
+        assert json.dumps(got, sort_keys=True) == json.dumps(expected, sort_keys=True)
+
 
 class TestRunExperiment:
     def test_produces_one_record_per_point_and_algorithm(self):
@@ -532,6 +572,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "PASS" in out
+
+    def test_selftest_reports_a_contract_miss(self, monkeypatch, capsys):
+        import afrelay.sim as sim_mod
+        from afrelay.design import ContractError
+
+        real = sim_mod._design_algorithm
+
+        def one_miss(algorithm, cfg, know):
+            batch = real(algorithm, cfg, know)
+            if algorithm != "robust_full":
+                return batch
+            miss = ContractError("relay_power", "relay power misses the budget")
+            return dataclasses.replace(batch, failures=(miss, *batch.failures[1:]))
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", one_miss)
+        assert cli_main(["--mode", "selftest"]) == 1
+        fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+        assert any("relay_power" in line for line in fails)
 
     def test_single_mode_self_consistency(self, tmp_path):
         spec = ExperimentSpec.from_dict(
