@@ -6,7 +6,10 @@ estimation error has a separable (matrix-variate Gaussian) covariance,
 i.i.d. circularly symmetric unit-variance complex Gaussians.  With MMSE
 training-based estimation the first hop has row covariance exactly I and
 the second hop has column covariance exactly I; the nontrivial factors
-follow from the training sequences.
+follow from the training sequences.  The transceiver design needs that
+structure: :class:`ChannelKnowledge` tests each identity side once and
+keeps its scale (``c_sr``, ``c_rd``), while sampling and knowledge with
+general statistics never read it.
 
 All sampling takes an explicit seed or ``numpy.random.Generator``; there
 is no hidden global RNG state.
@@ -15,6 +18,7 @@ is no hidden global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,12 +99,27 @@ class HopTraining:
         object.__setattr__(self, "training", t)
 
 
+def _identity_scale(cov: np.ndarray, name: str) -> float:
+    """c where ``cov`` = c I (within 1e-10 relative, Frobenius norm); any
+    other covariance raises a ValueError naming it."""
+    c = float(cov[0, 0].real)
+    gap = cov - c * np.eye(len(cov))
+    if np.vdot(gap, gap).real ** 0.5 > 1e-10 * max(abs(c) * len(cov) ** 0.5, 1e-300):
+        raise ValueError(f"{name} must be a scaled identity, as training-based estimation makes it")
+    return c
+
+
 @dataclass(frozen=True)
 class ChannelKnowledge:
     """Estimated channels of both hops plus their error statistics.
 
     ``est_sr`` / ``est_rd`` are single matrices, or (B, rows, cols)
     stacks of B draws that share the error statistics of one sweep point.
+    ``c_sr`` and ``c_rd`` are the scales of the identity sides that
+    training-based estimation gives, ``stats_sr.row_cov`` = c_sr I and
+    ``stats_rd.col_cov`` = c_rd I, each tested once, on first use; reading
+    one where that side is not a scaled identity raises a ValueError
+    naming the covariance.
     """
 
     est_sr: np.ndarray
@@ -131,6 +150,14 @@ class ChannelKnowledge:
             )
         object.__setattr__(self, "est_sr", sr)
         object.__setattr__(self, "est_rd", rd)
+
+    @cached_property
+    def c_sr(self) -> float:
+        return _identity_scale(self.stats_sr.row_cov, "stats_sr.row_cov")
+
+    @cached_property
+    def c_rd(self) -> float:
+        return _identity_scale(self.stats_rd.col_cov, "stats_rd.col_cov")
 
     def select(self, index) -> "ChannelKnowledge":
         """The draws ``index`` (an int, slice or index array) of a stack."""

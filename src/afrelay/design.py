@@ -52,7 +52,7 @@ from .linalg import (
     herm_inv_sqrt,
     svd_ordered,
 )
-from .mse import SystemConfig, Transceiver, _checked, _identity_scale, _link, _scalar, _trace, tilde_maps
+from .mse import SystemConfig, Transceiver, _checked, _link, _scalar, _trace, tilde_maps
 
 __all__ = [
     "DesignError",
@@ -258,12 +258,20 @@ class DesignOptions:
     the scaled identity that spreads the source budget evenly over the
     streams; only F and G are designed).  ``restarts`` adds that many
     random initializations on top of the uniform one; the best final
-    objective wins, ties going to the earlier candidate.
+    objective wins, ties going to the earlier candidate.  Both are
+    checked when the options are built.
     """
 
     mode: str = "joint"
     restarts: int = 0
     restart_seed: int = 0
+
+    def __post_init__(self):
+        if self.mode not in ("joint", "relay_only"):
+            raise ValueError(f"unknown design mode {self.mode!r}")
+        r = self.restarts
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
+            raise ValueError(f"restarts must be an int >= 0, got {r!r}")
 
 
 def weight_eigensystem(w) -> OrderedHermitianEig:
@@ -280,8 +288,8 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
     _checked(cfg, know)
     sr, rd = know.stats_sr, know.stats_rd
     # Each hop's identity-side scale folds into its other factor.
-    psi_eff = _identity_scale(sr.row_cov, "stats_sr.row_cov") * sr.col_cov
-    sigma_rd_eff = _identity_scale(rd.col_cov, "stats_rd.col_cov") * rd.row_cov
+    psi_eff = know.c_sr * sr.col_cov
+    sigma_rd_eff = know.c_rd * rd.row_cov
     n = cfg.n_streams
     b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
     whiten_sr = herm_inv_sqrt(b_sr)
@@ -622,11 +630,12 @@ def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direc
 def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) -> DesignBatch:
     """Finish a stack of designs from P and F_tilde and check every draw.
 
-    Builds F, the LMMSE equalizer G, the residual and direct weighted MSE,
-    both powers and the eta_p fixed point, all from the one ``mse._link``
-    of (P, F) and the precoder's tilde maps.  A draw keeps its entry of
-    ``failures`` (an allocation failure) or gets its first missed
-    contract.  An ``alloc`` whose eta_p is None belongs to a fixed
+    Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
+    and both powers, all from the one ``mse._link`` of (P, F) and the
+    precoder's tilde maps; the eta_p fixed point tr(P P^H psi_eff) +
+    sigma1^2 is K1's level, which the maps already hold.  A draw keeps
+    its entry of ``failures`` (an allocation failure) or gets its first
+    missed contract.  An ``alloc`` whose eta_p is None belongs to a fixed
     precoder: its eta_p is the fixed point and its objective trace the
     achieved weighted MSE.
     """
@@ -637,7 +646,7 @@ def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) 
     direct = link.weighted_mse(tx.equalizer)
     power_p = np.real(_trace(link.gram_p))
     power_f = np.real(_trace(link.frf))
-    fixed_point = np.real(_trace(link.gram_p @ spectral.psi_eff)) + cfg.sigma1_sq
+    fixed_point = link.k1[:, 0, 0]
     if alloc.eta_p is None:
         alloc = replace(alloc, eta_p=fixed_point, objective_trace=achieved[:, None])
     checks = zip(
@@ -799,8 +808,6 @@ def design_batch(
     draw raises :class:`NumericalError` for the whole stack.
     """
     opts = opts or DesignOptions()
-    if opts.mode not in ("joint", "relay_only"):
-        raise ValueError(f"unknown design mode {opts.mode!r}")
     stack = know.as_stack()
     try:
         spectral = spectral_decompose(cfg, stack)

@@ -13,9 +13,11 @@ and both noises):
 
 with Hsr/Hrd the channel estimates.  Training-based estimation makes the
 first hop's row covariance c_sr I and the second hop's column covariance
-c_rd I, and every entry requires that: ``_identity_scale`` reads each c
-and rejects any other covariance by name.  So K1 is a scaled identity,
-carried as its level with scalar roots.  This module evaluates these
+c_rd I, and every entry requires that: it reads each c from the
+knowledge (``ChannelKnowledge.c_sr`` / ``c_rd``), which tests the side
+once and rejects any other covariance by name.  So K1 is a scaled
+identity, carried as its level with scalar roots; that level is also the
+eta_p fixed point the designer checks.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
@@ -167,24 +169,12 @@ def _checked(cfg: SystemConfig, know: ChannelKnowledge, **arrays) -> list[np.nda
     return [named[name] for name in arrays]
 
 
-def _identity_scale(cov: np.ndarray, name: str) -> float:
-    """c where ``cov`` = c I (within 1e-10 relative, Frobenius norm); any
-    other covariance raises a ValueError naming it.  The one test of the
-    identity sides, ``stats_sr.row_cov`` and ``stats_rd.col_cov``."""
-    c = float(cov[0, 0].real)
-    gap = cov - c * np.eye(len(cov))
-    if np.vdot(gap, gap).real ** 0.5 > 1e-10 * max(abs(c) * len(cov) ** 0.5, 1e-300):
-        raise ValueError(f"{name} must be a scaled identity, as training-based estimation makes it")
-    return c
-
-
 def _first_hop(cfg: SystemConfig, know: ChannelKnowledge, p):
     """P P^H and K1's level c_sr tr(P P^H col_sr) + sigma1^2, shaped
     (..., 1, 1), of a checked precoder."""
     gram_p = p @ _ct(p)
-    c = _identity_scale(know.stats_sr.row_cov, "stats_sr.row_cov")
     load = np.real(_trace(gram_p @ know.stats_sr.col_cov))[..., None, None]
-    return gram_p, load * c + cfg.sigma1_sq
+    return gram_p, load * know.c_sr + cfg.sigma1_sq
 
 
 @dataclass(frozen=True)
@@ -198,13 +188,17 @@ class TildeMaps:
     """
 
     pi_p: np.ndarray
-    k1: np.ndarray
     _gram_p: np.ndarray = field(repr=False)
     _k1_level: np.ndarray = field(repr=False)
     _k1_half: np.ndarray = field(repr=False)
     _k1_inv_half: np.ndarray = field(repr=False)
     _pi_half: np.ndarray = field(repr=False)
     _pi_inv_half: np.ndarray = field(repr=False)
+
+    @property
+    def k1(self) -> np.ndarray:
+        """K1 as a (..., m_r, m_r) matrix, built from its level when read."""
+        return self._k1_level * np.eye(self.pi_p.shape[-1], dtype=np.complex128)
 
     def to_tilde(self, forward) -> np.ndarray:
         f = np.asarray(forward, dtype=np.complex128)
@@ -248,9 +242,8 @@ class _Link:
     @cached_property
     def k2(self) -> np.ndarray:
         stats = self.know.stats_rd
-        c = _identity_scale(stats.col_cov, "stats_rd.col_cov")
-        # c tr(F Rx F^H), each entry scaled before the sum as in tr(F Rx F^H c I)
-        load = np.real(_trace(c * self.frf))[..., None, None]
+        # c_rd tr(F Rx F^H), each entry scaled before the sum as in tr(F Rx F^H c_rd I)
+        load = np.real(_trace(self.know.c_rd * self.frf))[..., None, None]
         return _herm(load * stats.row_cov + self.cfg.sigma2_sq * np.eye(self.cfg.m_d))
 
     @cached_property
@@ -339,7 +332,6 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     pi_inv_half = _herm((q / np.sqrt(1.0 + w)) @ _ct(q))
     return TildeMaps(
         pi_p=pi_p,
-        k1=k1 * np.eye(cfg.m_r, dtype=np.complex128),
         _gram_p=gram_p,
         _k1_level=k1,
         _k1_half=k1_half,

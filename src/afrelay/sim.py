@@ -180,6 +180,8 @@ class ExperimentSpec:
                 raise ConfigError(
                     f"algorithms entry {alg!r} not in {sorted(ALGORITHMS)}"
                 )
+        if len(set(algorithms)) != len(algorithms):
+            raise ConfigError(f"algorithms has a repeated entry: {list(algorithms)}")
         p_s = _parse("p_s", float, raw.get("p_s", 1.0))
         p_r = _parse("p_r", float, raw.get("p_r", 1.0))
         if not all(np.isfinite(p) and p > 0 for p in (p_s, p_r)):

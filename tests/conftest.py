@@ -65,3 +65,19 @@ def make_instance(
     rng = np.random.default_rng(seed)
     know, truth = sample_scenario(cfg, 10.0 ** (est_snr_db / 10.0), alpha, rng)
     return cfg, know, truth
+
+
+def count_identity_tests(monkeypatch) -> list:
+    """The names of the covariances ``channel._identity_scale`` tests from
+    now on, one entry per test."""
+    import afrelay.channel as channel_mod
+
+    calls = []
+    real = channel_mod._identity_scale
+
+    def counted(cov, name):
+        calls.append(name)
+        return real(cov, name)
+
+    monkeypatch.setattr(channel_mod, "_identity_scale", counted)
+    return calls

@@ -37,6 +37,7 @@ from afrelay.validate import (
 from conftest import make_instance, rand_complex, rand_psd
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default_sweep.json"
+GOLDEN_CSV_PATH = pathlib.Path(__file__).resolve().parent / "data" / "default_sweep.csv"
 
 
 def _report(num, name, violations):
@@ -322,10 +323,16 @@ def test_criterion_08_special_case_reductions():
     _report(8, "special-case reductions (relay-only structure, source-only limit)", violations)
 
 
-def test_criterion_09_sweep_ordering_surrogate():
+def test_criterion_09_sweep_ordering_surrogate(tmp_path):
     violations = []
     spec = ExperimentSpec.from_json(CONFIG_PATH)
     records = run_experiment(spec)
+    # The default CSV is pinned: a change that moves its bytes regenerates
+    # tests/data/default_sweep.csv with afrelay-sim and shows the diff.
+    out = tmp_path / "default_sweep.csv"
+    emit_csv(records, out, metadata=spec.to_dict())
+    if out.read_bytes() != GOLDEN_CSV_PATH.read_bytes():
+        violations.append(f"default CSV differs from {GOLDEN_CSV_PATH.name}")
     by_key = {(r.est_snr_db, r.algorithm): r for r in records}
     for snr in spec.est_snr_db:
         full = by_key[(snr, "robust_full")]

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from afrelay.channel import ChannelKnowledge, ErrorStats, estimation_stats
+from afrelay.channel import ChannelKnowledge, ErrorStats, estimation_stats, exact_knowledge
 from afrelay.design import (
     AllocationState,
     ConvergenceError,
@@ -20,7 +20,7 @@ from afrelay.design import (
 )
 from afrelay.linalg import NotPSDError, svd_ordered
 from afrelay.mse import optimal_equalizer, tilde_maps, weighted_mse
-from conftest import make_config, make_instance, rand_complex
+from conftest import count_identity_tests, make_config, make_instance, rand_complex
 
 
 def saturated_multiplier_oracle(weights, budget, iters=200):
@@ -620,3 +620,49 @@ class TestDesign:
         cfg, know, _ = make_instance(35)
         with pytest.raises(ValueError):
             design(cfg, know, DesignOptions(mode="hybrid"))
+
+    @pytest.mark.parametrize("restarts", [-3, 2.5, True])
+    def test_restarts_must_be_a_nonnegative_int(self, restarts):
+        with pytest.raises(ValueError, match="restarts"):
+            DesignOptions(restarts=restarts)
+
+    def test_identity_sides_are_tested_once_per_design(self, monkeypatch):
+        cfg, know, _ = make_instance(36)
+        calls = count_identity_tests(monkeypatch)
+        for knowledge, opts in (
+            (know, DesignOptions()),
+            (know, DesignOptions(mode="relay_only")),
+            (exact_knowledge(know.est_sr, know.est_rd), DesignOptions()),
+        ):
+            calls.clear()
+            design(cfg, knowledge, opts)
+            assert sorted(calls) == ["stats_rd.col_cov", "stats_sr.row_cov"]
+
+
+@pytest.mark.parametrize("knowledge", ["estimated", "exact"])
+@pytest.mark.parametrize("mode", ["joint", "relay_only"])
+def test_eta_p_fixed_point_is_k1_level_bit_for_bit(mode, knowledge):
+    # The fixed point tr(P P^H psi_eff) + sigma1^2 is K1's level.  Joint on
+    # exact knowledge is the naive design; estimation_stats gives c_sr = 1
+    # and exact_knowledge c_sr = 0, where both forms round alike.
+    from afrelay.channel import sample_scenario_stack
+    from afrelay.design import design_batch
+    from afrelay.linalg import _ct
+
+    for dims, n, seed in (((4, 4, 4, 4), 4, 70), ((2, 3, 4, 5), 2, 71), ((5, 3, 2, 4), 1, 72)):
+        cfg = make_config(dims, n)
+        know, _ = sample_scenario_stack(
+            cfg, 10.0, 0.3, [np.random.default_rng((seed, d)) for d in range(5)]
+        )
+        if knowledge == "exact":
+            know = exact_knowledge(know.est_sr, know.est_rd)
+        sol = design_batch(cfg, know, DesignOptions(mode=mode)).solution
+        p = sol.tx.precoder
+        trace_form = (
+            np.real(np.trace(p @ _ct(p) @ sol.spectral.psi_eff, axis1=-2, axis2=-1))
+            + cfg.sigma1_sq
+        )
+        level = tilde_maps(cfg, know, p)._k1_level[:, 0, 0]
+        assert np.array_equal(level, trace_form)
+        if mode == "relay_only":
+            assert np.array_equal(sol.alloc.eta_p, trace_form)

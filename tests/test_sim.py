@@ -15,6 +15,10 @@ from afrelay.sim import (
     run_experiment,
     system_config,
 )
+from conftest import count_identity_tests
+
+
+CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default_sweep.json"
 
 
 def tiny_spec(**overrides):
@@ -116,6 +120,8 @@ class TestSpecValidation:
             ({"p_s": 1e308, "data_snr_db": [-300, 20]}, "p_s"),
             ({"n_streams": 2.7}, "n_streams"),
             ({"n_channel_draws": 3.9}, "n_channel_draws"),
+            ({"algorithms": ["naive", "naive"]}, "algorithms"),
+            ({"algorithms": ["robust_full", "naive", "robust_full"]}, "algorithms"),
         ],
     )
     def test_errors_name_the_field(self, patch, field):
@@ -171,6 +177,15 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
+    def test_identity_sides_are_tested_once_per_chunk_knowledge(self, monkeypatch):
+        # Per chunk: the sampled knowledge (robust_full, robust_nopre and
+        # the naive evaluation) and the naive design's exact knowledge,
+        # each tested on both sides once.  5 points x 1 chunk x 2 x 2.
+        spec = dataclasses.replace(ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8)
+        calls = count_identity_tests(monkeypatch)
+        run_experiment(spec)
+        assert len(calls) == 20
+
     def test_produces_one_record_per_point_and_algorithm(self):
         spec = tiny_spec(est_snr_db=(0.0, 10.0))
         records = run_experiment(spec)
@@ -443,10 +458,7 @@ class TestRunExperiment:
 
     def test_sixty_db_sweep_completes(self, tmp_path):
         path = tmp_path / "cfg.json"
-        raw = json.loads(
-            (pathlib.Path(__file__).resolve().parents[1] / "configs" / "default_sweep.json")
-            .read_text(encoding="utf-8")
-        )
+        raw = json.loads(CONFIG_PATH.read_text(encoding="utf-8"))
         raw.update(data_snr_db=[60.0, 60.0], n_channel_draws=10, n_symbols=100)
         path.write_text(json.dumps(raw), encoding="utf-8")
         out = tmp_path / "s60.csv"
