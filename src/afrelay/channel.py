@@ -18,7 +18,6 @@ is no hidden global RNG state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -117,9 +116,10 @@ class ChannelKnowledge:
     stacks of B draws that share the error statistics of one sweep point.
     ``c_sr`` and ``c_rd`` are the scales of the identity sides that
     training-based estimation gives, ``stats_sr.row_cov`` = c_sr I and
-    ``stats_rd.col_cov`` = c_rd I, each tested once, on first use; reading
-    one where that side is not a scaled identity raises a ValueError
-    naming the covariance.
+    ``stats_rd.col_cov`` = c_rd I, each tested once, on first use, and
+    shared with every :meth:`select` and :meth:`as_stack` of this object;
+    reading one where that side is not a scaled identity raises a
+    ValueError naming the covariance.
     """
 
     est_sr: np.ndarray
@@ -150,20 +150,32 @@ class ChannelKnowledge:
             )
         object.__setattr__(self, "est_sr", sr)
         object.__setattr__(self, "est_rd", rd)
+        object.__setattr__(self, "_scales", {})
 
-    @cached_property
+    @property
     def c_sr(self) -> float:
-        return _identity_scale(self.stats_sr.row_cov, "stats_sr.row_cov")
+        return self._scale(self.stats_sr.row_cov, "stats_sr.row_cov")
 
-    @cached_property
+    @property
     def c_rd(self) -> float:
-        return _identity_scale(self.stats_rd.col_cov, "stats_rd.col_cov")
+        return self._scale(self.stats_rd.col_cov, "stats_rd.col_cov")
+
+    def _scale(self, cov: np.ndarray, name: str) -> float:
+        if name not in self._scales:
+            self._scales[name] = _identity_scale(cov, name)
+        return self._scales[name]
 
     def select(self, index) -> "ChannelKnowledge":
-        """The draws ``index`` (an int, slice or index array) of a stack."""
-        return ChannelKnowledge(
+        """The draws ``index`` (an int, slice or index array) of a stack.
+
+        The selection has the same statistics, so it shares this object's
+        identity scales: a scale either of them has tested is known to both.
+        """
+        picked = ChannelKnowledge(
             self.est_sr[index], self.est_rd[index], self.stats_sr, self.stats_rd
         )
+        object.__setattr__(picked, "_scales", self._scales)
+        return picked
 
     def as_stack(self) -> "ChannelKnowledge":
         """This knowledge as a stack (a single draw becomes a stack of one)."""

@@ -5,6 +5,9 @@ estimate + sampled error) and estimate the detection MSE empirically; a
 multi-start numeric minimizer searches the residual weighted MSE over
 (P, F_tilde) directly on the power spheres.  Neither path reuses the
 closed-form design structure, so agreement is evidence, not tautology.
+
+scipy is imported only by :func:`brute_force_design`, on its first call,
+so importing this module (and the package) loads numpy alone.
 """
 
 from __future__ import annotations
@@ -12,9 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.optimize
 
-from .channel import ChannelKnowledge, _sample_error_from_roots, as_generator, complex_gaussian
+from .channel import ChannelKnowledge, as_generator, complex_gaussian
 from .design import scalar_gradient, scalar_objective
 from .linalg import herm_sqrt
 from .mse import SystemConfig, residual_weighted_mse
@@ -72,25 +74,31 @@ def _error_samples(cfg, know, tx, n_samples, seed):
 
     Per chunk the draws are taken in this order: both hops' errors
     (source-relay first), then data, relay noise and destination noise.
+    Each hop's error L W R (W white) acts on the signal vector u as
+    L (W (R u)), so the per-sample true channels are never formed.
     """
     rng = as_generator(seed)
     p = np.asarray(tx.precoder, dtype=np.complex128)
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
-    roots_sr, roots_rd = (
-        (herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov))
-        for stats in (know.stats_sr, know.stats_rd)
-    )
+    hops = [
+        (est, herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov))
+        for est, stats in ((know.est_sr, know.stats_sr), (know.est_rd, know.stats_rd))
+    ]
+
+    def through(hop, white, u):
+        est, left, right = hop
+        return u @ est.T + np.einsum("nij,nj->ni", white, u @ right.T) @ left.T
+
     done = 0
     while done < n_samples:
         m = min(_CHUNK, n_samples - done)
-        h_sr = know.est_sr[None] + _sample_error_from_roots(*roots_sr, m, rng)
-        h_rd = know.est_rd[None] + _sample_error_from_roots(*roots_rd, m, rng)
+        w_sr, w_rd = (complex_gaussian(rng, m, *est.shape) for est, _, _ in hops)
         s = complex_gaussian(rng, m, cfg.n_streams)
         n1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(rng, m, cfg.m_r)
         n2 = np.sqrt(cfg.sigma2_sq) * complex_gaussian(rng, m, cfg.m_d)
-        x = np.einsum("nij,nj->ni", h_sr, s @ p.T) + n1
-        y = np.einsum("nij,nj->ni", h_rd, x @ f.T) + n2
+        x = through(hops[0], w_sr, s @ p.T) + n1
+        y = through(hops[1], w_rd, x @ f.T) + n2
         e = y @ g.T - s
         yield e
         done += m
@@ -206,6 +214,8 @@ def brute_force_design(
     gradient.  Meant for small problems (n_streams <= 2, a handful of
     antennas): a best-effort lower-bound probe, not a solver.
     """
+    import scipy.optimize
+
     rng = as_generator(seed)
     dim = 2 * cfg.n_s * cfg.n_streams + 2 * cfg.n_r * cfg.m_r
     best_val = np.inf

@@ -4,12 +4,19 @@ an ``__all__`` list or in the package's re-exports."""
 import ast
 import importlib
 import inspect
+import json
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
 import afrelay
 
 LAYERS = ("linalg", "channel", "mse", "design", "validate", "sim")
+SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("layer", LAYERS)
@@ -28,3 +35,33 @@ def test_package_reexports_resolve():
         for alias in node.names:
             assert alias.name in module.__all__, f"{node.module}.{alias.name}"
             assert getattr(afrelay, alias.asname or alias.name) is getattr(module, alias.name)
+
+
+def test_scipy_is_loaded_only_by_the_brute_force():
+    # A fresh interpreter: the package, the CLI and a Monte-Carlo estimate
+    # load no scipy module; the first brute-force call loads scipy.optimize.
+    child = textwrap.dedent("""
+        import json, sys
+        import afrelay, afrelay.cli
+        from afrelay import SystemConfig, brute_force_design, design, empirical_weighted_mse
+        from afrelay import sample_scenario
+
+        def loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+        cfg = SystemConfig(n_s=1, m_r=1, n_r=1, m_d=1, n_streams=1, p_s=1.0, p_r=1.0,
+                           sigma1_sq=0.1, sigma2_sq=0.1, weight=[[1.0]])
+        know, _ = sample_scenario(cfg, 10.0, 0.3, 0)
+        empirical_weighted_mse(cfg, know, design(cfg, know).tx, 200, 1)
+        before = loaded()
+        brute_force_design(cfg, know, restarts=1, max_iters=5)
+        print(json.dumps([before, loaded()]))
+    """)
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, check=True,
+    )
+    before, after = json.loads(out.stdout)
+    assert before == []
+    assert "scipy.optimize" in after

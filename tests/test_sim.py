@@ -336,6 +336,27 @@ class TestRunExperiment:
         assert records["naive"] == clean["naive"]
         assert records["robust_nopre"] == clean["robust_nopre"]
 
+    def test_isolated_draws_reuse_the_stack_identity_scales(self, monkeypatch):
+        # A stack-wide rejection designs each draw alone; the draws share
+        # the stack's statistics, so neither side is tested again.
+        import afrelay.sim as sim_mod
+        from afrelay.design import NumericalError
+
+        real = sim_mod._design_algorithm
+
+        def reject_stacks(algorithm, cfg, know):
+            batch = real(algorithm, cfg, know)
+            if know.est_sr.shape[0] > 1:
+                raise NumericalError("forced kernel rejection")
+            return batch
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", reject_stacks)
+        spec = tiny_spec(algorithms=("robust_full", "robust_nopre"))
+        calls = count_identity_tests(monkeypatch)
+        records = run_experiment(spec)
+        assert [r.n_draws for r in records] == [spec.n_channel_draws] * 2
+        assert sorted(calls) == ["stats_rd.col_cov", "stats_sr.row_cov"]
+
     def test_chunked_sweep_matches_draw_by_draw_designs(self):
         from afrelay.channel import exact_knowledge, sample_scenario_stack
         from afrelay.design import DesignOptions, design
