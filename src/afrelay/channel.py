@@ -7,9 +7,11 @@ i.i.d. circularly symmetric unit-variance complex Gaussians.  With MMSE
 training-based estimation the first hop has row covariance exactly I and
 the second hop has column covariance exactly I; the nontrivial factors
 follow from the training sequences.  The transceiver design needs that
-structure: :class:`ChannelKnowledge` tests each identity side once and
-keeps its scale (``c_sr``, ``c_rd``), while sampling and knowledge with
-general statistics never read it.
+structure: :class:`ChannelKnowledge` tests each identity side once per
+set of statistics and keeps its scale (``c_sr``, ``c_rd``), while
+sampling and knowledge with general statistics never read it.  A stack
+may join draws of several sets of statistics (sweep points, say), each
+validated and tested once for all of its draws.
 
 All sampling takes an explicit seed or ``numpy.random.Generator``; there
 is no hidden global RNG state.
@@ -48,12 +50,15 @@ def as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ErrorStats:
     """Separable covariance of one hop's estimation error.
 
     ``row_cov`` is the receive-side correlation (size = channel rows),
     ``col_cov`` the transmit-side correlation (size = channel columns).
+    The statistics of a knowledge stack that mixes several sets hold
+    (B, n, n) covariances, draw by draw (:meth:`ChannelKnowledge.concat`).
+    Equality is identity: no field-wise comparison of arrays.
     """
 
     row_cov: np.ndarray
@@ -68,11 +73,20 @@ class ErrorStats:
 
     @property
     def rows(self) -> int:
-        return self.row_cov.shape[0]
+        return self.row_cov.shape[-1]
 
     @property
     def cols(self) -> int:
-        return self.col_cov.shape[0]
+        return self.col_cov.shape[-1]
+
+    @classmethod
+    def _per_draw(cls, sets, index) -> "ErrorStats":
+        """Draw i's covariances are those of ``sets[index[i]]``.  Each set
+        was validated when it was built, so nothing is checked again."""
+        stats = object.__new__(cls)
+        for name in ("row_cov", "col_cov"):
+            object.__setattr__(stats, name, np.stack([getattr(t, name) for t in sets])[index])
+        return stats
 
 
 @dataclass(frozen=True)
@@ -108,18 +122,41 @@ def _identity_scale(cov: np.ndarray, name: str) -> float:
     return c
 
 
-@dataclass(frozen=True)
+class _Statistics:
+    """One set of error statistics of both hops and the scales of its
+    identity sides, each tested once, on first use."""
+
+    __slots__ = ("stats_sr", "stats_rd", "scales")
+
+    def __init__(self, stats_sr: ErrorStats, stats_rd: ErrorStats):
+        self.stats_sr, self.stats_rd, self.scales = stats_sr, stats_rd, {}
+
+    def scale(self, name: str) -> float:
+        """c of the covariance ``name`` ("stats_sr.row_cov", say) = c I."""
+        if name not in self.scales:
+            hop, side = name.split(".")
+            self.scales[name] = _identity_scale(getattr(getattr(self, hop), side), name)
+        return self.scales[name]
+
+
+@dataclass(frozen=True, eq=False)
 class ChannelKnowledge:
     """Estimated channels of both hops plus their error statistics.
 
     ``est_sr`` / ``est_rd`` are single matrices, or (B, rows, cols)
-    stacks of B draws that share the error statistics of one sweep point.
-    ``c_sr`` and ``c_rd`` are the scales of the identity sides that
-    training-based estimation gives, ``stats_sr.row_cov`` = c_sr I and
-    ``stats_rd.col_cov`` = c_rd I, each tested once, on first use, and
-    shared with every :meth:`select` and :meth:`as_stack` of this object;
-    reading one where that side is not a scaled identity raises a
-    ValueError naming the covariance.
+    stacks of B draws.  The draws of a stack built here share one set of
+    statistics; :meth:`concat` joins stacks of different sets (several
+    sweep points, say), and then ``stats_sr`` / ``stats_rd`` hold
+    (B, n, n) covariances, draw by draw.  ``c_sr`` and ``c_rd`` are the
+    scales of the identity sides that training-based estimation gives,
+    ``stats_sr.row_cov`` = c_sr I and ``stats_rd.col_cov`` = c_rd I:
+    floats, or (B, 1, 1) arrays that broadcast per draw where the draws'
+    statistics differ.  Each side is tested once per set of statistics,
+    on first use, and the result is shared with every :meth:`select`,
+    :meth:`as_stack` and :meth:`concat` that holds the set; reading one
+    where that side is not a scaled identity raises a ValueError naming
+    the covariance.  Equality is identity: no field-wise comparison of
+    arrays.
     """
 
     est_sr: np.ndarray
@@ -150,36 +187,98 @@ class ChannelKnowledge:
             )
         object.__setattr__(self, "est_sr", sr)
         object.__setattr__(self, "est_rd", rd)
-        object.__setattr__(self, "_scales", {})
+        # The distinct sets of statistics, and each draw's set (None: one set).
+        object.__setattr__(self, "_sets", (_Statistics(self.stats_sr, self.stats_rd),))
+        object.__setattr__(self, "_set_of", None)
 
     @property
-    def c_sr(self) -> float:
-        return self._scale(self.stats_sr.row_cov, "stats_sr.row_cov")
+    def c_sr(self):
+        return self._scale("stats_sr.row_cov")
 
     @property
-    def c_rd(self) -> float:
-        return self._scale(self.stats_rd.col_cov, "stats_rd.col_cov")
+    def c_rd(self):
+        return self._scale("stats_rd.col_cov")
 
-    def _scale(self, cov: np.ndarray, name: str) -> float:
-        if name not in self._scales:
-            self._scales[name] = _identity_scale(cov, name)
-        return self._scales[name]
+    def _scale(self, name: str):
+        if self._set_of is None:
+            return self._sets[0].scale(name)
+        return np.array([s.scale(name) for s in self._sets])[self._set_of, None, None]
+
+    @classmethod
+    def _of_sets(cls, est_sr, est_rd, sets, set_of) -> "ChannelKnowledge":
+        """Estimates whose draw i has the statistics ``sets[set_of[i]]``;
+        sets no draw uses are dropped, and one set left gives an ordinary
+        knowledge object."""
+        used, set_of = np.unique(set_of, return_inverse=True)
+        sets = tuple(sets[i] for i in used.tolist())
+        if len(sets) == 1:
+            know = cls(est_sr, est_rd, sets[0].stats_sr, sets[0].stats_rd)
+        else:
+            hops = [ErrorStats._per_draw([getattr(s, hop) for s in sets], set_of)
+                    for hop in ("stats_sr", "stats_rd")]
+            know = cls(est_sr, est_rd, *hops)
+            object.__setattr__(know, "_set_of", set_of.reshape(-1))
+        object.__setattr__(know, "_sets", sets)
+        return know
+
+    @classmethod
+    def concat(cls, parts) -> "ChannelKnowledge":
+        """The draws of ``parts`` (knowledge objects of one shape), in order,
+        as one stack.
+
+        Nothing is validated or tested again: each part's statistics keep
+        their identity scales, and parts holding the same set of
+        statistics (selections of one stack, say) share it.  Where every
+        draw has the same set the result is an ordinary stack.
+        """
+        parts = [p.as_stack() for p in parts]
+        sets, set_of = {}, []
+        for part in parts:
+            ids = np.array([sets.setdefault(id(s), (len(sets), s))[0] for s in part._sets])
+            local = 0 if part._set_of is None else part._set_of
+            set_of.append(np.broadcast_to(ids[local], part.est_sr.shape[:1]))
+        return cls._of_sets(
+            np.concatenate([p.est_sr for p in parts]),
+            np.concatenate([p.est_rd for p in parts]),
+            [s for _, s in sets.values()],
+            np.concatenate(set_of),
+        )
 
     def select(self, index) -> "ChannelKnowledge":
         """The draws ``index`` (an int, slice or index array) of a stack.
 
-        The selection has the same statistics, so it shares this object's
-        identity scales: a scale either of them has tested is known to both.
+        The selection holds the sets of statistics of its draws, with the
+        identity scales this object has tested: a scale either of them
+        tests is known to both.  A single draw, or draws of one set, get
+        that set's own 2-D statistics.
         """
-        picked = ChannelKnowledge(
-            self.est_sr[index], self.est_rd[index], self.stats_sr, self.stats_rd
+        if self._set_of is None:
+            picked = ChannelKnowledge(
+                self.est_sr[index], self.est_rd[index], self.stats_sr, self.stats_rd
+            )
+            object.__setattr__(picked, "_sets", self._sets)
+            return picked
+        return self._of_sets(
+            self.est_sr[index], self.est_rd[index], self._sets, self._set_of[index]
         )
-        object.__setattr__(picked, "_scales", self._scales)
-        return picked
 
     def as_stack(self) -> "ChannelKnowledge":
         """This knowledge as a stack (a single draw becomes a stack of one)."""
         return self if self.est_sr.ndim == 3 else self.select(np.newaxis)
+
+    def per_statistics(self, fn):
+        """``fn(k)`` for a ``fn`` that reads only the statistics and
+        identity scales of a knowledge ``k`` and returns a tuple of arrays.
+
+        Where the draws share one set of statistics, ``k`` is this object.
+        Otherwise ``k`` holds one draw per set, and each output's leading
+        (set) axis is gathered draw by draw into a (B, ...) stack; so what
+        depends only on the statistics is computed once per set.
+        """
+        if self._set_of is None:
+            return fn(self)
+        _, first = np.unique(self._set_of, return_index=True)
+        return tuple(out[self._set_of] for out in fn(self.select(first)))
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,12 @@ stays active.  Both constraints are active at the optimum, so power
 lands on the budget to rounding.
 
 The pipeline works on a (B, ., .) stack of channel draws that share one
-config and error statistics (:func:`design_batch`): one stacked SVD per
-hop, the alternation on every draw at once with a per-draw convergence
-mask, and the contract checks per draw, so a failing draw is reported
-without disturbing the others.  :func:`design` is the B = 1 case.
+config (:func:`design_batch`): the whitening once per set of error
+statistics in the stack, one stacked SVD per hop, the alternation on
+every draw at once with a per-draw convergence mask, and the contract
+checks per draw, so a failing draw is reported without disturbing the
+others.  The draws may come from several sweep points: each reads its
+own statistics.  :func:`design` is the B = 1 case.
 """
 
 from __future__ import annotations
@@ -150,7 +152,9 @@ class SpectralData:
     and whiten_rd = K2^{-1/2} with the constant K2 = p_r Sigma_rd +
     sigma2^2 I.  Gains are the leading n_streams singular values.  For a
     stack of draws the SVDs and gains carry its leading axis; the
-    whitening matrices are shared.
+    whitening matrices, ``k2_const`` and ``psi_eff`` are shared (2-D)
+    where the draws share their error statistics and carry the leading
+    axis where they do not.
     """
 
     first_hop: OrderedSVD
@@ -166,12 +170,17 @@ class SpectralData:
         def svd(s):
             return OrderedSVD(left=_own(s.left, i), values=_own(s.values, i), right=_own(s.right, i))
 
+        def stats(name):
+            m = getattr(self, name)
+            return _own(m, i) if m.ndim == 3 else m
+
         return replace(
             self,
             first_hop=svd(self.first_hop),
             second_hop=svd(self.second_hop),
             gains_sr=_own(self.gains_sr, i),
             gains_rd=_own(self.gains_rd, i),
+            **{name: stats(name) for name in ("whiten_sr", "whiten_rd", "k2_const", "psi_eff")},
         )
 
 
@@ -219,7 +228,7 @@ class TransceiverSolution:
 
 @dataclass(frozen=True)
 class DesignBatch:
-    """Designs for a stack of B draws sharing one config and error stats.
+    """Designs for a stack of B draws sharing one config.
 
     ``solution`` holds (B, ...) arrays.  ``failures[i]`` is the
     :class:`DesignError` of draw i, or None; a failed draw's entries are
@@ -283,18 +292,25 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
     )
 
 
-def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
-    """Ordered SVDs of both whitened hop estimates plus truncated gains."""
-    _checked(cfg, know)
-    sr, rd = know.stats_sr, know.stats_rd
+def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
+    """psi_eff, whiten_sr, k2_const and whiten_rd of the knowledge's
+    error statistics (see :class:`SpectralData`)."""
     # Each hop's identity-side scale folds into its other factor.
-    psi_eff = know.c_sr * sr.col_cov
-    sigma_rd_eff = know.c_rd * rd.row_cov
-    n = cfg.n_streams
+    psi_eff = know.c_sr * know.stats_sr.col_cov
+    sigma_rd_eff = know.c_rd * know.stats_rd.row_cov
     b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
-    whiten_sr = herm_inv_sqrt(b_sr)
     k2_const = cfg.p_r * sigma_rd_eff + cfg.sigma2_sq * np.eye(cfg.m_d)
-    whiten_rd = herm_inv_sqrt(k2_const)
+    return psi_eff, herm_inv_sqrt(b_sr), k2_const, herm_inv_sqrt(k2_const)
+
+
+def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
+    """Ordered SVDs of both whitened hop estimates plus truncated gains;
+    the whitening is formed once per set of error statistics."""
+    _checked(cfg, know)
+    psi_eff, whiten_sr, k2_const, whiten_rd = know.per_statistics(
+        lambda stats: _whitening(cfg, stats)
+    )
+    n = cfg.n_streams
     first = svd_ordered(know.est_sr @ whiten_sr)
     second = svd_ordered(whiten_rd @ know.est_rd)
     return SpectralData(
@@ -695,7 +711,7 @@ def assemble(
     evaluation at the LMMSE equalizer.  A draw that misses a contract is
     listed in the returned batch's ``failures`` as a :class:`ContractError`.
     """
-    u_w = weight_eigensystem(cfg.weight).vectors
+    u_w = cfg.weight_eig.vectors
     return _assemble(cfg, know, spectral, alloc, u_w, (None,) * know.est_sr.shape[0])
 
 
@@ -741,7 +757,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
     the best init per draw, eta_p, and the assembled, verified designs."""
     n = cfg.n_streams
     draws = know.est_sr.shape[0]
-    weights = weight_eigensystem(cfg.weight)
+    weights = cfg.weight_eig
     inits = [_initial_source(n, cfg.p_s)]
     if opts.restarts > 0:
         rng = np.random.default_rng(opts.restart_seed)
@@ -797,8 +813,10 @@ def design_batch(
 ) -> DesignBatch:
     """Design every draw of a stack of channel knowledge at once.
 
-    ``know`` holds (B, rows, cols) estimates sharing one set of error
-    statistics (a single draw counts as B = 1).  Joint mode: weight
+    ``know`` holds (B, rows, cols) estimates (a single draw counts as
+    B = 1), whose draws may have different error statistics
+    (:meth:`ChannelKnowledge.concat`); each draw is designed under its
+    own.  Joint mode: weight
     eigensystem -> whitened-hop SVDs -> alternating water-filling
     (uniform init plus optional random restarts) -> eta_p -> assembled
     (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G

@@ -22,7 +22,10 @@ quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
 Every function takes one draw, or (B, ., .) stacks of draws that share
-the config and error statistics, and then works draw by draw.  Each
+the config, and then works draw by draw; a stack whose draws have
+different error statistics carries them, and c_sr, c_rd, per draw
+(:meth:`ChannelKnowledge.concat`), so K1's level and K2 are each draw's
+own.  Each
 public entry checks its arguments once (``_checked``) and evaluates
 through one builder, ``_Link``, which forms P P^H, K1, Rx, F Rx F^H, K2,
 Hrd F and the destination covariance each at most once, on first use.
@@ -100,6 +103,13 @@ class SystemConfig:
     def weight_half(self) -> np.ndarray:
         """W^{1/2}, computed once per config."""
         return herm_sqrt(self.weight)
+
+    @cached_property
+    def weight_eig(self):
+        """``design.weight_eigensystem`` of W, computed once per config."""
+        from .design import weight_eigensystem
+
+        return weight_eigensystem(self.weight)
 
 
 @dataclass(frozen=True)

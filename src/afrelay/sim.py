@@ -7,25 +7,28 @@ design that trusts the channel estimate -- then pushes QPSK symbols
 through the true channels and records analytic and empirical weighted
 MSE plus BER.
 
-Each sweep point is processed in chunks of at most ``CHUNK_DRAWS``
-draws, fewer for long symbol blocks so that every (draws, antennas,
-symbols) block of a chunk stays within ``CHUNK_ELEMS`` entries.  A chunk
-samples every draw from its own RNG streams, keyed by
-(seed, sweep point, draw index, stream) exactly as a draw-by-draw loop
-would key them (stream 0: channels, stream 1: QPSK bits and noise),
-stacks the draws and designs each algorithm on the whole stack
-(:func:`afrelay.design.design_batch`).  Each draw's QPSK symbols and both
+The run's draws, in (point, draw) order, are cut into link chunks of at
+most ``CHUNK_DRAWS`` draws of one sweep point, fewer for long symbol
+blocks so that every (draws, antennas, symbols) block of a chunk stays
+within ``CHUNK_ELEMS`` entries.  Consecutive chunks, across sweep points,
+form design stacks of at most ``CHUNK_DRAWS`` draws.  A stack samples
+every draw from its own RNG streams, keyed by (seed, sweep point, draw
+index, stream) exactly as a draw-by-draw loop would key them (stream 0:
+channels, stream 1: QPSK bits and noise), joins the draws' knowledge
+(each draw keeps its point's error statistics) and designs each
+algorithm once on the whole stack (:func:`afrelay.design.design_batch`).
+It then transmits chunk by chunk.  Each draw's QPSK symbols and both
 noise blocks sit in one (n + m_r + m_d, N) block z, whose Gram z z^H is
 formed once per chunk and shared by every algorithm.  An algorithm's
 transceiver and the draw's true channels compose, on the small matrices,
 into K = [G H_rd F H_sr P, G H_rd F, G], so the received estimates are
 one batched product K z and the empirical weighted MSE is
 Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].  Draw i of a stack
-gets the same numbers as draw i designed alone, so the chunking, like a
-worker pool, changes nothing: identical spec + seed reproduces identical
-results byte for byte.  A draw whose design fails is excluded from the
-averages and counted in ``n_failed`` and, by cause, in
-``ExperimentRecord.failures``; it never aborts the sweep.
+gets the same numbers as draw i designed alone, so the chunks and
+stacks, like a worker pool, change nothing: identical spec + seed
+reproduces identical results byte for byte.  A draw whose design fails
+is excluded from the averages and counted in ``n_failed`` and, by cause,
+in ``ExperimentRecord.failures``; it never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -35,13 +38,15 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
-from .channel import _complex_parts, exact_knowledge, sample_scenario_stack
+from .channel import ChannelKnowledge, _complex_parts, exact_knowledge, sample_scenario_stack
 from .design import DesignError, DesignOptions, design, design_batch
 from .linalg import _as_psd, _ct
-from .mse import SystemConfig, weighted_mse
+from .mse import SystemConfig, Transceiver, weighted_mse
 
 __all__ = [
     "ConfigError",
@@ -57,7 +62,7 @@ ALGORITHMS = ("naive", "robust_full", "robust_nopre")
 
 CSV_HEADER = "est_snr_db,algorithm,wmse_analytic,wmse_empirical,ber,n_draws,n_failed,seed"
 
-# Draws per batched chunk of a sweep point, at most.
+# Draws per link chunk of a sweep point, and per design stack, at most.
 CHUNK_DRAWS = 64
 # Entries per (draws, antennas, symbols) block a chunk materialises (the
 # symbol-and-noise block z holds three of them, each algorithm's K z one):
@@ -277,14 +282,54 @@ def _draw_rng(seed: int, point: int, draw: int, stream: int) -> np.random.Genera
 
 
 def _design_algorithm(algorithm: str, cfg: SystemConfig, know):
-    """The algorithm's designs for a stack of draws (a DesignBatch)."""
-    if algorithm == "robust_full":
-        return design_batch(cfg, know)
-    if algorithm == "robust_nopre":
-        return design_batch(cfg, know, DesignOptions(mode="relay_only"))
-    if algorithm == "naive":
-        return design_batch(cfg, exact_knowledge(know.est_sr, know.est_rd))
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+    """The algorithm's designs (a DesignBatch) for a stack of draws under
+    ``know``, the knowledge it designs with: the sampled knowledge for
+    the robust designs, error-free knowledge of the estimates for the
+    naive one."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    opts = DesignOptions(mode="relay_only") if algorithm == "robust_nopre" else None
+    return design_batch(cfg, know, opts)
+
+
+def _designs(algorithm: str, cfg: SystemConfig, know, sampled):
+    """The algorithm's designs of a stack of draws under ``know``: the
+    stacked transceivers, each draw's analytic weighted MSE and each
+    draw's DesignError or None.
+
+    The robust designs' analytic weighted MSE is the direct evaluation
+    their agreement check already made under the same knowledge; the
+    naive design is evaluated under ``sampled``, the true error
+    statistics.  A draw whose design raised has a zero placeholder
+    transceiver.
+    """
+    try:
+        batch = _design_algorithm(algorithm, cfg, know)
+    except DesignError as err:
+        draws = know.est_sr.shape[0]
+        if draws == 1:
+            n = cfg.n_streams
+            shapes = ((cfg.n_s, n), (cfg.n_r, cfg.m_r), (n, cfg.m_d))
+            return Transceiver(*(np.zeros((1, *s)) for s in shapes)), np.full(1, np.nan), [err]
+        # A kernel rejected one draw's numerics for the whole stack:
+        # design the draws one by one to isolate it.
+        alone = [
+            _designs(algorithm, cfg, know.select(slice(i, i + 1)), sampled.select(slice(i, i + 1)))
+            for i in range(draws)
+        ]
+        txs = [tx for tx, _, _ in alone]
+        tx = Transceiver(
+            *(np.concatenate([getattr(t, f.name) for t in txs]) for f in fields(Transceiver))
+        )
+        return tx, np.concatenate([a for _, a, _ in alone]), [f for *_, fs in alone for f in fs]
+    tx = batch.solution.tx
+    analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(cfg, sampled, tx)
+    return tx, analytic, list(batch.failures)
+
+
+def _rows(obj, rows):
+    """The dataclass ``obj`` of stacked arrays with every field sliced to ``rows``."""
+    return type(obj)(*(getattr(obj, f.name)[rows] for f in fields(obj)))
 
 
 def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> list:
@@ -305,7 +350,10 @@ def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> 
         for rows, var in noises:
             block = z[i, rows]
             _complex_parts(rng.standard_normal((2, *block.shape)), np.sqrt(var / 2.0), block)
-    return [truth.h_sr, truth.h_rd, z, z @ _ct(z)]
+    # Draw by draw, without a conjugate copy of the whole block: freed
+    # with it, a chunk's blocks were returned to the system at the end of
+    # each design stack and faulted back in by the next chunk.
+    return [truth.h_sr, truth.h_rd, z, np.stack([d @ _ct(d) for d in z])]
 
 
 def _transmit(tx, link, weight):
@@ -335,59 +383,84 @@ def _transmit(tx, link, weight):
     return wmse, flips / (2 * n * n_sym)
 
 
-def _evaluate(algorithm: str, cfg: SystemConfig, know, link) -> list:
-    """Per draw of the stack, (analytic, empirical, ber) or the failure cause.
+def _run_job(spec: ExperimentSpec, chunks) -> dict:
+    """One design stack: the link chunks ``chunks``, (point, start, stop)
+    in run order, as algorithm -> per-draw outcomes, each (analytic,
+    empirical, ber) or the failure cause.
 
-    All algorithms share the channel realization and the QPSK block, so
-    comparisons are paired.  The robust designs' analytic weighted MSE
-    is the direct evaluation their agreement check already made under
-    the same knowledge; the naive design is evaluated under the true
-    error statistics.
+    Each point's draws are sampled as one stack, and the knowledge of
+    all of them is joined, so every algorithm designs the job once.  The
+    links are then built and transmitted chunk by chunk against slices
+    of the designs, and a chunk's blocks are freed before the next
+    chunk's are drawn.  All algorithms share the channel realization and
+    the QPSK block, so comparisons are paired.
     """
-    try:
-        batch = _design_algorithm(algorithm, cfg, know)
-    except DesignError as err:
-        draws = know.est_sr.shape[0]
-        if draws == 1:
-            return [err.cause]
-        # A kernel rejected one draw's numerics for the whole stack:
-        # design the draws one by one to isolate it.
-        return [
-            out
-            for i in range(draws)
-            for out in _evaluate(
-                algorithm, cfg, know.select(slice(i, i + 1)), [a[i : i + 1] for a in link]
-            )
-        ]
-    tx = batch.solution.tx
-    analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(cfg, know, tx)
-    empirical, ber = _transmit(tx, link, cfg.weight)
-    return [
-        fail.cause if fail is not None else (float(a), float(e), float(b))
-        for fail, a, e, b in zip(batch.failures, analytic, empirical, ber)
-    ]
-
-
-def _run_chunk(spec: ExperimentSpec, point: int, start: int, stop: int) -> dict:
-    """Draws start..stop-1 of one sweep point: algorithm -> per-draw outcomes."""
     cfg = system_config(spec)
-    draws = range(start, stop)
-    snr_est = _linear("est_snr_db", spec.est_snr_db[point])
-    know, truth = sample_scenario_stack(
-        cfg, snr_est, spec.alpha, [_draw_rng(spec.seed, point, d, 0) for d in draws]
-    )
-    link = _link(spec, cfg, point, draws, truth)
-    return {alg: _evaluate(alg, cfg, know, link) for alg in spec.algorithms}
+    runs = [(point, list(run)) for point, run in groupby(chunks, key=itemgetter(0))]
+    sampled = [
+        sample_scenario_stack(
+            cfg,
+            _linear("est_snr_db", spec.est_snr_db[point]),
+            spec.alpha,
+            [_draw_rng(spec.seed, point, d, 0) for d in range(run[0][1], run[-1][2])],
+        )
+        for point, run in runs
+    ]
+    know = ChannelKnowledge.concat([k for k, _ in sampled])
+    exact = exact_knowledge(know.est_sr, know.est_rd) if "naive" in spec.algorithms else None
+    designs = {
+        alg: _designs(alg, cfg, exact if alg == "naive" else know, know)
+        for alg in spec.algorithms
+    }
+    outcomes = {alg: [] for alg in spec.algorithms}
+    row = 0
+    for (point, run), (_, truth) in zip(runs, sampled):
+        first = run[0][1]
+        for _, start, stop in run:
+            local = slice(start - first, stop - first)
+            link = _link(spec, cfg, point, range(start, stop), _rows(truth, local))
+            rows = slice(row, row + stop - start)
+            for alg, (tx, analytic, failures) in designs.items():
+                empirical, ber = _transmit(_rows(tx, rows), link, cfg.weight)
+                outcomes[alg] += [
+                    fail.cause if fail is not None else (float(a), float(e), float(b))
+                    for fail, a, e, b in zip(failures[rows], analytic[rows], empirical, ber)
+                ]
+            del link
+            row = rows.stop
+    return outcomes
 
 
 def _chunk_draws(spec: ExperimentSpec) -> int:
-    """Draws per chunk: CHUNK_DRAWS, fewer where a draw's symbol blocks
-    would push a chunk's blocks past CHUNK_ELEMS entries."""
+    """Draws per link chunk: CHUNK_DRAWS, fewer where a draw's symbol
+    blocks would push a chunk's blocks past CHUNK_ELEMS entries."""
     return min(CHUNK_DRAWS, max(1, CHUNK_ELEMS // (spec.n_symbols * max(spec.dims))))
 
 
-def _chunk_worker(args):
-    return _run_chunk(*args)
+def _jobs(chunks: list, workers: int) -> list:
+    """``chunks`` cut into runs of consecutive chunks holding at most
+    CHUNK_DRAWS draws each: as few runs as that bound allows, but no
+    fewer than ``workers`` (at most ``len(chunks)``), by halving the
+    largest run of several chunks until there are enough."""
+
+    def size(job):
+        return sum(stop - start for _, start, stop in job)
+
+    jobs = []
+    for chunk in chunks:
+        if jobs and size(jobs[-1]) + chunk[2] - chunk[1] <= CHUNK_DRAWS:
+            jobs[-1].append(chunk)
+        else:
+            jobs.append([chunk])
+    while len(jobs) < workers:
+        i = max((i for i, job in enumerate(jobs) if len(job) > 1), key=lambda i: size(jobs[i]))
+        half = len(jobs[i]) // 2
+        jobs[i : i + 1] = [jobs[i][:half], jobs[i][half:]]
+    return jobs
+
+
+def _job_worker(args):
+    return _run_job(*args)
 
 
 def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> ExperimentRecord:
@@ -421,30 +494,27 @@ def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> Exper
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sweep point, algorithm).
 
-    With ``workers`` > 1 one process pool serves every chunk of every
-    point; it starts no more processes than there are chunks or CPUs.
+    With ``workers`` > 1 one process pool serves every design stack of
+    the run; it starts no more processes than there are link chunks or
+    CPUs, and the run is cut into at least as many stacks.
     """
     step = _chunk_draws(spec)
-    starts = range(0, spec.n_channel_draws, step)
+    n = spec.n_channel_draws
     points = range(len(spec.est_snr_db))
-    jobs = [
-        (spec, point, start, min(start + step, spec.n_channel_draws))
-        for point in points
-        for start in starts
-    ]
-    workers = min(spec.workers, len(jobs), os.cpu_count() or 1)
+    chunks = [(point, start, min(start + step, n)) for point in points for start in range(0, n, step)]
+    workers = min(spec.workers, len(chunks), os.cpu_count() or 1)
+    jobs = [(spec, job) for job in _jobs(chunks, workers)]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_chunk_worker, jobs))
+            done = list(pool.map(_job_worker, jobs))
     else:
-        chunks = [_run_chunk(*job) for job in jobs]
-    records = []
-    for point in points:
-        point_chunks = chunks[point * len(starts) : (point + 1) * len(starts)]
-        for alg in spec.algorithms:
-            outcomes = [out for chunk in point_chunks for out in chunk[alg]]
-            records.append(_record(spec, point, alg, outcomes))
-    return records
+        done = [_run_job(*job) for job in jobs]
+    outcomes = {alg: [out for job in done for out in job[alg]] for alg in spec.algorithms}
+    return [
+        _record(spec, point, alg, outcomes[alg][point * n : (point + 1) * n])
+        for point in points
+        for alg in spec.algorithms
+    ]
 
 
 def _fmt(value: float) -> str:
@@ -513,7 +583,6 @@ def run_selftest() -> list[tuple[str, bool, str]]:
     """
     from . import validate
     from .channel import sample_scenario as _scenario
-    from .mse import Transceiver
 
     results = []
     spec = _selftest_spec()

@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from afrelay.channel import (
     sample_scenario_stack,
 )
 from afrelay.linalg import herm_sqrt
-from conftest import make_config, rand_psd
+from conftest import count_identity_tests, make_config, rand_psd
 
 
 class TestExpCorr:
@@ -243,3 +245,81 @@ class TestKnowledgeObjects:
     def test_error_stats_rejects_non_psd(self):
         with pytest.raises(ValueError):
             ErrorStats(np.diag([1.0, -0.2]), np.eye(3))
+
+
+def _point_stacks(cfg, snrs, draws=2):
+    """One sampled knowledge stack per estimation SNR (linear)."""
+    return [
+        sample_scenario_stack(cfg, snr, 0.3, [np.random.default_rng((k, i)) for i in range(draws)])[0]
+        for k, snr in enumerate(snrs)
+    ]
+
+
+class TestKnowledgeStacks:
+    def test_concat_keeps_each_draws_statistics(self, monkeypatch):
+        import afrelay.channel as channel_mod
+
+        cfg = make_config(dims=(3, 4, 2, 3), n_streams=2)
+        parts = _point_stacks(cfg, (0.01, 1e6))
+        for part in parts:
+            part.c_sr, part.c_rd
+        validations, calls = [], count_identity_tests(monkeypatch)
+        real = channel_mod._as_psd
+        monkeypatch.setattr(
+            channel_mod, "_as_psd", lambda m, name="matrix": validations.append(name) or real(m, name)
+        )
+        mixed = ChannelKnowledge.concat(parts)
+        assert mixed.est_sr.shape == (4, 4, 3) and mixed.est_rd.shape == (4, 3, 2)
+        assert mixed.stats_sr.col_cov.shape == (4, 3, 3)
+        for i in range(4):
+            part, j = parts[i // 2], i % 2
+            for hop in ("stats_sr", "stats_rd"):
+                for side in ("row_cov", "col_cov"):
+                    expected = getattr(getattr(part, hop), side)
+                    assert np.array_equal(getattr(getattr(mixed, hop), side)[i], expected)
+            one = mixed.select(i)
+            assert one.stats_sr is part.stats_sr and one.stats_rd is part.stats_rd
+            assert np.array_equal(one.est_sr, part.est_sr[j])
+            assert one.c_sr == part.c_sr and one.c_rd == part.c_rd
+        for name in ("c_sr", "c_rd"):
+            per_draw = getattr(mixed, name)
+            assert per_draw.shape == (4, 1, 1)
+            assert per_draw[:, 0, 0].tolist() == [getattr(p, name) for p in parts for _ in range(2)]
+        # Draws of one set select to, and rejoin into, an ordinary stack.
+        assert mixed.select(slice(2, 4)).stats_sr is parts[1].stats_sr
+        rejoined = ChannelKnowledge.concat([parts[0].select(1), mixed.select(0)])
+        assert rejoined.stats_sr is parts[0].stats_sr
+        assert np.array_equal(rejoined.est_sr, parts[0].est_sr[::-1])
+        # A mixed selection keeps the order and the sets of its draws.
+        picked = mixed.select([3, 0, 2])
+        assert np.array_equal(picked.stats_sr.col_cov[1], parts[0].stats_sr.col_cov)
+        assert picked.c_sr[:, 0, 0].tolist() == [parts[1].c_sr, parts[0].c_sr, parts[1].c_sr]
+        # Each part was validated and tested when built, never again.
+        assert validations == [] and calls == []
+
+    def test_stacks_of_general_statistics_concat_without_reading_scales(self):
+        rng = np.random.default_rng(4)
+        general = [
+            ChannelKnowledge(
+                rng.standard_normal((1, 2, 2)), rng.standard_normal((1, 2, 2)),
+                ErrorStats(rand_psd(rng, 2), rand_psd(rng, 2)),
+                ErrorStats(rand_psd(rng, 2), rand_psd(rng, 2)),
+            )
+            for _ in range(2)
+        ]
+        mixed = ChannelKnowledge.concat(general)
+        with pytest.raises(ValueError, match="stats_sr.row_cov"):
+            mixed.c_sr
+
+    def test_equality_is_identity_and_never_raises(self):
+        cfg = make_config()
+        know = _point_stacks(cfg, (10.0,), draws=3)[0]
+        restored = pickle.loads(pickle.dumps(know))
+        assert (know == restored) is False and (know == know) is True
+        assert (know.stats_sr == restored.stats_sr) is False
+        assert np.array_equal(restored.est_sr, know.est_sr) and restored.c_sr == know.c_sr
+        mixed = ChannelKnowledge.concat([know, *_point_stacks(cfg, (100.0,))])
+        again = pickle.loads(pickle.dumps(mixed))
+        assert (mixed == again) is False and (mixed != again) is True
+        assert (mixed.stats_rd == again.stats_rd) is False
+        assert np.array_equal(again.c_rd, mixed.c_rd)

@@ -1,3 +1,5 @@
+import importlib
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -58,6 +60,21 @@ class TestWeightEigensystem:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             weight_eigensystem(np.diag([1.0, -0.3]))
+
+    def test_designs_on_one_config_decompose_the_weight_once(self, monkeypatch):
+        design_mod = importlib.import_module("afrelay.design")
+        calls = []
+        real = design_mod.weight_eigensystem
+        monkeypatch.setattr(
+            design_mod, "weight_eigensystem", lambda w: calls.append(w) or real(w)
+        )
+        cfg, know, _ = make_instance(37, weight=np.diag([0.4, 0.3, 0.2, 0.1]))
+        first = design(cfg, know)
+        second = design(cfg, know, DesignOptions(restarts=1))
+        assert len(calls) == 1 and calls[0] is cfg.weight
+        assert first.tx.precoder.tobytes() == design(cfg, know).tx.precoder.tobytes()
+        assert second.achieved_wmse <= first.achieved_wmse + 1e-12
+        assert len(calls) == 1
 
 
 class TestSpectralDecompose:
@@ -668,3 +685,72 @@ def test_eta_p_fixed_point_is_k1_level_bit_for_bit(mode, knowledge):
         assert np.array_equal(level, trace_form)
         if mode == "relay_only":
             assert np.array_equal(sol.alloc.eta_p, trace_form)
+
+
+def _per_draw_arrays(batch) -> dict:
+    """Every array of a DesignBatch, each with the leading draw axis."""
+    sol, draws = batch.solution, len(batch.failures)
+    out = {"direct_wmse": batch.direct_wmse, "achieved_wmse": sol.achieved_wmse,
+           "tilde_forward": sol.tilde_forward}
+    out.update((f"tx.{f}", getattr(sol.tx, f)) for f in ("precoder", "forward", "equalizer"))
+    for f in ("p_alloc", "f_alloc", "mu_p", "mu_f", "eta_p", "n_iters", "converged"):
+        out[f"alloc.{f}"] = np.asarray(getattr(sol.alloc, f), dtype=float)
+    for hop in ("first_hop", "second_hop"):
+        for f in ("left", "values", "right"):
+            out[f"{hop}.{f}"] = getattr(getattr(sol.spectral, hop), f)
+    out.update(gains_sr=sol.spectral.gains_sr, gains_rd=sol.spectral.gains_rd)
+    for f in ("whiten_sr", "whiten_rd", "k2_const", "psi_eff"):
+        m = getattr(sol.spectral, f)
+        out[f] = m if m.ndim == 3 else np.broadcast_to(m, (draws, *m.shape))
+    return out
+
+
+def test_mixed_statistics_stack_designs_each_draw_as_its_points_stack():
+    # Sweep points at -20, 60 and 20 dB in one stack, one draw of the
+    # first with a zero first hop (a joint allocation failure): every array of
+    # every algorithm's designs equals that of each point's own stack, bit
+    # for bit, and so do the failures and the naive design's evaluation
+    # under the true statistics.
+    from afrelay.channel import sample_scenario_stack
+    from afrelay.design import design_batch
+
+    cfg = make_config(snr1_db=30.0, snr2_db=25.0)
+    parts = []
+    for k, snr_db in enumerate((-20.0, 60.0, 20.0)):
+        rngs = [np.random.default_rng((80, k, d)) for d in range(3)]
+        parts.append(sample_scenario_stack(cfg, 10.0 ** (snr_db / 10.0), 0.3, rngs)[0])
+    est_sr = parts[0].est_sr.copy()
+    est_sr[1] = 0.0
+    parts[0] = ChannelKnowledge(est_sr, parts[0].est_rd, parts[0].stats_sr, parts[0].stats_rd)
+    mixed = ChannelKnowledge.concat(parts)
+    for make, opts in (
+        (lambda k: k, DesignOptions()),
+        (lambda k: k, DesignOptions(mode="relay_only")),
+        (lambda k: exact_knowledge(k.est_sr, k.est_rd), DesignOptions()),
+    ):
+        stacked = design_batch(cfg, make(mixed), opts)
+        own = [design_batch(cfg, make(part), opts) for part in parts]
+        expected = [fail for batch in own for fail in batch.failures]
+        assert [type(f) for f in stacked.failures] == [type(f) for f in expected]
+        assert [str(f) for f in stacked.failures] == [str(f) for f in expected]
+        if opts.mode == "joint":
+            assert isinstance(stacked.failures[1], InfeasibleAllocationError)
+        got, parts_arrays = _per_draw_arrays(stacked), [_per_draw_arrays(b) for b in own]
+        for key, value in got.items():
+            want = np.concatenate([a[key] for a in parts_arrays])
+            assert np.array_equal(value, want, equal_nan=True), key
+        row = 0
+        for batch in own:
+            trace = batch.solution.alloc.objective_trace
+            width = trace.shape[1]
+            block = stacked.solution.alloc.objective_trace[row : row + len(trace)]
+            assert np.array_equal(block[:, :width], trace, equal_nan=True)
+            # A failed draw's trace runs as long as its stack does.
+            kept = [fail is None for fail in batch.failures]
+            assert np.isnan(block[kept, width:]).all()
+            row += len(trace)
+        analytic = weighted_mse(cfg, mixed, stacked.solution.tx)
+        assert np.array_equal(
+            analytic,
+            np.concatenate([weighted_mse(cfg, p, b.solution.tx) for p, b in zip(parts, own)]),
+        )

@@ -1,12 +1,15 @@
 """Property tests over the parameter space the CLI accepts.
 
 Dims 1-5, data SNR -10..70 dB per hop, estimation SNR -20..60 dB (the
-sweep test: -300..100 dB), alpha up to 0.999, distinct, tied and partly
+sweep tests: -300..100 dB), alpha up to 0.999, distinct, tied and partly
 zero weights.  The derandomized profile registered in conftest keeps
 every run on the same examples.
 """
 
+import pathlib
+import tempfile
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -26,7 +29,8 @@ from afrelay.design import (
     waterfill_relay,
     weight_eigensystem,
 )
-from afrelay.sim import ExperimentSpec, run_experiment, system_config
+import afrelay.sim as sim_mod
+from afrelay.sim import ExperimentSpec, emit_csv, run_experiment, system_config
 from test_design import saturated_multiplier_oracle
 
 EPS = np.finfo(float).eps
@@ -105,6 +109,39 @@ def test_sweeps_over_the_accepted_space_count_every_draw():
 
     sweep()
     print(f"failed draws by (algorithm, cause): {dict(sorted(causes.items()))}")
+
+
+@st.composite
+def multi_point_specs(draw):
+    """A CLI-valid sweep of 2-3 estimation-SNR points, 2-3 draws of 8 symbols."""
+    dims = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
+    n = draw(st.integers(1, min(dims)))
+    return ExperimentSpec.from_dict({
+        "dims": dims,
+        "n_streams": n,
+        "alpha": draw(st.floats(0.0, 0.999)),
+        "data_snr_db": draw(st.lists(st.floats(-10.0, 70.0), min_size=2, max_size=2)),
+        "est_snr_db": draw(st.lists(st.floats(-300.0, 100.0), min_size=2, max_size=3)),
+        "weights": draw(weight_lists(n)),
+        "n_channel_draws": draw(st.integers(2, 3)),
+        "n_symbols": 8,
+        "seed": draw(st.integers(0, 2**32 - 1)),
+    })
+
+
+@settings(max_examples=15)
+@given(multi_point_specs())
+def test_design_stacks_across_points_leave_the_csv_bytes_unchanged(spec):
+    # At the default every point's draws share one design stack; with
+    # CHUNK_DRAWS = 1 every draw is designed alone.
+    texts = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = pathlib.Path(tmp) / "sweep.csv"
+        for chunk_draws in (sim_mod.CHUNK_DRAWS, 1):
+            with mock.patch.object(sim_mod, "CHUNK_DRAWS", chunk_draws):
+                emit_csv(run_experiment(spec), path)
+            texts.append(path.read_bytes())
+    assert texts[0] == texts[1]
 
 
 def _single(cfg, know, opts):

@@ -5,7 +5,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from afrelay.channel import sample_scenario_stack
+from afrelay.channel import exact_knowledge, sample_scenario_stack
 from afrelay.cli import cli_main
 from afrelay.sim import (
     ConfigError,
@@ -178,13 +178,14 @@ class TestSpecValidation:
 
 class TestRunExperiment:
     def test_identity_sides_are_tested_once_per_chunk_knowledge(self, monkeypatch):
-        # Per chunk: the sampled knowledge (robust_full, robust_nopre and
-        # the naive evaluation) and the naive design's exact knowledge,
-        # each tested on both sides once.  5 points x 1 chunk x 2 x 2.
+        # The 40 draws are one design stack.  Each point's sampled
+        # statistics (read by robust_full, robust_nopre and the naive
+        # evaluation) and the stack's exact knowledge for the naive design
+        # are tested on both sides once: 5 x 2 + 2.
         spec = dataclasses.replace(ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8)
         calls = count_identity_tests(monkeypatch)
         run_experiment(spec)
-        assert len(calls) == 20
+        assert len(calls) == 12
 
     def test_produces_one_record_per_point_and_algorithm(self):
         spec = tiny_spec(est_snr_db=(0.0, 10.0))
@@ -357,6 +358,57 @@ class TestRunExperiment:
         assert [r.n_draws for r in records] == [spec.n_channel_draws] * 2
         assert sorted(calls) == ["stats_rd.col_cov", "stats_sr.row_cov"]
 
+    def test_isolated_naive_draws_select_from_one_exact_knowledge(self, monkeypatch):
+        # A stack-wide rejection designs each draw alone.  The naive
+        # design's exact knowledge is built once per design stack and the
+        # isolated draws select from it, so it is tested on both sides
+        # once, as is the sampled knowledge of the naive evaluation.
+        import afrelay.sim as sim_mod
+        from afrelay.design import NumericalError
+
+        real = sim_mod._design_algorithm
+
+        def reject_stacks(algorithm, cfg, know):
+            batch = real(algorithm, cfg, know)
+            if know.est_sr.shape[0] > 1:
+                raise NumericalError("forced kernel rejection")
+            return batch
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", reject_stacks)
+        spec = tiny_spec(algorithms=("naive",))
+        calls = count_identity_tests(monkeypatch)
+        records = run_experiment(spec)
+        assert [r.n_draws for r in records] == [spec.n_channel_draws]
+        assert len(calls) == 4
+
+    def test_design_stacks_span_sweep_points(self, monkeypatch):
+        import afrelay.sim as sim_mod
+
+        sizes = []
+        real = sim_mod.design_batch
+
+        def counted(cfg, know, opts=None):
+            sizes.append(know.est_sr.shape[0])
+            return real(cfg, know, opts)
+
+        monkeypatch.setattr(sim_mod, "design_batch", counted)
+        spec = dataclasses.replace(
+            ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8, n_symbols=50
+        )
+        whole = run_experiment(spec)
+        # 5 points x 8 draws: one stack of 40 draws per algorithm.
+        assert sizes == [40] * 3
+        # 13 draws per point: four points fill a 52-draw stack, the fifth
+        # does not fit.
+        sizes.clear()
+        run_experiment(dataclasses.replace(spec, n_channel_draws=13))
+        assert sizes == [52] * 3 + [13] * 3
+        # Stacks of one draw give the same records.
+        monkeypatch.setattr(sim_mod, "CHUNK_DRAWS", 1)
+        sizes.clear()
+        assert [r.__dict__ for r in run_experiment(spec)] == [r.__dict__ for r in whole]
+        assert sizes == [1] * 120
+
     def test_chunked_sweep_matches_draw_by_draw_designs(self):
         from afrelay.channel import exact_knowledge, sample_scenario_stack
         from afrelay.design import DesignOptions, design
@@ -440,8 +492,9 @@ class TestRunExperiment:
         )
         link = sim_mod._link(spec, cfg, 0, draws, truth)
         ref_link = [np.stack(a) for a in zip(*(_reference_link(spec, cfg, 0, d) for d in draws))]
+        exact = exact_knowledge(know.est_sr, know.est_rd)
         for alg in spec.algorithms:
-            tx = sim_mod._design_algorithm(alg, cfg, know).solution.tx
+            tx = sim_mod._design_algorithm(alg, cfg, exact if alg == "naive" else know).solution.tx
             wmse, ber = sim_mod._transmit(tx, link, cfg.weight)
             ref_wmse, ref_ber = _reference_transmit(
                 tx, truth.h_sr, truth.h_rd, *ref_link, cfg.weight
