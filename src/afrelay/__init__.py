@@ -30,13 +30,12 @@ from .design import (
     InfeasibleAllocationError,
     SpectralData,
     TransceiverSolution,
+    alternate,
     design,
     design_batch,
-    iterate_allocations,
     solve_eta_p,
     spectral_decompose,
-    waterfill_relay,
-    waterfill_source,
+    waterfill,
     weight_eigensystem,
 )
 from .linalg import (

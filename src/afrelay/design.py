@@ -34,7 +34,9 @@ statistics in the stack, one stacked SVD per hop, the alternation on
 every draw at once with a per-draw convergence mask, and the contract
 checks per draw, so a failing draw is reported without disturbing the
 others.  The draws may come from several sweep points: each reads its
-own statistics.  :func:`design` is the B = 1 case.
+own statistics.  :func:`design` is the B = 1 case.  Every step has one
+public entry, which takes stacks: :func:`spectral_decompose`,
+:func:`waterfill`, :func:`alternate`, :func:`solve_eta_p`, :func:`assemble`.
 """
 
 from __future__ import annotations
@@ -69,12 +71,11 @@ __all__ = [
     "DesignOptions",
     "weight_eigensystem",
     "spectral_decompose",
-    "waterfill_relay",
-    "waterfill_source",
+    "waterfill",
     "waterfill_kkt_residual",
     "scalar_objective",
     "scalar_gradient",
-    "iterate_allocations",
+    "alternate",
     "solve_eta_p",
     "assemble",
     "design_batch",
@@ -261,14 +262,14 @@ class DesignBatch:
 
 @dataclass(frozen=True)
 class DesignOptions:
-    """Knobs for :func:`design`.
+    """Knobs for :func:`design` and :func:`design_batch`.
 
     ``mode`` is "joint" (full pipeline) or "relay_only" (the precoder is
     the scaled identity that spreads the source budget evenly over the
     streams; only F and G are designed).  ``restarts`` adds that many
     random initializations on top of the uniform one; the best final
-    objective wins, ties going to the earlier candidate.  Both are
-    checked when the options are built.
+    objective wins, ties going to the earlier candidate; ``restart_seed``
+    seeds their draws.  All three are checked when the options are built.
     """
 
     mode: str = "joint"
@@ -278,9 +279,10 @@ class DesignOptions:
     def __post_init__(self):
         if self.mode not in ("joint", "relay_only"):
             raise ValueError(f"unknown design mode {self.mode!r}")
-        r = self.restarts
-        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-            raise ValueError(f"restarts must be an int >= 0, got {r!r}")
+        for name in ("restarts", "restart_seed"):
+            r = getattr(self, name)
+            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
+                raise ValueError(f"{name} must be an int >= 0, got {r!r}")
 
 
 def weight_eigensystem(w) -> OrderedHermitianEig:
@@ -371,21 +373,38 @@ def _waterfill(coeffs, terms, budget):
     return x, np.where(flat, np.inf, root[:, 0] ** 2)
 
 
-def _waterfill_checked(coeffs, gains, budget):
-    """:func:`_waterfill` on one 1-D problem, with input validation."""
-    c = np.asarray(coeffs, dtype=float)
-    g = np.asarray(gains, dtype=float)
-    if c.shape != g.shape or c.ndim != 1:
-        raise ValueError("coeffs and gains must be 1-D arrays of equal length")
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    if np.any(c < -1e-300) or np.any(g < 0):
-        raise ValueError("coeffs and gains must be nonnegative")
-    terms = _gain_terms(g[None])
-    if terms[3][0]:
+def _checked_rows(budgets: dict, ordered=0, **arrays) -> np.ndarray:
+    """The arrays broadcast to one (R, n) shape and stacked, after one check
+    that the budgets are finite and positive, every entry is finite and
+    nonnegative and the rows of the first ``ordered`` arrays are
+    nonincreasing; a ValueError names the first argument that is not."""
+    for name, value in budgets.items():
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and positive, got {value!r}")
+    names = tuple(arrays)
+    stack = np.stack(np.broadcast_arrays(*arrays.values())).astype(float, copy=False)
+    if stack.ndim != 3 or stack.shape[-1] == 0:
+        raise ValueError(f"{', '.join(names)} must broadcast to (R, n) rows with n >= 1")
+    if not (stack.min(initial=0.0) >= 0.0 and stack.max(initial=0.0) < np.inf):
+        bad = ~(np.isfinite(stack) & (stack >= 0.0)).all(axis=(1, 2))
+        raise ValueError(f"{names[bad.argmax()]} must be finite and nonnegative")
+    lead = stack[:ordered]
+    bad = (lead[..., 1:] > lead[..., :-1] + 1e-9 * lead.max(-1, keepdims=True)).any(axis=(1, 2))
+    if bad.any():
+        raise ValueError(f"{names[bad.argmax()]} must be nonincreasing (paired by rank)")
+    return stack
+
+
+def waterfill(coeffs, gains, budget):
+    """:func:`_waterfill` (levels x and multiplier mu) of every row of (R, n)
+    coefficients and gains, after one check: a ValueError unless ``budget``
+    is finite and positive and every entry finite and nonnegative, and an
+    :class:`InfeasibleAllocationError` if a row's gains are all zero."""
+    c, g = _checked_rows({"budget": budget}, coeffs=coeffs, gains=gains)
+    terms = _gain_terms(g)
+    if terms[3].any():
         raise InfeasibleAllocationError("all channel gains are zero")
-    x, mu = _waterfill(c[None], terms, budget)
-    return x[0], float(mu[0])
+    return _waterfill(c, terms, budget)
 
 
 def _half_coeffs(amp, gains, weights):
@@ -395,29 +414,13 @@ def _half_coeffs(amp, gains, weights):
     return np.asarray(weights, dtype=float) * a / (1.0 + a)
 
 
-def waterfill_relay(p_alloc, gains_sr, gains_rd, weights, budget):
-    """Relay gains f_i for fixed source amplitudes p_i.
-
-    f_i = [( sqrt(w_i / (mu_f lrd_i^2)) sqrt(a_i / (1 + a_i))
-             - 1/lrd_i^2 )^+]^{1/2} with a_i = p_i^2 lsr_i^2 and mu_f
-    from the budget sum f_i^2 = budget.
-    """
-    coeffs = _half_coeffs(p_alloc, gains_sr, weights)
-    levels, mu = _waterfill_checked(coeffs, gains_rd, budget)
-    return np.sqrt(levels), mu
-
-
-def waterfill_source(f_alloc, gains_sr, gains_rd, weights, budget):
-    """Source amplitudes p_i for fixed relay gains f_i (mirror update)."""
-    levels, mu = _waterfill_checked(_half_coeffs(f_alloc, gains_rd, weights), gains_sr, budget)
-    return np.sqrt(levels), mu
-
-
-def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
+def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float | np.ndarray:
     """Max relative KKT violation of a water-filling solution.
 
     Active streams must satisfy (1 + x g^2)^2 mu = c g^2; inactive ones
-    need mu >= c g^2 (the clamp condition).  Degenerate flat problems
+    need mu >= c g^2 (the clamp condition).  Violations are relative to
+    the mu each condition names, floored at the smallest normal float (a
+    subnormal mu has no relative precision).  Degenerate flat problems
     (mu = inf) vacuously satisfy the conditions.  One value per row for
     (..., n) arrays.
     """
@@ -426,7 +429,9 @@ def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float:
     cg = np.asarray(coeffs, dtype=float) * g2
     m = np.asarray(mu, dtype=float)[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        res = np.where(x > 0.0, np.abs((1.0 + x * g2) ** 2 * m - cg), cg - m) / cg
+        lift = (1.0 + x * g2) ** 2
+        gap = np.where(x > 0.0, np.abs(lift * m - cg), cg - m)
+        res = gap / np.maximum(cg, lift * np.finfo(float).tiny)
     res = np.where((cg > 0.0) & (res > 0.0), res, 0.0).max(axis=-1, initial=0.0)
     return _scalar(np.where(np.isfinite(m[..., 0]), res, 0.0))
 
@@ -455,31 +460,33 @@ def scalar_gradient(p_alloc, f_alloc, gains_sr, gains_rd, weights):
     return grad_p, grad_f
 
 
-def _validate_scalar_inputs(gains_sr, gains_rd, weights):
-    gsr = np.asarray(gains_sr, dtype=float)
-    grd = np.asarray(gains_rd, dtype=float)
-    w = np.asarray(weights, dtype=float)
-    if not (gsr.shape == grd.shape == w.shape) or gsr.ndim != 1:
-        raise ValueError("gains and weights must be 1-D arrays of equal length")
-    for name, arr in (("gains_sr", gsr), ("gains_rd", grd), ("weights", w)):
-        if np.any(arr < 0):
-            raise ValueError(f"{name} must be nonnegative")
-        if np.any(arr[1:] > arr[:-1] + 1e-9 * max(arr.max(initial=0.0), 1e-300)):
-            raise ValueError(f"{name} must be nonincreasing (streams are paired by rank)")
-    return gsr, grd, w
+def alternate(
+    gains_sr, gains_rd, weights, p_s, p_r, p_init=None, *, tol=CONVERGENCE_TOL, max_iters=MAX_ITERS
+):
+    """Alternating water-filling on every row of (R, n) problems at once.
 
+    Each half step solves its subproblem exactly, so a row's objective
+    trace is nonincreasing (modulo ~1e-16 float noise).  From ``p_init``
+    (uniform source amplitudes by default) each row follows exactly the
+    iteration of its problem alone and stops on its own: once its
+    full-iteration relative change is below ``tol``, as soon as its
+    relay-side KKT residual against the final source allocation is at
+    most CROSS_KKT_TOL (the last relay update lags one half step).
 
-def _alternate(gsr, grd, w, p_s, p_r, p, tol=CONVERGENCE_TOL, max_iters=MAX_ITERS):
-    """Alternating water-filling on every row of (R, n) stacks at once.
-
-    Each row follows exactly the iteration of a single problem and stops
-    on its own: once its full-iteration relative change has dropped below
-    ``tol``, as soon as its relay-side KKT residual against the final
-    source allocation is at most CROSS_KKT_TOL.  Returns an
+    Gains, weights and ``p_init`` broadcast to (R, n).  One check raises a
+    ValueError naming the argument unless the budgets are finite and
+    positive, every entry finite and nonnegative and the gains and
+    weights nonincreasing along each row.  Returns an
     :class:`AllocationState` of (R, ...) arrays (``converged`` False for
-    rows that did not stop within ``max_iters``) and the per-row flag of
-    an infeasible (all-zero-gain) problem.
+    rows not stopped within ``max_iters``, ``eta_p`` NaN) and the per-row
+    infeasible (all-zero-gain) flag; no row's outcome raises.
     """
+    gsr, grd, w, p = _checked_rows(
+        {"p_s": p_s, "p_r": p_r}, 3, gains_sr=gains_sr, gains_rd=gains_rd, weights=weights,
+        p_init=0.0 if p_init is None else p_init,
+    )
+    if p_init is None:
+        p = np.full_like(p, np.sqrt(p_s / p.shape[-1]))
     rows = p.shape[0]
     terms_sr, terms_rd = _gain_terms(gsr), _gain_terms(grd)
     infeasible = terms_sr[3] | terms_rd[3]
@@ -513,9 +520,8 @@ def _alternate(gsr, grd, w, p_s, p_r, p, tol=CONVERGENCE_TOL, max_iters=MAX_ITER
             if not pending.any():
                 break
         prev = cur
-    trace = np.stack(trace, axis=-1)
-    steps = np.arange(trace.shape[-1])
-    trace[done[:, None] & (steps >= 2 * n_iters[:, None])] = np.nan
+    trace = np.stack(trace, axis=-1) if trace else np.empty((rows, 0))
+    trace[done[:, None] & (np.arange(trace.shape[-1]) >= 2 * n_iters[:, None])] = np.nan
     state = AllocationState(
         p_alloc=out_p,
         f_alloc=out_f,
@@ -529,56 +535,6 @@ def _alternate(gsr, grd, w, p_s, p_r, p, tol=CONVERGENCE_TOL, max_iters=MAX_ITER
     return state, infeasible
 
 
-def _not_converged(max_iters, trace):
-    return ConvergenceError(
-        f"alternating water-filling did not converge in {max_iters} iterations",
-        trace[~np.isnan(trace)],
-    )
-
-
-def iterate_allocations(
-    gains_sr,
-    gains_rd,
-    weights,
-    p_s: float,
-    p_r: float,
-    *,
-    tol: float = CONVERGENCE_TOL,
-    max_iters: int = MAX_ITERS,
-) -> AllocationState:
-    """Alternate the two water-filling updates, from uniform source
-    amplitudes, until the objective settles.
-
-    Each half step solves its subproblem exactly, so the recorded
-    objective trace is nonincreasing (modulo ~1e-16 float noise).  Stops
-    when the full-iteration relative change drops below ``tol``, then
-    keeps alternating until the relay-side stationarity conditions are
-    also satisfied against the *final* source allocation (the last relay
-    update otherwise lags one half-step behind).  Raises
-    :class:`ConvergenceError` with the trace after ``max_iters``.
-    """
-    gsr, grd, w = _validate_scalar_inputs(gains_sr, gains_rd, weights)
-    if p_s <= 0 or p_r <= 0:
-        raise ValueError("power budgets must be positive")
-    p = _initial_source(w.shape[0], p_s)
-    state, infeasible = _alternate(
-        gsr[None], grd[None], w, p_s, p_r, p[None], tol, max_iters
-    )
-    if infeasible[0]:
-        raise InfeasibleAllocationError("all channel gains are zero")
-    if not state.converged[0]:
-        raise _not_converged(max_iters, state.objective_trace[0])
-    return state.draw(0)
-
-
-def _initial_source(n: int, p_s: float, start=None) -> np.ndarray:
-    """Uniform source amplitudes, or the positive ``start`` rescaled onto
-    the budget."""
-    if start is None:
-        return np.full(n, np.sqrt(p_s / n))
-    return start * np.sqrt(p_s / float(np.sum(start**2)))
-
-
 def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
     """Closed-form first-hop noise-plus-leakage level.
 
@@ -589,21 +545,14 @@ def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
     cancellation in 1 - t that grows as 1/(1 - t) at high first-hop SNR.
     It satisfies the fixed point eta_p = tr(P P^H Psi) + sigma1^2 and
     puts the assembled precoder exactly on its budget.  One value per
-    row for stacked allocations.
+    row for stacked allocations; a zero load gives inf (a failed contract).
     """
     p = np.asarray(p_alloc, dtype=float)
     n = p.shape[-1]
     cols = spectral.whiten_sr @ spectral.first_hop.right[..., :n]
     load = np.sum(p**2 * np.sum(np.abs(cols) ** 2, axis=-2), axis=-1)
     with np.errstate(divide="ignore"):
-        eta = p_s / load
-    if np.ndim(eta) == 0 and not (np.isfinite(eta) and eta > 0):
-        raise ContractError(
-            "eta_p",
-            f"eta_p normalization {float(load):.6e} is not positive; this "
-            "indicates violated preconditions",
-        )
-    return _scalar(eta)
+        return _scalar(p_s / load)
 
 
 def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
@@ -679,27 +628,12 @@ def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) 
     return DesignBatch(solution=solution, direct_wmse=direct, failures=failures)
 
 
-def _assemble(cfg, know, spectral, alloc, u_w, failures) -> DesignBatch:
-    """:func:`assemble` given the weight eigenvectors ``u_w`` and the
-    draws' allocation failures."""
-    n = cfg.n_streams
-    eta = np.asarray(alloc.eta_p, dtype=float)
-    safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
-    v_sr_n = spectral.first_hop.right[..., :n]
-    u_sr_n = spectral.first_hop.left[..., :n]
-    v_rd_n = spectral.second_hop.right[..., :n]
-    tilde_p = (v_sr_n * alloc.p_alloc[:, None, :]) @ _ct(u_w)
-    p_mat = (np.sqrt(safe_eta)[:, None, None] * spectral.whiten_sr) @ tilde_p
-    tilde_f = (v_rd_n * alloc.f_alloc[:, None, :]) @ _ct(u_sr_n)
-    maps = tilde_maps(cfg, know, p_mat)
-    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
-
-
 def assemble(
     cfg: SystemConfig,
     know: ChannelKnowledge,
     spectral: SpectralData,
     alloc: AllocationState,
+    failures=None,
 ) -> DesignBatch:
     """Build (P, F, G) for a stack of draws from converged allocations and
     verify the contracts.
@@ -708,11 +642,23 @@ def assemble(
     single draw is a stack of one).  Checks per draw: both power
     constraints hold with equality (1e-9 relative), eta_p satisfies its
     fixed point, and the residual weighted MSE agrees with the direct
-    evaluation at the LMMSE equalizer.  A draw that misses a contract is
-    listed in the returned batch's ``failures`` as a :class:`ContractError`.
+    evaluation at the LMMSE equalizer.  A draw keeps its entry of
+    ``failures`` (an allocation failure; none by default) or is listed
+    with its first missed contract as a :class:`ContractError`.
     """
-    u_w = cfg.weight_eig.vectors
-    return _assemble(cfg, know, spectral, alloc, u_w, (None,) * know.est_sr.shape[0])
+    n = cfg.n_streams
+    if failures is None:
+        failures = (None,) * know.est_sr.shape[0]
+    eta = np.asarray(alloc.eta_p, dtype=float)
+    safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
+    v_sr_n = spectral.first_hop.right[..., :n]
+    u_sr_n = spectral.first_hop.left[..., :n]
+    v_rd_n = spectral.second_hop.right[..., :n]
+    tilde_p = (v_sr_n * alloc.p_alloc[:, None, :]) @ _ct(cfg.weight_eig.vectors)
+    p_mat = (np.sqrt(safe_eta)[:, None, None] * spectral.whiten_sr) @ tilde_p
+    tilde_f = (v_rd_n * alloc.f_alloc[:, None, :]) @ _ct(u_sr_n)
+    maps = tilde_maps(cfg, know, p_mat)
+    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
 
 
 def _design_relay_only(cfg, know, spectral) -> DesignBatch:
@@ -757,46 +703,41 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
     the best init per draw, eta_p, and the assembled, verified designs."""
     n = cfg.n_streams
     draws = know.est_sr.shape[0]
-    weights = cfg.weight_eig
-    inits = [_initial_source(n, cfg.p_s)]
+    inits = [np.full(n, np.sqrt(cfg.p_s / n))]
     if opts.restarts > 0:
         rng = np.random.default_rng(opts.restart_seed)
         for _ in range(opts.restarts):
             frac = rng.random(n) + 1e-3
-            inits.append(_initial_source(n, cfg.p_s, np.sqrt(cfg.p_s * frac / frac.sum())))
+            start = np.sqrt(cfg.p_s * frac / frac.sum())
+            inits.append(start * np.sqrt(cfg.p_s / float(np.sum(start**2))))
     # Rows are init-major: row j * draws + d is init j on draw d.
     n_inits = len(inits)
-    rows, infeasible = _alternate(
+    rows, infeasible = alternate(
         np.tile(spectral.gains_sr, (n_inits, 1)),
         np.tile(spectral.gains_rd, (n_inits, 1)),
-        weights.values,
+        cfg.weight_eig.values,
         cfg.p_s,
         cfg.p_r,
         np.repeat(np.stack(inits), draws, axis=0),
     )
-    last = rows.objective_trace[np.arange(rows.n_iters.shape[0]), np.maximum(2 * rows.n_iters - 1, 0)]
-    final = np.where(rows.converged, last, np.inf).reshape(n_inits, draws)
-    pick = np.argmin(final, axis=0) * draws + np.arange(draws)
-    alloc = AllocationState(
-        p_alloc=rows.p_alloc[pick],
-        f_alloc=rows.f_alloc[pick],
-        mu_p=rows.mu_p[pick],
-        mu_f=rows.mu_f[pick],
-        eta_p=rows.eta_p[pick],
-        objective_trace=rows.objective_trace[pick],
-        n_iters=rows.n_iters[pick],
-        converged=rows.converged[pick],
-    )
+    ok = rows.converged
+    final = np.full(ok.shape, np.inf)
+    final[ok] = rows.objective_trace[ok, 2 * rows.n_iters[ok] - 1]
+    pick = np.argmin(final.reshape(n_inits, draws), axis=0) * draws + np.arange(draws)
+    alloc = AllocationState(**{name: value[pick] for name, value in vars(rows).items()})
+    # An infeasible draw never converges; a draw on which every init failed
+    # reports the last one, as the loop over inits did.
+    failed = ~alloc.converged
     failures = [None] * draws
-    for d in range(draws):
+    for d in np.flatnonzero(failed).tolist():
         if infeasible[d]:
             failures[d] = InfeasibleAllocationError("all channel gains are zero")
-        elif not alloc.converged[d]:
-            # every init failed: report the last one, as the loop over inits did
-            failures[d] = _not_converged(
-                MAX_ITERS, rows.objective_trace[(n_inits - 1) * draws + d]
-            )
-    failed = np.array([f is not None for f in failures])
+            continue
+        trace = rows.objective_trace[(n_inits - 1) * draws + d]
+        failures[d] = ConvergenceError(
+            f"alternating water-filling did not converge in {MAX_ITERS} iterations",
+            trace[~np.isnan(trace)],
+        )
     if failed.any():
         # Placeholder allocations keep the stacked numerics well defined.
         alloc = replace(
@@ -805,7 +746,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             f_alloc=np.where(failed[:, None], np.sqrt(cfg.p_r / n), alloc.f_alloc),
         )
     alloc = replace(alloc, eta_p=solve_eta_p(alloc.p_alloc, spectral, cfg.p_s))
-    return _assemble(cfg, know, spectral, alloc, weights.vectors, failures)
+    return assemble(cfg, know, spectral, alloc, failures)
 
 
 def design_batch(
@@ -816,10 +757,9 @@ def design_batch(
     ``know`` holds (B, rows, cols) estimates (a single draw counts as
     B = 1), whose draws may have different error statistics
     (:meth:`ChannelKnowledge.concat`); each draw is designed under its
-    own.  Joint mode: weight
-    eigensystem -> whitened-hop SVDs -> alternating water-filling
-    (uniform init plus optional random restarts) -> eta_p -> assembled
-    (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
+    own.  Joint mode: weight eigensystem -> whitened-hop SVDs ->
+    alternating water-filling (uniform init plus optional random restarts)
+    -> eta_p -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
     robustly.  Draw i of the result equals the design of draw i alone;
     a draw that fails is listed in ``failures`` and leaves the others
     untouched.  A linear-algebra kernel rejecting an intermediate of any

@@ -12,11 +12,10 @@ import scipy.linalg
 from afrelay.channel import ChannelKnowledge, ErrorStats, estimation_stats, exact_knowledge
 from afrelay.design import (
     DesignOptions,
+    alternate,
     design,
-    iterate_allocations,
+    waterfill,
     waterfill_kkt_residual,
-    waterfill_relay,
-    waterfill_source,
     weight_eigensystem,
 )
 from afrelay.linalg import herm_sqrt, svd_ordered
@@ -152,7 +151,11 @@ def test_criterion_04_water_filling_correctness():
         gsr = np.sort(rng.uniform(0.1, 40.0, n))[::-1]
         grd = np.sort(rng.uniform(0.1, 40.0, n))[::-1]
         w = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
-        st = iterate_allocations(gsr, grd, w, 1.0, 1.0)
+        stack, _ = alternate(gsr[None], grd[None], w, 1.0, 1.0)
+        if not stack.converged[0]:
+            violations.append(f"problem {i}: alternation did not converge")
+            continue
+        st = stack.draw(0)
         tr = st.objective_trace
         if np.any(np.diff(tr) > 1e-12 * np.abs(tr[:-1]) + 1e-300):
             violations.append(f"problem {i}: objective trace increased")
@@ -173,9 +176,10 @@ def test_criterion_04_water_filling_correctness():
         else:
             lo = t
     oracle = np.sqrt(weights) * t - 1.0
-    f, _ = waterfill_relay(
-        np.array([1e12, 1e12]), np.ones(2), np.ones(2), weights, 2.0
-    )
+    # a saturated source factor leaves the relay coefficients at w a / (1 + a) = w
+    a = (np.array([1e12, 1e12]) * np.ones(2)) ** 2
+    x, _ = waterfill((weights * a / (1 + a))[None], np.ones((1, 2)), 2.0)
+    f = np.sqrt(x[0])
     if not np.allclose(f**2, [1.3431, 0.6569], atol=1e-4):
         violations.append(f"frozen example: f^2 = {f**2}")
     if not np.allclose(f**2, oracle, rtol=1e-6):
@@ -313,9 +317,9 @@ def test_criterion_08_special_case_reductions():
     )
     sol2 = design(cfg2, know2)
     w = weight_eigensystem(cfg2.weight).values
-    p_direct, _ = waterfill_source(
-        np.full(4, 1e9), sol2.spectral.gains_sr, sol2.spectral.gains_rd, w, cfg2.p_s
-    )
+    a = (np.full(4, 1e9) * sol2.spectral.gains_rd) ** 2
+    x, _ = waterfill((w * a / (1 + a))[None], sol2.spectral.gains_sr[None], cfg2.p_s)
+    p_direct = np.sqrt(x[0])
     if not np.allclose(sol2.alloc.p_alloc, p_direct, rtol=1e-5, atol=1e-8):
         violations.append(
             f"source-only limit mismatch: {sol2.alloc.p_alloc} vs {p_direct}"

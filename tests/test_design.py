@@ -10,14 +10,14 @@ from afrelay.design import (
     ConvergenceError,
     DesignOptions,
     InfeasibleAllocationError,
+    alternate,
     assemble,
     design,
-    iterate_allocations,
+    design_batch,
     solve_eta_p,
     spectral_decompose,
+    waterfill,
     waterfill_kkt_residual,
-    waterfill_relay,
-    waterfill_source,
     weight_eigensystem,
 )
 from afrelay.linalg import NotPSDError, svd_ordered
@@ -37,6 +37,22 @@ def saturated_multiplier_oracle(weights, budget, iters=200):
         else:
             lo = t
     return 0.5 * (lo + hi)
+
+
+def fill_one(amp, gains_fixed, gains, weights, budget):
+    """One half step on a stack of one: the amplitudes and multiplier of
+    water-filling ``gains`` while the other hop holds ``amp`` over
+    ``gains_fixed`` (coefficients w a / (1 + a), a = (amp gains_fixed)^2)."""
+    a = (np.asarray(amp, float) * np.asarray(gains_fixed, float)) ** 2
+    x, mu = waterfill((weights * a / (1 + a))[None], np.asarray(gains, float)[None], budget)
+    return np.sqrt(x[0]), mu[0]
+
+
+def alternate_one(gains_sr, gains_rd, weights, p_s, p_r, **kwargs):
+    """:func:`alternate` on a stack of one, as that row's own state."""
+    state, infeasible = alternate(gains_sr[None], gains_rd[None], weights, p_s, p_r, **kwargs)
+    assert not infeasible[0]
+    return state.draw(0)
 
 
 class TestWeightEigensystem:
@@ -134,14 +150,14 @@ class TestSpectralDecompose:
 
 class TestWaterfill:
     def test_single_stream_takes_full_budget(self):
-        f, _ = waterfill_relay(
+        f, _ = fill_one(
             np.array([1.0]), np.array([2.0]), np.array([1.5]), np.array([1.0]), 3.0
         )
         assert np.isclose(f[0] ** 2, 3.0)
 
     def test_symmetric_split_is_uniform(self):
         n = 4
-        f, _ = waterfill_relay(
+        f, _ = fill_one(
             np.full(n, 1.0), np.full(n, 2.0), np.full(n, 2.0), np.full(n, 0.5), 2.0
         )
         assert np.allclose(f**2, 0.5)
@@ -153,7 +169,7 @@ class TestWaterfill:
         t = saturated_multiplier_oracle(weights, 2.0)
         expected = np.sqrt(weights) * t - 1.0
         assert np.allclose(expected, [1.3431, 0.6569], atol=1e-4)
-        f, mu = waterfill_relay(
+        f, mu = fill_one(
             np.array([1e12, 1e12]),
             np.array([1.0, 1.0]),
             np.array([1.0, 1.0]),
@@ -172,14 +188,14 @@ class TestWaterfill:
             grd = np.sort(rng.uniform(0.1, 20.0, n))[::-1]
             w = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
             budget = float(rng.uniform(0.5, 4.0))
-            f, mu = waterfill_relay(p, gsr, grd, w, budget)
+            f, mu = fill_one(p, gsr, grd, w, budget)
             assert abs(np.sum(f**2) - budget) <= 1e-9 * budget
             a = (p * gsr) ** 2
             res = waterfill_kkt_residual(f**2, mu, w * a / (1 + a), grd)
             assert res <= 1e-8
 
     def test_weak_stream_gets_clamped(self):
-        f, _ = waterfill_relay(
+        f, _ = fill_one(
             np.array([1.0, 1.0]),
             np.array([5.0, 5.0]),
             np.array([10.0, 0.01]),
@@ -191,7 +207,7 @@ class TestWaterfill:
 
     def test_all_zero_gains_is_infeasible(self):
         with pytest.raises(InfeasibleAllocationError):
-            waterfill_relay(
+            fill_one(
                 np.array([1.0, 1.0]),
                 np.array([1.0, 1.0]),
                 np.array([0.0, 0.0]),
@@ -202,7 +218,8 @@ class TestWaterfill:
     def test_source_side_mirrors_relay_side(self):
         weights = np.array([2.0, 1.0])
         t = saturated_multiplier_oracle(weights, 2.0)
-        p, _ = waterfill_source(
+        # the source fill sees the relay's amplitudes over the second hop
+        p, _ = fill_one(
             np.array([1e12, 1e12]),
             np.array([1.0, 1.0]),
             np.array([1.0, 1.0]),
@@ -211,10 +228,62 @@ class TestWaterfill:
         )
         assert np.allclose(p**2, np.sqrt(weights) * t - 1.0, rtol=1e-4)
 
+    def test_stack_rows_equal_each_row_alone(self):
+        # tied, zero, all-zero-coefficient (flat) and clamped rows in one stack
+        coeffs = np.array([
+            [0.5, 0.5, 0.5, 0.5],
+            [2.0, 1.0, 0.5, 0.0],
+            [0.0, 0.0, 0.0, 0.0],
+            [1.0, 1.0, 1.0, 1.0],
+            [0.3, 0.9, 0.2, 0.7],
+        ])
+        gains = np.array([
+            [2.0, 2.0, 2.0, 2.0],
+            [3.0, 0.0, 1.0, 1.0],
+            [1.0, 1.0, 0.0, 0.0],
+            [10.0, 0.01, 0.0, 10.0],
+            [4.0, 3.0, 3.0, 1e-15],
+        ])
+        x, mu = waterfill(coeffs, gains, 1.5)
+        assert x.shape == (5, 4) and mu.shape == (5,)
+        assert np.isinf(mu[2]) and np.array_equal(x[2], [0.75, 0.75, 0.0, 0.0])
+        for i in range(5):
+            x_i, mu_i = waterfill(coeffs[i : i + 1], gains[i : i + 1], 1.5)
+            assert np.array_equal(x_i[0], x[i]) and np.array_equal(mu_i[0], mu[i])
+
+    @pytest.mark.parametrize("budget", [np.nan, np.inf, 0.0, -1.0])
+    def test_budget_must_be_finite_and_positive(self, budget):
+        with pytest.raises(ValueError, match="budget"):
+            waterfill(np.ones((1, 2)), np.ones((1, 2)), budget)
+
+    @pytest.mark.parametrize("name", ["coeffs", "gains"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_entries_must_be_finite_and_nonnegative(self, name, bad):
+        args = {"coeffs": np.ones((2, 3)), "gains": np.ones((2, 3))}
+        args[name][1, 2] = bad
+        with pytest.raises(ValueError, match=name):
+            waterfill(budget=1.0, **args)
+
+    @pytest.mark.parametrize("gain,budget", [(1.0, 1.0), (5.0, 5.0)])
+    def test_subnormal_coefficient_has_an_exact_kkt_residual(self, gain, budget):
+        # The whole budget goes to the one positive coefficient, to
+        # rounding; its multiplier c g^2 / (1 + x g^2)^2 is subnormal, so
+        # its rounding alone made a relative residual of up to 4e-11.
+        coeffs = np.array([[0.0, 2.2250738585e-313, 0.0]])
+        gains = np.array([[1.0, gain, 1.0]])
+        x, mu = waterfill(coeffs, gains, budget)
+        assert np.allclose(x[0], [0.0, budget, 0.0], rtol=4 * np.finfo(float).eps, atol=0.0)
+        assert 0.0 < mu[0] < np.finfo(float).tiny
+        assert waterfill_kkt_residual(x, mu, coeffs, gains)[0] <= 1e-12
+
+    def test_rows_must_be_two_dimensional(self):
+        with pytest.raises(ValueError, match="rows"):
+            waterfill(np.ones(3), np.ones(3), 1.0)
+
 
 class TestIterateAllocations:
     def test_single_stream_hits_both_budgets(self):
-        st = iterate_allocations(
+        st = alternate_one(
             np.array([3.0]), np.array([2.0]), np.array([1.0]), 1.5, 2.5
         )
         assert np.isclose(st.p_alloc[0] ** 2, 1.5)
@@ -223,7 +292,7 @@ class TestIterateAllocations:
 
     def test_symmetric_problem_stays_uniform(self):
         n = 4
-        st = iterate_allocations(
+        st = alternate_one(
             np.full(n, 3.0), np.full(n, 3.0), np.full(n, 0.25), 1.0, 1.0
         )
         assert np.allclose(st.p_alloc**2, 0.25)
@@ -236,7 +305,7 @@ class TestIterateAllocations:
             gsr = np.sort(rng.uniform(0.2, 30.0, n))[::-1]
             grd = np.sort(rng.uniform(0.2, 30.0, n))[::-1]
             w = np.sort(rng.uniform(0.05, 1.0, n))[::-1]
-            st = iterate_allocations(gsr, grd, w, 1.0, 1.0)
+            st = alternate_one(gsr, grd, w, 1.0, 1.0)
             tr = st.objective_trace
             assert not np.any(np.diff(tr) > 1e-12 * np.abs(tr[:-1]) + 1e-300)
             assert tr[-1] <= tr[0]
@@ -245,18 +314,85 @@ class TestIterateAllocations:
             assert waterfill_kkt_residual(st.f_alloc**2, st.mu_f, w * a / (1 + a), grd) <= 1e-8
             assert waterfill_kkt_residual(st.p_alloc**2, st.mu_p, w * b / (1 + b), gsr) <= 1e-8
 
-    def test_non_convergence_raises_with_trace(self):
-        with pytest.raises(ConvergenceError) as err:
-            iterate_allocations(
-                np.array([5.0, 1.0]),
-                np.array([4.0, 2.0]),
-                np.array([1.0, 0.5]),
-                1.0,
-                1.0,
-                tol=0.0,
-                max_iters=1,
-            )
-        assert err.value.objective_trace.shape == (2,)
+    def test_non_convergence_raises_with_trace(self, monkeypatch):
+        # One iteration and a zero tolerance: the draw reports a
+        # ConvergenceError carrying the iteration's two objective values.
+        import functools
+
+        design_mod = importlib.import_module("afrelay.design")
+        short = functools.partial(design_mod.alternate, tol=0.0, max_iters=1)
+        monkeypatch.setattr(design_mod, "alternate", short)
+        cfg, know, _ = make_instance(41)
+        batch = design_batch(cfg, know)
+        (failure,) = batch.failures
+        assert isinstance(failure, ConvergenceError)
+        assert failure.objective_trace.shape == (2,)
+        with pytest.raises(ConvergenceError):
+            batch.draw(0)
+
+    def test_stack_rows_equal_each_row_alone(self):
+        # tied, zero and all-zero gains, tied and zero weights, and a row
+        # that one iteration cannot settle, from uniform and given inits
+        gsr = np.array([
+            [3.0, 3.0, 1.0],
+            [5.0, 0.0, 0.0],
+            [0.0, 0.0, 0.0],
+            [4.0, 2.0, 1.0],
+            [30.0, 0.2, 0.2],
+        ])
+        grd = np.array([
+            [2.0, 1.0, 1.0],
+            [4.0, 2.0, 0.0],
+            [1.0, 1.0, 1.0],
+            [0.0, 0.0, 0.0],
+            [0.5, 0.5, 0.1],
+        ])
+        w = np.array([0.5, 0.5, 0.0])
+        for p_init in (None, np.array([0.2, 0.5, 0.6])):
+            state, infeasible = alternate(gsr, grd, w, 1.5, 2.0, p_init)
+            assert infeasible.tolist() == [False, False, True, True, False]
+            assert state.converged.tolist() == [True, True, False, False, True]
+            for i in range(len(gsr)):
+                alone, flag = alternate(gsr[i : i + 1], grd[i : i + 1], w, 1.5, 2.0, p_init)
+                assert flag[0] == infeasible[i]
+                got, want = state.draw(i), alone.draw(0)
+                for field in ("p_alloc", "f_alloc", "mu_p", "mu_f", "n_iters", "converged"):
+                    assert np.array_equal(
+                        getattr(got, field), getattr(want, field), equal_nan=True
+                    ), field
+                if state.converged[i]:
+                    assert np.array_equal(got.objective_trace, want.objective_trace)
+        short, _ = alternate(gsr[:1], grd[:1], w, 1.5, 2.0, tol=0.0, max_iters=1)
+        assert not short.converged[0] and short.objective_trace.shape == (1, 2)
+
+    def test_all_infeasible_stack_is_reported_not_raised(self):
+        state, infeasible = alternate(np.zeros((2, 2)), np.ones((2, 2)), np.ones(2), 1.0, 1.0)
+        assert infeasible.tolist() == [True, True]
+        assert not state.converged.any() and state.objective_trace.shape == (2, 0)
+        cfg, know, _ = make_instance(42)
+        zero = ChannelKnowledge(np.zeros_like(know.est_sr), know.est_rd, know.stats_sr,
+                                know.stats_rd)
+        with pytest.raises(InfeasibleAllocationError):
+            design(cfg, zero)
+
+    @pytest.mark.parametrize("name", ["p_s", "p_r"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
+    def test_budgets_must_be_finite_and_positive(self, name, bad):
+        budgets = {"p_s": 1.0, "p_r": 1.0, name: bad}
+        with pytest.raises(ValueError, match=name):
+            alternate(np.ones((1, 2)), np.ones((1, 2)), np.ones(2), **budgets)
+
+    @pytest.mark.parametrize("name", ["gains_sr", "gains_rd", "weights", "p_init"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
+    def test_entries_must_be_finite_and_nonnegative(self, name, bad):
+        args = {n: np.ones((2, 3)) for n in ("gains_sr", "gains_rd", "weights", "p_init")}
+        args[name][1, 2] = bad
+        with pytest.raises(ValueError, match=name):
+            alternate(p_s=1.0, p_r=1.0, **args)
+
+    def test_gains_must_be_nonincreasing(self):
+        with pytest.raises(ValueError, match="gains_rd must be nonincreasing"):
+            alternate(np.ones((1, 2)), np.array([[1.0, 2.0]]), np.ones(2), 1.0, 1.0)
 
 
 class TestSolveEtaP:
@@ -462,9 +598,7 @@ class TestDesign:
         sp = sol.spectral
         w = weight_eigensystem(cfg.weight).values
         # relay factor saturates, so the source allocation alone decides p
-        p_direct, _ = waterfill_source(
-            np.full(4, 1e9), sp.gains_sr, sp.gains_rd, w, cfg.p_s
-        )
+        p_direct, _ = fill_one(np.full(4, 1e9), sp.gains_rd, sp.gains_sr, w, cfg.p_s)
         assert np.allclose(sol.alloc.p_alloc, p_direct, rtol=1e-5, atol=1e-8)
 
     def test_continuity_to_naive_design(self):
@@ -642,6 +776,11 @@ class TestDesign:
     def test_restarts_must_be_a_nonnegative_int(self, restarts):
         with pytest.raises(ValueError, match="restarts"):
             DesignOptions(restarts=restarts)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
+    def test_restart_seed_must_be_a_nonnegative_int(self, seed):
+        with pytest.raises(ValueError, match="restart_seed"):
+            DesignOptions(restarts=1, restart_seed=seed)
 
     def test_identity_sides_are_tested_once_per_design(self, monkeypatch):
         # Each knowledge object is tested at most once per side in its

@@ -20,18 +20,17 @@ from afrelay.design import (
     TINY_GAIN_RTOL,
     DesignError,
     DesignOptions,
-    _waterfill_checked,
+    alternate,
     design,
     design_batch,
-    iterate_allocations,
     spectral_decompose,
+    waterfill,
     waterfill_kkt_residual,
-    waterfill_relay,
     weight_eigensystem,
 )
 import afrelay.sim as sim_mod
 from afrelay.sim import ExperimentSpec, emit_csv, run_experiment, system_config
-from test_design import saturated_multiplier_oracle
+from test_design import fill_one, saturated_multiplier_oracle
 
 EPS = np.finfo(float).eps
 
@@ -186,11 +185,10 @@ def test_uniform_init_keeps_the_products_ordered(scenario):
     cfg, know = scenario
     spectral = spectral_decompose(cfg, know)
     weights = weight_eigensystem(cfg.weight).values
-    for gsr, grd in zip(spectral.gains_sr, spectral.gains_rd):
-        try:
-            alloc = iterate_allocations(gsr, grd, weights, cfg.p_s, cfg.p_r)
-        except DesignError:
-            continue
+    gains_sr, gains_rd = spectral.gains_sr, spectral.gains_rd
+    state, _ = alternate(gains_sr, gains_rd, weights, cfg.p_s, cfg.p_r)
+    for i in np.flatnonzero(state.converged):
+        alloc, gsr, grd = state.draw(i), gains_sr[i], gains_rd[i]
         assert _nonincreasing((alloc.p_alloc * gsr) ** 2)
         assert _nonincreasing((alloc.f_alloc * grd) ** 2)
 
@@ -221,7 +219,8 @@ gains = st.one_of(st.floats(1e-6, 1e3), st.sampled_from((0.0, 1e-15, 1.0, 2.0)))
 def test_exact_waterfill_lands_on_budget(problem, budget):
     coeffs, gain = (np.asarray(v, dtype=float) for v in problem)
     assume(gain.max() > 0.0)
-    x, mu = _waterfill_checked(coeffs, gain, budget)
+    x, mu = waterfill(coeffs[None], gain[None], budget)
+    x, mu = x[0], mu[0]
     # streams below TINY_GAIN_RTOL of the strongest get no power by design
     candidate = (gain > TINY_GAIN_RTOL * gain.max()) & (coeffs > 0.0)
     # x_i = s_i / sqrt(mu) - 1/g_i^2: rounding scales with the budget plus
@@ -240,7 +239,7 @@ def test_exact_waterfill_lands_on_budget(problem, budget):
 def test_exact_waterfill_matches_the_all_active_oracle(weights, budget):
     w = np.sort(np.asarray(weights))[::-1]
     n = len(w)
-    f, mu = waterfill_relay(np.full(n, 1e12), np.ones(n), np.ones(n), w, budget)
+    f, mu = fill_one(np.full(n, 1e12), np.ones(n), np.ones(n), w, budget)
     assume(np.all(f > 0.0))
     t = saturated_multiplier_oracle(w, budget)
     assert np.allclose(f**2, np.sqrt(w) * t - 1.0, rtol=1e-9, atol=1e-12 * budget)
