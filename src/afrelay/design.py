@@ -189,18 +189,22 @@ class SpectralData:
 class AllocationState:
     """Converged per-stream amplitudes and solver diagnostics.
 
-    For a stack every field carries the leading draw axis, and
-    ``objective_trace`` is padded with NaN past each draw's own trace.
+    For a stack of R rows every field carries the leading axis: the
+    amplitudes are (R, n); ``mu_p``, ``mu_f``, ``eta_p``, ``n_iters`` and
+    ``converged`` are (R,); ``objective_trace`` is (R, T), padded with
+    NaN past each row's own trace, and all NaN for a row that never
+    iterates (all-zero gains).  :meth:`draw` gives one row's state with
+    scalar diagnostics and its unpadded trace.
     """
 
     p_alloc: np.ndarray
     f_alloc: np.ndarray
-    mu_p: float
-    mu_f: float
-    eta_p: float
+    mu_p: np.ndarray | float
+    mu_f: np.ndarray | float
+    eta_p: np.ndarray | float
     objective_trace: np.ndarray
-    n_iters: int
-    converged: bool
+    n_iters: np.ndarray | int
+    converged: np.ndarray | bool
 
     def draw(self, i: int) -> "AllocationState":
         trace = self.objective_trace[i]
@@ -407,13 +411,6 @@ def waterfill(coeffs, gains, budget):
     return _waterfill(c, terms, budget)
 
 
-def _half_coeffs(amp, gains, weights):
-    """w_i a_i / (1 + a_i) with a_i = (amp_i gains_i)^2: the coefficients
-    one half step sees from the other hop's fixed allocation."""
-    a = (np.asarray(amp, dtype=float) * np.asarray(gains, dtype=float)) ** 2
-    return np.asarray(weights, dtype=float) * a / (1.0 + a)
-
-
 def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float | np.ndarray:
     """Max relative KKT violation of a water-filling solution.
 
@@ -424,16 +421,23 @@ def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float | np.ndarray:
     (mu = inf) vacuously satisfy the conditions.  One value per row for
     (..., n) arrays.
     """
-    x = np.asarray(levels_sq, dtype=float)
     g2 = np.asarray(gains, dtype=float) ** 2
-    cg = np.asarray(coeffs, dtype=float) * g2
-    m = np.asarray(mu, dtype=float)[..., None]
+    return _scalar(_kkt_residual(
+        np.asarray(levels_sq, dtype=float), np.asarray(mu, dtype=float),
+        np.asarray(coeffs, dtype=float) * g2, g2,
+    ))
+
+
+def _kkt_residual(x, mu, cg, g2):
+    """:func:`waterfill_kkt_residual` of levels x, multipliers mu, levels
+    c g^2 and squared gains g^2."""
+    m = mu[..., None]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         lift = (1.0 + x * g2) ** 2
         gap = np.where(x > 0.0, np.abs(lift * m - cg), cg - m)
         res = gap / np.maximum(cg, lift * np.finfo(float).tiny)
     res = np.where((cg > 0.0) & (res > 0.0), res, 0.0).max(axis=-1, initial=0.0)
-    return _scalar(np.where(np.isfinite(m[..., 0]), res, 0.0))
+    return np.where(np.isfinite(mu), res, 0.0)
 
 
 def scalar_objective(p_alloc, f_alloc, gains_sr, gains_rd, weights):
@@ -471,7 +475,9 @@ def alternate(
     iteration of its problem alone and stops on its own: once its
     full-iteration relative change is below ``tol``, as soon as its
     relay-side KKT residual against the final source allocation is at
-    most CROSS_KKT_TOL (the last relay update lags one half step).
+    most CROSS_KKT_TOL (the last relay update lags one half step).  An
+    iteration updates the pending rows only; rows that stop leave the
+    working arrays.
 
     Gains, weights and ``p_init`` broadcast to (R, n).  One check raises a
     ValueError naming the argument unless the budgets are finite and
@@ -479,7 +485,8 @@ def alternate(
     weights nonincreasing along each row.  Returns an
     :class:`AllocationState` of (R, ...) arrays (``converged`` False for
     rows not stopped within ``max_iters``, ``eta_p`` NaN) and the per-row
-    infeasible (all-zero-gain) flag; no row's outcome raises.
+    infeasible (all-zero-gain) flag; an infeasible row never iterates and
+    its trace is all NaN.  No row's outcome raises.
     """
     gsr, grd, w, p = _checked_rows(
         {"p_s": p_s, "p_r": p_r}, 3, gains_sr=gains_sr, gains_rd=gains_rd, weights=weights,
@@ -490,38 +497,68 @@ def alternate(
     rows = p.shape[0]
     terms_sr, terms_rd = _gain_terms(gsr), _gain_terms(grd)
     infeasible = terms_sr[3] | terms_rd[3]
-    pending = ~infeasible
     out_p, out_f = p.copy(), np.zeros_like(p)
     out_mu_p, out_mu_f = np.full(rows, np.nan), np.full(rows, np.nan)
     n_iters = np.zeros(rows, dtype=int)
     done = np.zeros(rows, dtype=bool)
-    settled = np.zeros(rows, dtype=bool)
-    prev = np.full(rows, np.nan)
-    trace = []
-    coeff_f = _half_coeffs(p, gsr, w)
-    for it in range(1, max_iters + 1 if pending.any() else 1):
+    # The working set holds the pending rows only; ``idx`` maps them to
+    # their rows.  Each objective-trace segment is (rows, first column,
+    # columns) of the working set between two compactions.
+    idx = np.flatnonzero(~infeasible)
+    if idx.size < rows:
+        gsr, grd, w, p = gsr[idx], grd[idx], w[idx], p[idx]
+        terms_sr, terms_rd = (tuple(t[idx] for t in terms) for terms in (terms_sr, terms_rd))
+    g2_rd = grd**2
+    settled = np.zeros(idx.size, dtype=bool)
+    prev = np.full(idx.size, np.nan)
+    segments, columns, width = [], [], 0
+    # a = (p g_sr)^2 and b = (f g_rd)^2 with 1 + a and 1 + b are formed
+    # once per half step and shared by the next half step's coefficients
+    # w a / (1 + a) and the objective sum w (1 + a + b) / ((1 + a)(1 + b)).
+    a = (p * gsr) ** 2
+    one_a = 1.0 + a
+    coeff_f = w * a / one_a
+    for it in range(1, max_iters + 1 if idx.size else 1):
         x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
         f = np.sqrt(x_f)
-        trace.append(scalar_objective(p, f, gsr, grd, w))
-        x_p, mu_p = _waterfill(_half_coeffs(f, grd, w), terms_sr, p_s)
+        b = (f * grd) ** 2
+        one_b = 1.0 + b
+        columns.append((w * (one_a + b) / (one_a * one_b)).sum(axis=-1))
+        x_p, mu_p = _waterfill(w * b / one_b, terms_sr, p_s)
         p = np.sqrt(x_p)
-        cur = scalar_objective(p, f, gsr, grd, w)
-        trace.append(cur)
-        coeff_f = _half_coeffs(p, gsr, w)
+        a = (p * gsr) ** 2
+        one_a = 1.0 + a
+        cur = (w * (one_a + b) / (one_a * one_b)).sum(axis=-1)
+        columns.append(cur)
+        coeff_f = w * a / one_a
         settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
-        check = settled & pending
-        if check.any():
-            fin = check & (waterfill_kkt_residual(f**2, mu_f, coeff_f, grd) <= CROSS_KKT_TOL)
-            out_p[fin], out_f[fin] = p[fin], f[fin]
-            out_mu_p[fin], out_mu_f[fin] = mu_p[fin], mu_f[fin]
-            n_iters[fin] = it
-            done |= fin
-            pending &= ~fin
-            if not pending.any():
-                break
         prev = cur
-    trace = np.stack(trace, axis=-1) if trace else np.empty((rows, 0))
-    trace[done[:, None] & (np.arange(trace.shape[-1]) >= 2 * n_iters[:, None])] = np.nan
+        if not settled.any():
+            continue
+        fin = settled & (_kkt_residual(f**2, mu_f, coeff_f * g2_rd, g2_rd) <= CROSS_KKT_TOL)
+        if not fin.any():
+            continue
+        rows_fin = idx[fin]
+        out_p[rows_fin], out_f[rows_fin] = p[fin], f[fin]
+        out_mu_p[rows_fin], out_mu_f[rows_fin] = mu_p[fin], mu_f[fin]
+        n_iters[rows_fin] = it
+        done[rows_fin] = True
+        segments.append((idx, width, np.stack(columns, axis=-1)))
+        width += len(columns)
+        columns = []
+        if fin.all():
+            break
+        keep = ~fin
+        gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx = (
+            v[keep] for v in (gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx)
+        )
+        terms_sr, terms_rd = (tuple(t[keep] for t in terms) for terms in (terms_sr, terms_rd))
+    if columns:
+        segments.append((idx, width, np.stack(columns, axis=-1)))
+        width += len(columns)
+    trace = np.full((rows, width), np.nan)
+    for seg_rows, first, values in segments:
+        trace[seg_rows, first : first + values.shape[-1]] = values
     state = AllocationState(
         p_alloc=out_p,
         f_alloc=out_f,
@@ -749,6 +786,32 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
     return assemble(cfg, know, spectral, alloc, failures)
 
 
+class _StackDesigns:
+    """:func:`design_batch` of one stack of knowledge under any options; the
+    stack's :func:`spectral_decompose` runs at most once for all of them.
+
+    A sweep designs robust_full and robust_nopre on the same sampled
+    knowledge.  The decomposition is made here from ``know``, so it
+    always belongs to the knowledge it designs.
+    """
+
+    def __init__(self, cfg: SystemConfig, know: ChannelKnowledge):
+        self.cfg = cfg
+        self.know = know.as_stack()
+        self._spectral = None
+
+    def __call__(self, opts: DesignOptions | None = None) -> DesignBatch:
+        opts = opts or DesignOptions()
+        try:
+            if self._spectral is None:
+                self._spectral = spectral_decompose(self.cfg, self.know)
+            if opts.mode == "relay_only":
+                return _design_relay_only(self.cfg, self.know, self._spectral)
+            return _design_joint(self.cfg, self.know, self._spectral, opts)
+        except (LinalgError, np.linalg.LinAlgError) as err:
+            raise NumericalError(str(err)) from err
+
+
 def design_batch(
     cfg: SystemConfig, know: ChannelKnowledge, opts: DesignOptions | None = None
 ) -> DesignBatch:
@@ -765,15 +828,7 @@ def design_batch(
     untouched.  A linear-algebra kernel rejecting an intermediate of any
     draw raises :class:`NumericalError` for the whole stack.
     """
-    opts = opts or DesignOptions()
-    stack = know.as_stack()
-    try:
-        spectral = spectral_decompose(cfg, stack)
-        if opts.mode == "relay_only":
-            return _design_relay_only(cfg, stack, spectral)
-        return _design_joint(cfg, stack, spectral, opts)
-    except (LinalgError, np.linalg.LinAlgError) as err:
-        raise NumericalError(str(err)) from err
+    return _StackDesigns(cfg, know)(opts)
 
 
 def design(

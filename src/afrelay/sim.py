@@ -16,7 +16,9 @@ every draw from its own RNG streams, keyed by (seed, sweep point, draw
 index, stream) exactly as a draw-by-draw loop would key them (stream 0:
 channels, stream 1: QPSK bits and noise), joins the draws' knowledge
 (each draw keeps its point's error statistics) and designs each
-algorithm once on the whole stack (:func:`afrelay.design.design_batch`).
+algorithm once on the whole stack (:func:`afrelay.design.design_batch`);
+the two robust designs share one spectral decomposition of the sampled
+knowledge.
 It then transmits chunk by chunk.  Each draw's QPSK symbols and both
 noise blocks sit in one (n + m_r + m_d, N) block z, whose Gram z z^H is
 formed once per chunk and shared by every algorithm.  An algorithm's
@@ -44,7 +46,7 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import ChannelKnowledge, _complex_parts, exact_knowledge, sample_scenario_stack
-from .design import DesignError, DesignOptions, design, design_batch
+from .design import DesignError, DesignOptions, _StackDesigns, design
 from .linalg import _as_psd, _ct
 from .mse import SystemConfig, Transceiver, weighted_mse
 
@@ -281,20 +283,20 @@ def _draw_rng(seed: int, point: int, draw: int, stream: int) -> np.random.Genera
     )
 
 
-def _design_algorithm(algorithm: str, cfg: SystemConfig, know):
-    """The algorithm's designs (a DesignBatch) for a stack of draws under
-    ``know``, the knowledge it designs with: the sampled knowledge for
-    the robust designs, error-free knowledge of the estimates for the
+def _design_algorithm(algorithm: str, designs: _StackDesigns):
+    """The algorithm's designs (a DesignBatch) of a stack of draws.
+    ``designs`` designs the knowledge the algorithm designs with: the
+    sampled knowledge for the robust designs, which share its spectral
+    decomposition, and error-free knowledge of the estimates for the
     naive one."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    opts = DesignOptions(mode="relay_only") if algorithm == "robust_nopre" else None
-    return design_batch(cfg, know, opts)
+    return designs(DesignOptions(mode="relay_only") if algorithm == "robust_nopre" else None)
 
 
-def _designs(algorithm: str, cfg: SystemConfig, know, sampled):
-    """The algorithm's designs of a stack of draws under ``know``: the
-    stacked transceivers, each draw's analytic weighted MSE and each
+def _designs(algorithm: str, designs: _StackDesigns, sampled):
+    """The algorithm's designs of a stack of draws under ``designs.know``:
+    the stacked transceivers, each draw's analytic weighted MSE and each
     draw's DesignError or None.
 
     The robust designs' analytic weighted MSE is the direct evaluation
@@ -303,8 +305,9 @@ def _designs(algorithm: str, cfg: SystemConfig, know, sampled):
     statistics.  A draw whose design raised has a zero placeholder
     transceiver.
     """
+    cfg, know = designs.cfg, designs.know
     try:
-        batch = _design_algorithm(algorithm, cfg, know)
+        batch = _design_algorithm(algorithm, designs)
     except DesignError as err:
         draws = know.est_sr.shape[0]
         if draws == 1:
@@ -314,7 +317,11 @@ def _designs(algorithm: str, cfg: SystemConfig, know, sampled):
         # A kernel rejected one draw's numerics for the whole stack:
         # design the draws one by one to isolate it.
         alone = [
-            _designs(algorithm, cfg, know.select(slice(i, i + 1)), sampled.select(slice(i, i + 1)))
+            _designs(
+                algorithm,
+                _StackDesigns(cfg, know.select(slice(i, i + 1))),
+                sampled.select(slice(i, i + 1)),
+            )
             for i in range(draws)
         ]
         txs = [tx for tx, _, _ in alone]
@@ -333,12 +340,14 @@ def _rows(obj, rows):
 
 
 def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> list:
-    """The stacked (h_sr, h_rd, z, gram) of the draws.
+    """The stacked (h_sr, h_rd, z, gram, sent) of the draws.
 
     ``z`` is each draw's (n + m_r + m_d, N) block: its Gray-coded
     unit-energy QPSK symbols (independent sign bits on I and Q), the
     relay noise and the destination noise, drawn from stream 1 in that
-    order; ``gram`` is each draw's z z^H, which every algorithm shares.
+    order; ``gram`` is each draw's z z^H and ``sent`` the (n, 2N) signs
+    of its symbols' interleaved real and imaginary parts (True where
+    negative), both shared by every algorithm.
     """
     n, n_sym = cfg.n_streams, spec.n_symbols
     z = np.empty((len(draws), n + cfg.m_r + cfg.m_d, n_sym), dtype=np.complex128)
@@ -353,13 +362,14 @@ def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> 
     # Draw by draw, without a conjugate copy of the whole block: freed
     # with it, a chunk's blocks were returned to the system at the end of
     # each design stack and faulted back in by the next chunk.
-    return [truth.h_sr, truth.h_rd, z, np.stack([d @ _ct(d) for d in z])]
+    gram = np.stack([d @ _ct(d) for d in z])
+    return [truth.h_sr, truth.h_rd, z, gram, z[:, :n].view(np.float64) < 0]
 
 
 def _transmit(tx, link, weight):
     """Per-draw empirical weighted MSE and BER of each draw's QPSK block
     pushed through its true channels.  ``link`` holds the stacked
-    (h_sr, h_rd, z, gram) of the draws.
+    (h_sr, h_rd, z, gram, sent) of the draws.
 
     The received estimate is s_hat = K z with K = [G H_rd F H_sr P,
     G H_rd F, G], composed per draw on the small matrices, and the
@@ -368,7 +378,7 @@ def _transmit(tx, link, weight):
     is in error where the sign of a part of s_hat differs from the sign
     of the sent symbol, which carries the (Gray-coded) bit.
     """
-    h_sr, h_rd, z, gram = link
+    h_sr, h_rd, z, gram, sent = link
     g = tx.equalizer
     ghf = g @ h_rd @ tx.forward
     k = np.concatenate([ghf @ h_sr @ tx.precoder, ghf, g], axis=-1)
@@ -377,9 +387,7 @@ def _transmit(tx, link, weight):
     k_err = k.copy()
     k_err[..., np.arange(n), np.arange(n)] -= 1.0
     wmse = np.einsum("ij,bji->b", weight, k_err @ gram @ _ct(k_err)).real / n_sym
-    sent = z[:, :n]
-    flips = np.count_nonzero((s_hat.real < 0) != (sent.real < 0), axis=(1, 2))
-    flips += np.count_nonzero((s_hat.imag < 0) != (sent.imag < 0), axis=(1, 2))
+    flips = np.count_nonzero((s_hat.view(np.float64) < 0) != sent, axis=(1, 2))
     return wmse, flips / (2 * n * n_sym)
 
 
@@ -407,9 +415,10 @@ def _run_job(spec: ExperimentSpec, chunks) -> dict:
         for point, run in runs
     ]
     know = ChannelKnowledge.concat([k for k, _ in sampled])
+    robust = _StackDesigns(cfg, know)
     exact = exact_knowledge(know.est_sr, know.est_rd) if "naive" in spec.algorithms else None
     designs = {
-        alg: _designs(alg, cfg, exact if alg == "naive" else know, know)
+        alg: _designs(alg, _StackDesigns(cfg, exact) if alg == "naive" else robust, know)
         for alg in spec.algorithms
     }
     outcomes = {alg: [] for alg in spec.algorithms}

@@ -6,6 +6,9 @@ import scipy.linalg
 
 from afrelay.channel import ChannelKnowledge, ErrorStats, estimation_stats, exact_knowledge
 from afrelay.design import (
+    CONVERGENCE_TOL,
+    CROSS_KKT_TOL,
+    MAX_ITERS,
     AllocationState,
     ConvergenceError,
     DesignOptions,
@@ -14,11 +17,14 @@ from afrelay.design import (
     assemble,
     design,
     design_batch,
+    scalar_objective,
     solve_eta_p,
     spectral_decompose,
     waterfill,
     waterfill_kkt_residual,
     weight_eigensystem,
+    _gain_terms,
+    _waterfill,
 )
 from afrelay.linalg import NotPSDError, svd_ordered
 from afrelay.mse import optimal_equalizer, tilde_maps, weighted_mse
@@ -53,6 +59,48 @@ def alternate_one(gains_sr, gains_rd, weights, p_s, p_r, **kwargs):
     state, infeasible = alternate(gains_sr[None], gains_rd[None], weights, p_s, p_r, **kwargs)
     assert not infeasible[0]
     return state.draw(0)
+
+
+def reference_alternate(gsr, grd, w, p, p_s, p_r, tol, max_iters):
+    """Alternating water-filling that updates every row of (R, n) arrays
+    until the slowest row stops: the reference for :func:`alternate`.
+    Returns (p, f, mu_p, mu_f, n_iters, converged, objective trace)."""
+
+    def half_coeffs(amp, gains):
+        a = (amp * gains) ** 2
+        return w * a / (1.0 + a)
+
+    rows = p.shape[0]
+    pending = (gsr.max(axis=-1) > 0.0) & (grd.max(axis=-1) > 0.0)
+    out_p, out_f = p.copy(), np.zeros_like(p)
+    out_mu_p, out_mu_f = np.full(rows, np.nan), np.full(rows, np.nan)
+    n_iters, done = np.zeros(rows, dtype=int), np.zeros(rows, dtype=bool)
+    settled, prev, trace = np.zeros(rows, dtype=bool), np.full(rows, np.nan), []
+    coeff_f = half_coeffs(p, gsr)
+    for it in range(1, max_iters + 1 if pending.any() else 1):
+        x_f, mu_f = _waterfill(coeff_f, _gain_terms(grd), p_r)
+        f = np.sqrt(x_f)
+        trace.append(scalar_objective(p, f, gsr, grd, w))
+        x_p, mu_p = _waterfill(half_coeffs(f, grd), _gain_terms(gsr), p_s)
+        p = np.sqrt(x_p)
+        cur = scalar_objective(p, f, gsr, grd, w)
+        trace.append(cur)
+        coeff_f = half_coeffs(p, gsr)
+        settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
+        check = settled & pending
+        if check.any():
+            fin = check & (waterfill_kkt_residual(f**2, mu_f, coeff_f, grd) <= CROSS_KKT_TOL)
+            out_p[fin], out_f[fin] = p[fin], f[fin]
+            out_mu_p[fin], out_mu_f[fin] = mu_p[fin], mu_f[fin]
+            n_iters[fin] = it
+            done |= fin
+            pending &= ~fin
+            if not pending.any():
+                break
+        prev = cur
+    trace = np.stack(trace, axis=-1) if trace else np.empty((rows, 0))
+    trace[done[:, None] & (np.arange(trace.shape[-1]) >= 2 * n_iters[:, None])] = np.nan
+    return out_p, out_f, out_mu_p, out_mu_f, n_iters, done, trace
 
 
 class TestWeightEigensystem:
@@ -364,6 +412,73 @@ class TestIterateAllocations:
                     assert np.array_equal(got.objective_trace, want.objective_trace)
         short, _ = alternate(gsr[:1], grd[:1], w, 1.5, 2.0, tol=0.0, max_iters=1)
         assert not short.converged[0] and short.objective_trace.shape == (1, 2)
+
+    def test_pending_rows_equal_the_all_rows_reference_bit_for_bit(self):
+        # Fast rows, two default-config rows that take 164 and 201
+        # iterations, tied gains and weights, a zero weight, zero and
+        # all-zero gains, and random restarts in one stack; at the default
+        # iteration budget and at one that leaves the slow rows unconverged.
+        w_default = [0.3, 0.3, 0.2, 0.2]
+        cases = [
+            ([5.596380662395337, 2.788454052536596, 1.9486496358315746, 0.523965363259102],
+             [5.949906432565584, 3.962796994584375, 1.166148764091555, 0.4770049724029152],
+             w_default),
+            ([40.337032930789356, 19.487155423945463, 7.734774299193905, 0.382930792266898],
+             [28.817664427485578, 15.195810324524132, 12.079187252916217, 2.8262100671024077],
+             w_default),
+            ([3.0, 2.0, 1.0, 0.5], [2.5, 2.0, 1.0, 0.2], [0.4, 0.3, 0.2, 0.1]),
+            ([2.0, 2.0, 2.0, 2.0], [3.0, 3.0, 1.0, 1.0], [0.25, 0.25, 0.25, 0.25]),
+            ([4.0, 2.0, 1.0, 1.0], [3.0, 2.0, 2.0, 0.5], [0.5, 0.3, 0.2, 0.0]),
+            ([5.0, 1.0, 0.0, 0.0], [2.0, 2.0, 1.0, 0.0], w_default),
+            ([0.0, 0.0, 0.0, 0.0], [2.0, 1.0, 1.0, 1.0], w_default),
+            ([2.0, 1.0, 1.0, 1.0], [0.0, 0.0, 0.0, 0.0], w_default),
+        ]
+        rng = np.random.default_rng(90)
+        for _ in range(8):
+            gsr_r, grd_r = (np.sort(rng.uniform(0.1, 30.0, 4))[::-1] for _ in range(2))
+            cases.append((gsr_r, grd_r, np.sort(rng.uniform(0.0, 1.0, 4))[::-1]))
+        gsr, grd, w = (np.array([c[k] for c in cases], dtype=float) for k in range(3))
+        frac = rng.random(gsr.shape) + 1e-3
+        restarts = np.sqrt(frac / frac.sum(axis=-1, keepdims=True))
+        uniform = np.full(gsr.shape, 0.5)
+        p_init = np.concatenate([uniform, restarts])
+        gsr, grd, w = (np.tile(v, (2, 1)) for v in (gsr, grd, w))
+        fields = ("p_alloc", "f_alloc", "mu_p", "mu_f", "n_iters", "converged", "objective_trace")
+        for max_iters in (MAX_ITERS, 60):
+            state, infeasible = alternate(gsr, grd, w, 1.0, 1.0, p_init, max_iters=max_iters)
+            want = reference_alternate(gsr, grd, w, p_init, 1.0, 1.0, CONVERGENCE_TOL, max_iters)
+            ok = ~infeasible
+            assert infeasible.sum() == 4
+            assert state.objective_trace.shape == want[-1].shape
+            for name, ref in zip(fields, want):
+                got = getattr(state, name)
+                assert np.array_equal(got[ok], ref[ok], equal_nan=True), (max_iters, name)
+            assert not state.converged[infeasible].any()
+            assert np.isnan(state.objective_trace[infeasible]).all()
+            if max_iters == MAX_ITERS:
+                assert state.n_iters[:2].min() >= 100 and state.converged[ok].all()
+            else:
+                assert not state.converged[:2].any() and state.converged[2:4].all()
+
+    def test_a_settled_objective_survives_the_compaction(self):
+        # At tol 1e-3 row 1's objective settles at iteration 3 (relative
+        # change 2.5e-4) while its cross-KKT test is still open.  Row 0
+        # stops at iteration 4 and leaves the working arrays; row 1's next
+        # change, 1.007e-3, is above tol, so row 1 stops at iteration 5
+        # only if it kept its settled flag through that compaction.
+        gsr = np.array([[18.959671399350594, 1.2949797822998497],
+                        [2.383578287878329, 0.4686768108108747]])
+        grd = np.array([[21.72913690841866, 2.1729279265450563],
+                        [13.749835499584925, 3.3989146085082282]])
+        w = np.array([[0.9094144345855255, 0.7402405870844017],
+                      [0.9139300065742513, 0.7564984767438613]])
+        state, _ = alternate(gsr, grd, w, 1.0, 1.0, tol=1e-3)
+        want = reference_alternate(gsr, grd, w, np.full((2, 2), np.sqrt(0.5)), 1.0, 1.0, 1e-3,
+                                   MAX_ITERS)
+        assert state.n_iters.tolist() == [4, 5]
+        fields = ("p_alloc", "f_alloc", "mu_p", "mu_f", "n_iters", "converged", "objective_trace")
+        for name, ref in zip(fields, want):
+            assert np.array_equal(getattr(state, name), ref, equal_nan=True), name
 
     def test_all_infeasible_stack_is_reported_not_raised(self):
         state, infeasible = alternate(np.zeros((2, 2)), np.ones((2, 2)), np.ones(2), 1.0, 1.0)

@@ -12,14 +12,16 @@ from collections import Counter
 from unittest import mock
 
 import numpy as np
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from afrelay.channel import exact_knowledge, sample_scenario_stack
+from afrelay.channel import ChannelKnowledge, exact_knowledge, sample_scenario_stack
 from afrelay.design import (
     TINY_GAIN_RTOL,
     DesignError,
     DesignOptions,
+    InfeasibleAllocationError,
     alternate,
     design,
     design_batch,
@@ -49,26 +51,50 @@ def weight_lists(draw, n):
     return [w * draw(value) for w in weights]
 
 
+def scenario(raw: dict, seed: int, n_draws: int, scale_sr=None):
+    """The config of ``raw`` (an ExperimentSpec dict of one point) and a
+    stack of ``n_draws`` channel draws, draw i's first-hop estimate
+    scaled by ``scale_sr[i]`` when given."""
+    spec = ExperimentSpec.from_dict(raw)
+    cfg = system_config(spec)
+    rngs = [np.random.default_rng((seed, i)) for i in range(n_draws)]
+    know, _ = sample_scenario_stack(
+        cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha, rngs
+    )
+    if scale_sr is not None:
+        est_sr = know.est_sr * np.asarray(scale_sr, dtype=float)[:, None, None]
+        know = ChannelKnowledge(est_sr, know.est_rd, know.stats_sr, know.stats_rd)
+    return cfg, know
+
+
 @st.composite
 def scenarios(draw):
     """A CLI-valid config and a stack of 1-3 channel draws at one point."""
     dims = draw(st.lists(st.integers(1, 5), min_size=4, max_size=4))
     n = draw(st.integers(1, min(dims)))
-    spec = ExperimentSpec.from_dict({
+    raw = {
         "dims": dims,
         "n_streams": n,
         "alpha": draw(st.floats(0.0, 0.999)),
         "data_snr_db": draw(st.lists(st.floats(-10.0, 70.0), min_size=2, max_size=2)),
         "est_snr_db": [draw(st.floats(-20.0, 60.0))],
         "weights": draw(weight_lists(n)),
-    })
-    cfg = system_config(spec)
-    seed = draw(st.integers(0, 2**32 - 1))
-    rngs = [np.random.default_rng((seed, i)) for i in range(draw(st.integers(1, 3)))]
-    know, _ = sample_scenario_stack(
-        cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha, rngs
+    }
+    return scenario(raw, draw(st.integers(0, 2**32 - 1)), draw(st.integers(1, 3)))
+
+
+def _point(dims, weights, **raw):
+    """An ExperimentSpec dict of one 10 dB point at 30 dB data SNR."""
+    return {"dims": dims, "n_streams": len(weights), "weights": weights, "alpha": 0.3,
+            "data_snr_db": 30.0, "est_snr_db": [10.0], **raw}
+
+
+def _identity_estimates(cfg, know):
+    """The scenario with identity estimates of both hops: tied gains."""
+    est_sr, est_rd = (
+        np.broadcast_to(np.eye(*e.shape[1:]), e.shape).copy() for e in (know.est_sr, know.est_rd)
     )
-    return cfg, know
+    return cfg, ChannelKnowledge(est_sr, est_rd, know.stats_sr, know.stats_rd)
 
 
 @st.composite
@@ -156,6 +182,15 @@ def _nonincreasing(vals) -> bool:
 
 @settings(max_examples=40)
 @given(scenarios(), st.integers(0, 2))
+# A subnormal weight, so the weakest stream's first relay coefficient is
+# subnormal (below 2.2e-313).
+@example(scenario(_point([4, 4, 4, 4], [0.5, 0.3, 0.2, 2.2250738585e-313]), 1, 2), 0)
+# An all-zero first hop between two ordinary draws.
+@example(scenario(_point([3, 3, 3, 3], [0.5, 0.3, 0.2]), 2, 3, [1.0, 0.0, 1.0]), 1)
+# Tied gains and tied weights: identity estimates, uncorrelated errors.
+@example(_identity_estimates(*scenario(_point([4, 4, 4, 4], [0.25] * 4, alpha=0.0), 3, 2)), 2)
+# A single stream.
+@example(scenario(_point([2, 3, 1, 2], [1.0]), 4, 3), 2)
 def test_stack_equals_single_draw_designs(scenario, restarts):
     cfg, know = scenario
     for knowledge, opts in (
@@ -216,9 +251,16 @@ gains = st.one_of(st.floats(1e-6, 1e3), st.sampled_from((0.0, 1e-15, 1.0, 2.0)))
     )),
     st.floats(1e-3, 1e3),
 )
+@example(([0.0, 2.2250738585e-313, 0.0], [1.0, 5.0, 1.0]), 5.0)  # subnormal coefficient
+@example(([1.0, 0.5, 0.0], [0.0, 0.0, 0.0]), 1.0)  # all-zero gains
+@example(([0.5, 0.5, 0.2, 0.2], [2.0, 2.0, 1.0, 1.0]), 3.0)  # tied levels
+@example(([0.7], [3.0]), 2.0)  # a single stream
 def test_exact_waterfill_lands_on_budget(problem, budget):
     coeffs, gain = (np.asarray(v, dtype=float) for v in problem)
-    assume(gain.max() > 0.0)
+    if gain.max() == 0.0:
+        with pytest.raises(InfeasibleAllocationError):
+            waterfill(coeffs[None], gain[None], budget)
+        return
     x, mu = waterfill(coeffs[None], gain[None], budget)
     x, mu = x[0], mu[0]
     # streams below TINY_GAIN_RTOL of the strongest get no power by design

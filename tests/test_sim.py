@@ -272,8 +272,8 @@ class TestRunExperiment:
         real = sim_mod._design_algorithm
         calls = {"n": 0}
 
-        def flaky(algorithm, cfg, know):
-            batch = real(algorithm, cfg, know)
+        def flaky(algorithm, designs):
+            batch = real(algorithm, designs)
             if algorithm != "naive":
                 return batch
             failures = []
@@ -322,12 +322,12 @@ class TestRunExperiment:
         )
         real = sim_mod._design_algorithm
 
-        def fragile(algorithm, cfg, know):
+        def fragile(algorithm, designs):
             if algorithm == "robust_full" and any(
-                np.array_equal(est, bad_est.est_sr) for est in know.est_sr
+                np.array_equal(est, bad_est.est_sr) for est in designs.know.est_sr
             ):
                 raise NumericalError("forced kernel rejection")
-            return real(algorithm, cfg, know)
+            return real(algorithm, designs)
 
         monkeypatch.setattr(sim_mod, "_design_algorithm", fragile)
         records = {r.algorithm: r for r in run_experiment(spec)}
@@ -345,9 +345,9 @@ class TestRunExperiment:
 
         real = sim_mod._design_algorithm
 
-        def reject_stacks(algorithm, cfg, know):
-            batch = real(algorithm, cfg, know)
-            if know.est_sr.shape[0] > 1:
+        def reject_stacks(algorithm, designs):
+            batch = real(algorithm, designs)
+            if designs.know.est_sr.shape[0] > 1:
                 raise NumericalError("forced kernel rejection")
             return batch
 
@@ -368,9 +368,9 @@ class TestRunExperiment:
 
         real = sim_mod._design_algorithm
 
-        def reject_stacks(algorithm, cfg, know):
-            batch = real(algorithm, cfg, know)
-            if know.est_sr.shape[0] > 1:
+        def reject_stacks(algorithm, designs):
+            batch = real(algorithm, designs)
+            if designs.know.est_sr.shape[0] > 1:
                 raise NumericalError("forced kernel rejection")
             return batch
 
@@ -385,13 +385,13 @@ class TestRunExperiment:
         import afrelay.sim as sim_mod
 
         sizes = []
-        real = sim_mod.design_batch
+        real = sim_mod._design_algorithm
 
-        def counted(cfg, know, opts=None):
-            sizes.append(know.est_sr.shape[0])
-            return real(cfg, know, opts)
+        def counted(algorithm, designs):
+            sizes.append(designs.know.est_sr.shape[0])
+            return real(algorithm, designs)
 
-        monkeypatch.setattr(sim_mod, "design_batch", counted)
+        monkeypatch.setattr(sim_mod, "_design_algorithm", counted)
         spec = dataclasses.replace(
             ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8, n_symbols=50
         )
@@ -408,6 +408,45 @@ class TestRunExperiment:
         sizes.clear()
         assert [r.__dict__ for r in run_experiment(spec)] == [r.__dict__ for r in whole]
         assert sizes == [1] * 120
+
+    def test_robust_designs_share_one_spectral_decomposition(self, monkeypatch):
+        import importlib
+
+        import afrelay.sim as sim_mod
+        from afrelay.design import DesignOptions, design_batch
+        from test_design import _per_draw_arrays
+
+        design_mod = importlib.import_module("afrelay.design")
+        decomposed = []
+        real_decompose = design_mod.spectral_decompose
+
+        def counted(cfg, know):
+            decomposed.append(know)
+            return real_decompose(cfg, know)
+
+        monkeypatch.setattr(design_mod, "spectral_decompose", counted)
+        designed = {}
+        real = sim_mod._design_algorithm
+
+        def kept(algorithm, designs):
+            designed[algorithm] = designs.know, real(algorithm, designs)
+            return designed[algorithm][1]
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", kept)
+        spec = dataclasses.replace(
+            ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8, n_symbols=50
+        )
+        run_experiment(spec)
+        # One 40-draw stack: its sampled knowledge is decomposed once for
+        # both robust designs, its exact knowledge once for the naive one.
+        know, nopre = designed["robust_nopre"]
+        assert designed["robust_full"][0] is know
+        assert len(decomposed) == 2 and decomposed[0] is know
+        alone = design_batch(system_config(spec), know, DesignOptions(mode="relay_only"))
+        assert nopre.failures == alone.failures == (None,) * 40
+        want = _per_draw_arrays(alone)
+        for key, value in _per_draw_arrays(nopre).items():
+            assert np.array_equal(value, want[key], equal_nan=True), key
 
     def test_chunked_sweep_matches_draw_by_draw_designs(self):
         from afrelay.channel import exact_knowledge, sample_scenario_stack
@@ -450,7 +489,7 @@ class TestRunExperiment:
         _, truth = sample_scenario_stack(
             cfg, 1.0, spec.alpha, [sim_mod._draw_rng(spec.seed, 1, d, 0) for d in draws]
         )
-        h_sr, h_rd, z, gram = sim_mod._link(spec, cfg, 1, draws, truth)
+        h_sr, h_rd, z, gram, sent = sim_mod._link(spec, cfg, 1, draws, truth)
         assert h_sr is truth.h_sr and h_rd is truth.h_rd
         n, m_r = cfg.n_streams, cfg.m_r
         assert z.shape == (2, n + m_r + cfg.m_d, spec.n_symbols)
@@ -460,6 +499,8 @@ class TestRunExperiment:
             assert z[i, n : n + m_r].tobytes() == noise1.tobytes()
             assert z[i, n + m_r :].tobytes() == noise2.tobytes()
         assert np.array_equal(gram, z @ _ct(z))
+        signs = np.stack([z[:, :n].real < 0, z[:, :n].imag < 0], axis=-1)
+        assert np.array_equal(sent, signs.reshape(sent.shape))
 
     @pytest.mark.parametrize("case", range(60))
     def test_composed_transmit_matches_stage_chain(self, case):
@@ -494,7 +535,8 @@ class TestRunExperiment:
         ref_link = [np.stack(a) for a in zip(*(_reference_link(spec, cfg, 0, d) for d in draws))]
         exact = exact_knowledge(know.est_sr, know.est_rd)
         for alg in spec.algorithms:
-            tx = sim_mod._design_algorithm(alg, cfg, exact if alg == "naive" else know).solution.tx
+            designs = sim_mod._StackDesigns(cfg, exact if alg == "naive" else know)
+            tx = sim_mod._design_algorithm(alg, designs).solution.tx
             wmse, ber = sim_mod._transmit(tx, link, cfg.weight)
             ref_wmse, ref_ber = _reference_transmit(
                 tx, truth.h_sr, truth.h_rd, *ref_link, cfg.weight
@@ -665,8 +707,8 @@ class TestCli:
 
         real = sim_mod._design_algorithm
 
-        def one_miss(algorithm, cfg, know):
-            batch = real(algorithm, cfg, know)
+        def one_miss(algorithm, designs):
+            batch = real(algorithm, designs)
             if algorithm != "robust_full":
                 return batch
             miss = ContractError("relay_power", "relay power misses the budget")
