@@ -26,7 +26,11 @@ and the multiplier is exact: with the streams sorted by c_i g_i^2 and the
 k strongest active, sqrt(mu) = sum s_i / (budget + sum 1/g_i^2) over the
 active set (s_i = sqrt(c_i) / g_i), for the largest k whose k-th stream
 stays active.  Both constraints are active at the optimum, so power
-lands on the budget to rounding.
+lands on the budget to rounding.  The alternation converges linearly,
+so it runs in squared-extrapolation (SQUAREM) cycles: two alternations
+p1 = T(p0), p2 = T(p1) give the step length of an extrapolated source
+allocation, and a third alternation from it is kept where it does not
+raise the objective (:func:`alternate`).
 
 The pipeline works on a (B, ., .) stack of channel draws that share one
 config (:func:`design_batch`): the whitening once per set of error
@@ -84,11 +88,14 @@ __all__ = [
 
 # Streams whose gain is below this fraction of the largest get no power.
 TINY_GAIN_RTOL = 1e-12
+# A row whose largest gain is below this has a flat objective in floats.
+FLAT_GAIN = 1e-140
 # Relay-side KKT residual against the final source allocation that ends
 # the alternation.
 CROSS_KKT_TOL = 1e-9
-# Relative change of the objective over one full iteration below which
-# the alternation checks CROSS_KKT_TOL, and its iteration budget.
+# Relative change of the objective over one full iteration (an evaluation
+# of the alternation map) below which the alternation checks
+# CROSS_KKT_TOL, and its budget of evaluations.
 CONVERGENCE_TOL = 1e-10
 MAX_ITERS = 500
 
@@ -194,7 +201,9 @@ class AllocationState:
     ``converged`` are (R,); ``objective_trace`` is (R, T), padded with
     NaN past each row's own trace, and all NaN for a row that never
     iterates (all-zero gains).  :meth:`draw` gives one row's state with
-    scalar diagnostics and its unpadded trace.
+    scalar diagnostics and its unpadded trace.  ``n_iters`` counts the
+    evaluations of the alternation map (a relay then a source half step,
+    two trace entries each), extrapolated and rejected ones included.
     """
 
     p_alloc: np.ndarray
@@ -335,12 +344,19 @@ def _gain_terms(gains):
     """The coefficient-independent parts of water-filling against (R, n)
     gains: g^2 on usable streams (0 elsewhere), 1/g^2 with unusable
     gains taken as 1, the usable streams and a per-row flag for rows
-    whose gains are all zero."""
+    whose gains are all zero.
+
+    A row whose largest gain is below FLAT_GAIN gets zero levels: 1 + x
+    g^2 rounds to 1 on all its streams for any budget below 1e250, so its
+    objective is flat, and zero levels send its water-fill straight to
+    the flat fill (1/g^2 of its usable streams could overflow).  Above
+    FLAT_GAIN every usable g^2 is a normal float."""
     g = np.asarray(gains, dtype=float)
     gmax = g.max(axis=-1, keepdims=True)
     usable = g > TINY_GAIN_RTOL * gmax
-    g2 = np.where(usable, g, 1.0) ** 2
-    return g2 * usable, 1.0 / g2, usable, gmax[..., 0] <= 0.0
+    levels = usable & (gmax >= FLAT_GAIN)
+    g2 = np.where(levels, g, 1.0) ** 2
+    return g2 * levels, 1.0 / g2, usable, gmax[..., 0] <= 0.0
 
 
 def _waterfill(coeffs, terms, budget):
@@ -467,26 +483,40 @@ def scalar_gradient(p_alloc, f_alloc, gains_sr, gains_rd, weights):
 def alternate(
     gains_sr, gains_rd, weights, p_s, p_r, p_init=None, *, tol=CONVERGENCE_TOL, max_iters=MAX_ITERS
 ):
-    """Alternating water-filling on every row of (R, n) problems at once.
+    """Alternating water-filling on every row of (R, n) problems at once,
+    accelerated by squared extrapolation (SQUAREM, Varadhan & Roland 2008).
 
-    Each half step solves its subproblem exactly, so a row's objective
-    trace is nonincreasing (modulo ~1e-16 float noise).  From ``p_init``
-    (uniform source amplitudes by default) each row follows exactly the
-    iteration of its problem alone and stops on its own: once its
-    full-iteration relative change is below ``tol``, as soon as its
-    relay-side KKT residual against the final source allocation is at
-    most CROSS_KKT_TOL (the last relay update lags one half step).  An
-    iteration updates the pending rows only; rows that stop leave the
-    working arrays.
+    The iteration map T is one relay half step then one source half step,
+    each solving its subproblem exactly.  A cycle evaluates T three times:
+    p1 = T(p0), p2 = T(p1), then T(p_e) at the extrapolation
+
+        r = p1 - p0,  v = p2 - 2 p1 + p0,  alpha = min(-|r| / |v|, -1),
+        p_e = |p0 - 2 alpha r + alpha^2 v|  rescaled onto sum p^2 = p_s
+
+    (alpha = -1 where v = 0, which gives p2 back).  A row keeps the third
+    evaluation only if the objective after its relay half step is at most
+    that of (p2, f2); otherwise it keeps (p2, f2) and traces that
+    objective for the evaluation, which does not count towards settling.
+    So every traced value is the objective of a feasible pair and a row's
+    trace is nonincreasing (modulo ~1e-16 float noise).
+
+    From ``p_init`` (uniform source amplitudes by default) each row
+    follows exactly the iteration of its problem alone (alpha comes from
+    the row's own vectors, and all rows start their cycles together) and
+    stops on its own: once its relative objective change over an
+    evaluation is below ``tol``, as soon as its relay-side KKT residual
+    against the final source allocation is at most CROSS_KKT_TOL (the
+    last relay update lags one half step).  An evaluation updates the
+    pending rows only; rows that stop leave the working arrays.
 
     Gains, weights and ``p_init`` broadcast to (R, n).  One check raises a
     ValueError naming the argument unless the budgets are finite and
     positive, every entry finite and nonnegative and the gains and
     weights nonincreasing along each row.  Returns an
     :class:`AllocationState` of (R, ...) arrays (``converged`` False for
-    rows not stopped within ``max_iters``, ``eta_p`` NaN) and the per-row
-    infeasible (all-zero-gain) flag; an infeasible row never iterates and
-    its trace is all NaN.  No row's outcome raises.
+    rows not stopped within ``max_iters`` evaluations, ``eta_p`` NaN) and
+    the per-row infeasible (all-zero-gain) flag; an infeasible row never
+    iterates and its trace is all NaN.  No row's outcome raises.
     """
     gsr, grd, w, p = _checked_rows(
         {"p_s": p_s, "p_r": p_r}, 3, gains_sr=gains_sr, gains_rd=gains_rd, weights=weights,
@@ -512,6 +542,8 @@ def alternate(
     settled = np.zeros(idx.size, dtype=bool)
     prev = np.full(idx.size, np.nan)
     segments, columns, width = [], [], 0
+    # The source amplitudes of the running cycle: p0, then T's outputs.
+    cycle = [p]
     # a = (p g_sr)^2 and b = (f g_rd)^2 with 1 + a and 1 + b are formed
     # once per half step and shared by the next half step's coefficients
     # w a / (1 + a) and the objective sum w (1 + a + b) / ((1 + a)(1 + b)).
@@ -519,40 +551,60 @@ def alternate(
     one_a = 1.0 + a
     coeff_f = w * a / one_a
     for it in range(1, max_iters + 1 if idx.size else 1):
+        step = (it - 1) % 3
         x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
         f = np.sqrt(x_f)
         b = (f * grd) ** 2
         one_b = 1.0 + b
-        columns.append((w * (one_a + b) / (one_a * one_b)).sum(axis=-1))
+        half = (w * (one_a + b) / (one_a * one_b)).sum(axis=-1)
         x_p, mu_p = _waterfill(w * b / one_b, terms_sr, p_s)
         p = np.sqrt(x_p)
+        # The safeguard: a row whose extrapolation raises the objective of
+        # (p2, f2) after the relay half step keeps that pair.
+        counts = half <= prev if step == 2 else True
+        rejected = step == 2 and not counts.all()
+        if rejected:
+            p = np.where(counts[:, None], p, cycle[2])
         a = (p * gsr) ** 2
         one_a = 1.0 + a
         cur = (w * (one_a + b) / (one_a * one_b)).sum(axis=-1)
-        columns.append(cur)
         coeff_f = w * a / one_a
-        settled |= np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
+        if rejected:
+            half, cur = np.where(counts, half, prev), np.where(counts, cur, prev)
+        columns += [half, cur]
+        cycle = [p] if step == 2 else cycle + [p]
+        settle = np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
         prev = cur
-        if not settled.any():
-            continue
-        fin = settled & (_kkt_residual(f**2, mu_f, coeff_f * g2_rd, g2_rd) <= CROSS_KKT_TOL)
-        if not fin.any():
-            continue
-        rows_fin = idx[fin]
-        out_p[rows_fin], out_f[rows_fin] = p[fin], f[fin]
-        out_mu_p[rows_fin], out_mu_f[rows_fin] = mu_p[fin], mu_f[fin]
-        n_iters[rows_fin] = it
-        done[rows_fin] = True
-        segments.append((idx, width, np.stack(columns, axis=-1)))
-        width += len(columns)
-        columns = []
-        if fin.all():
-            break
-        keep = ~fin
-        gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx = (
-            v[keep] for v in (gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx)
-        )
-        terms_sr, terms_rd = (tuple(t[keep] for t in terms) for terms in (terms_sr, terms_rd))
+        # A rejected evaluation leaves its row as it was: it neither
+        # settles the row nor stops it.
+        if rejected:
+            settle &= counts
+        settled |= settle
+        fin = settled & counts if rejected else settled
+        if fin.any():
+            fin = fin & (_kkt_residual(f**2, mu_f, coeff_f * g2_rd, g2_rd) <= CROSS_KKT_TOL)
+        if fin.any():
+            rows_fin = idx[fin]
+            out_p[rows_fin], out_f[rows_fin] = p[fin], f[fin]
+            out_mu_p[rows_fin], out_mu_f[rows_fin] = mu_p[fin], mu_f[fin]
+            n_iters[rows_fin] = it
+            done[rows_fin] = True
+            segments.append((idx, width, np.stack(columns, axis=-1)))
+            width += len(columns)
+            columns = []
+            if fin.all():
+                break
+            keep = ~fin
+            gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx = (
+                v[keep] for v in (gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx)
+            )
+            terms_sr, terms_rd = (tuple(t[keep] for t in terms) for terms in (terms_sr, terms_rd))
+            cycle = [c[keep] for c in cycle]
+        if step == 1:
+            p = _extrapolate(*cycle, p_s)
+            a = (p * gsr) ** 2
+            one_a = 1.0 + a
+            coeff_f = w * a / one_a
     if columns:
         segments.append((idx, width, np.stack(columns, axis=-1)))
         width += len(columns)
@@ -570,6 +622,19 @@ def alternate(
         converged=done,
     )
     return state, infeasible
+
+
+def _extrapolate(p0, p1, p2, p_s):
+    """The squared extrapolation of three successive (R, n) source
+    amplitudes, row by row, on the source budget; p2 where v = 0 or the
+    extrapolation is not a finite nonzero vector."""
+    r = p1 - p0
+    v = p2 - p1 - r
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        alpha = np.minimum(-np.sqrt((r * r).sum(axis=-1) / (v * v).sum(axis=-1)), -1.0)[:, None]
+        p_e = np.abs(p0 - 2.0 * alpha * r + alpha**2 * v)
+        scale = np.sqrt(p_s / (p_e * p_e).sum(axis=-1, keepdims=True))
+        return np.where((scale > 0.0) & (scale < np.inf), p_e * scale, p2)
 
 
 def solve_eta_p(p_alloc, spectral: SpectralData, p_s):

@@ -8,6 +8,7 @@ every run on the same examples.
 
 import pathlib
 import tempfile
+import warnings
 from collections import Counter
 from unittest import mock
 
@@ -209,6 +210,29 @@ def test_stack_equals_single_draw_designs(scenario, restarts):
                 assert getattr(got.tx, name).tobytes() == getattr(alone.tx, name).tobytes()
             assert got.achieved_wmse == alone.achieved_wmse
             assert got.alloc.n_iters == alone.alloc.n_iters
+
+
+def test_a_first_hop_below_1e_154_takes_the_flat_fill():
+    # Scaled by 4e-157, draw 0's first-hop gains square to subnormals, so
+    # 1/g^2 would overflow; 1 + x g^2 rounds to 1 and the source side's
+    # objective is flat.  Under warnings as errors the draw designs, takes
+    # the uniform flat fill (mu = inf) and meets its contracts.
+    cfg, know = scenario(_point([4] * 4, [0.3, 0.3, 0.2, 0.2]), 1, 2, [4e-157, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        designs = [
+            design_batch(cfg, knowledge, opts)
+            for knowledge, opts in (
+                (know, DesignOptions()),
+                (know, DesignOptions(mode="relay_only")),
+                (exact_knowledge(know.est_sr, know.est_rd), DesignOptions()),
+            )
+        ]
+    for batch in designs:
+        assert batch.failures == (None, None)
+    joint = designs[0].solution.alloc
+    assert np.isinf(joint.mu_p[0]) and np.isfinite(joint.mu_p[1])
+    assert np.array_equal(joint.p_alloc[0], np.full(4, np.sqrt(cfg.p_s / 4)))
 
 
 @settings(max_examples=60)
