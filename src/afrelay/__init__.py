@@ -28,6 +28,7 @@ from .design import (
     DesignError,
     DesignOptions,
     InfeasibleAllocationError,
+    NumericalError,
     SpectralData,
     TransceiverSolution,
     alternate,

@@ -72,7 +72,7 @@ def cli_main(argv=None) -> int:
 
     try:
         records = run_experiment(spec)
-    except Exception as err:  # convergence budget, numeric failure, ...
+    except Exception as err:  # a fault of the harness: design failures are counted
         print(f"experiment failed: {err}", file=sys.stderr)
         return 1
     try:

@@ -139,8 +139,8 @@ class ContractError(DesignError, RuntimeError):
 
 
 class NumericalError(DesignError, ValueError):
-    """A linear-algebra kernel rejected an intermediate of the design; the
-    original error is chained as ``__cause__``."""
+    """A kernel rejected an intermediate: one draw's solve (that draw fails)
+    or numerics its stack shares (all fail; the error is the ``__cause__``)."""
 
     cause = "numerical"
 
@@ -660,23 +660,23 @@ def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
 def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
     """The first design contract a draw misses, or None.
 
-    In order: eta_p is positive, both powers sit on their budgets (1e-9
-    relative), eta_p satisfies its fixed point, and the residual weighted
-    MSE agrees with the direct evaluation at the LMMSE equalizer.
+    In order, each failed by a NaN: eta_p is positive, both powers sit on
+    their budgets (1e-9 relative), eta_p satisfies its fixed point, and
+    the residual weighted MSE agrees with the direct one at the LMMSE G.
     """
     if not (np.isfinite(eta_p) and eta_p > 0):
         return ContractError("eta_p", f"eta_p {eta_p:.12e} is not positive")
-    if abs(power_p - cfg.p_s) > 1e-9 * cfg.p_s:
+    if not abs(power_p - cfg.p_s) <= 1e-9 * cfg.p_s:
         return ContractError(
             "source_power",
             f"source power {power_p:.12e} misses the budget {cfg.p_s:.12e}",
         )
-    if abs(power_f - cfg.p_r) > 1e-9 * cfg.p_r:
+    if not abs(power_f - cfg.p_r) <= 1e-9 * cfg.p_r:
         return ContractError(
             "relay_power",
             f"relay power {power_f:.12e} misses the budget {cfg.p_r:.12e}",
         )
-    if abs(eta_p - fixed_point) > 1e-9 * abs(eta_p):
+    if not abs(eta_p - fixed_point) <= 1e-9 * abs(eta_p):
         return ContractError(
             "eta_p",
             f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}",
@@ -685,7 +685,7 @@ def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direc
     # extreme SNR the difference is dominated by that cancellation, hence
     # the absolute floor scaled by tr(W).
     floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
-    if abs(achieved - direct) > max(1e-9 * max(abs(achieved), abs(direct)), floor):
+    if not abs(achieved - direct) <= max(1e-9 * max(abs(achieved), abs(direct)), floor):
         return ContractError(
             "wmse_agreement",
             f"residual weighted MSE {achieved:.12e} disagrees with the direct "
@@ -700,11 +700,11 @@ def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) 
     Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
     and both powers, all from the one ``mse._link`` of (P, F) and the
     precoder's tilde maps; the eta_p fixed point tr(P P^H psi_eff) +
-    sigma1^2 is K1's level, which the maps already hold.  A draw keeps
-    its entry of ``failures`` (an allocation failure) or gets its first
-    missed contract.  An ``alloc`` whose eta_p is None belongs to a fixed
-    precoder: its eta_p is the fixed point and its objective trace the
-    achieved weighted MSE.
+    sigma1^2 is K1's level, which the maps already hold.  A draw whose G,
+    F or either weighted MSE is not finite fails as numerical; any other
+    keeps its ``failures`` entry or gets its first missed contract.  An
+    ``alloc`` whose eta_p is None belongs to a fixed precoder: its eta_p
+    is the fixed point and its objective trace the achieved weighted MSE.
     """
     f_mat = maps.from_tilde(tilde_f)
     link = _link(cfg, know, p_mat, f_mat, maps)
@@ -716,13 +716,16 @@ def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) 
     fixed_point = link.k1[:, 0, 0]
     if alloc.eta_p is None:
         alloc = replace(alloc, eta_p=fixed_point, objective_trace=achieved[:, None])
+    finite = np.isfinite(achieved) & np.isfinite(direct)
+    finite &= np.isfinite(tx.equalizer).all(axis=(-2, -1)) & np.isfinite(f_mat).all(axis=(-2, -1))
     checks = zip(
         power_p.tolist(), power_f.tolist(), np.asarray(alloc.eta_p, dtype=float).tolist(),
         fixed_point.tolist(), achieved.tolist(), direct.tolist(),
     )
     failures = tuple(
-        fail if fail is not None else _contract_failure(cfg, *vals)
-        for fail, vals in zip(failures, checks)
+        NumericalError("the equalizer, forward matrix or weighted MSE is not finite")
+        if not ok else fail if fail is not None else _contract_failure(cfg, *vals)
+        for ok, fail, vals in zip(finite.tolist(), failures, checks)
     )
     solution = TransceiverSolution(
         tx=tx, tilde_forward=tilde_f, alloc=alloc, spectral=spectral, achieved_wmse=achieved
@@ -744,9 +747,9 @@ def assemble(
     single draw is a stack of one).  Checks per draw: both power
     constraints hold with equality (1e-9 relative), eta_p satisfies its
     fixed point, and the residual weighted MSE agrees with the direct
-    evaluation at the LMMSE equalizer.  A draw keeps its entry of
-    ``failures`` (an allocation failure; none by default) or is listed
-    with its first missed contract as a :class:`ContractError`.
+    evaluation at the LMMSE equalizer.  A draw that is not finite fails as
+    numerical; any other keeps its ``failures`` entry (none by default) or
+    gets its first missed contract as a :class:`ContractError`.
     """
     n = cfg.n_streams
     if failures is None:
@@ -888,10 +891,9 @@ def design_batch(
     own.  Joint mode: weight eigensystem -> whitened-hop SVDs ->
     alternating water-filling (uniform init plus optional random restarts)
     -> eta_p -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
-    robustly.  Draw i of the result equals the design of draw i alone;
-    a draw that fails is listed in ``failures`` and leaves the others
-    untouched.  A linear-algebra kernel rejecting an intermediate of any
-    draw raises :class:`NumericalError` for the whole stack.
+    robustly.  Draw i of the result equals the design of draw i alone, and
+    a failed draw (a singular solve too) is listed in ``failures``; only
+    rejected numerics the stack shares raise :class:`NumericalError`.
     """
     return _StackDesigns(cfg, know)(opts)
 

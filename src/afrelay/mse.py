@@ -35,6 +35,7 @@ precoder's tilde maps, and reads every quantity it checks from it.
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -144,17 +145,28 @@ def _scalar(x):
 
 
 def _solve_hermitian(c: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve c @ x = b for Hermitian PD c (or stacks), with a backward-error check."""
+    """Solve c @ x = b for Hermitian PD c (or stacks); NaN for a draw whose
+    c is singular or whose x misses the backward-error bound.  A stacked
+    solve that LAPACK rejects is redone matrix by matrix."""
     c = _herm(c)
-    x = np.linalg.solve(c, b)
+    try:
+        x = np.linalg.solve(c, b)
+    except np.linalg.LinAlgError:
+        # b's draws are among c's (c is formed from everything b is).
+        b = np.broadcast_to(b, c.shape[:-2] + b.shape[-2:])
+        x = np.full_like(b, np.nan)
+        for i in np.ndindex(c.shape[:-2]):
+            with suppress(np.linalg.LinAlgError):
+                x[i] = np.linalg.solve(c[i], b[i])
     resid, norm_c, norm_x, norm_b = (np.sqrt(_sq_norm(m)) for m in (c @ x - b, c, x, b))
-    bound = _SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b)
-    bad = resid > np.maximum(bound, 1e-300)
-    if bad.any():
-        raise np.linalg.LinAlgError(
-            f"hermitian solve residual {float(np.max(resid)):.3e} exceeds "
-            "backward-error bound"
-        )
+    ok = resid <= np.maximum(_SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b), 1e-300)
+    return x if ok.all() else np.where(ok[..., None, None], x, np.nan)
+
+
+def _solved(x: np.ndarray) -> np.ndarray:
+    """``x``, or a LinAlgError if the solve behind it rejected a draw (NaN)."""
+    if np.isnan(x).any():
+        raise np.linalg.LinAlgError("hermitian solve is singular or misses the backward-error bound")
     return x
 
 
@@ -321,8 +333,9 @@ def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
 
 
 def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
-    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}."""
-    return _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward)).equalizer()
+    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}; LinAlgError if singular."""
+    link = _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward))
+    return _solved(link.equalizer())
 
 
 def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps:
@@ -354,11 +367,11 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
 def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, tilde_forward):
     """Weighted MSE with the optimal equalizer already substituted in.
 
-    tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B] with
-    B = Hrd Ft pi_p^{-1/2} k1^{-1/2} Hsr P W^{1/2}.  Matches
-    ``weighted_mse`` at the LMMSE equalizer to solver precision.
+    tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B], B = Hrd Ft pi_p^{-1/2}
+    k1^{-1/2} Hsr P W^{1/2}.  Matches ``weighted_mse`` at the LMMSE
+    equalizer to solver precision; a LinAlgError if the solve is singular.
     """
     p, ft = _checked(cfg, know, precoder=precoder, tilde_forward=tilde_forward)
     maps = tilde_maps(cfg, know, p)
     link = _link(cfg, know, p, maps.from_tilde(ft), maps)
-    return _scalar(link.residual_weighted_mse(ft, maps))
+    return _scalar(_solved(link.residual_weighted_mse(ft, maps)))

@@ -29,8 +29,9 @@ Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].  Draw i of a stack
 gets the same numbers as draw i designed alone, so the chunks and
 stacks, like a worker pool, change nothing: identical spec + seed
 reproduces identical results byte for byte.  A draw whose design fails
-is excluded from the averages and counted in ``n_failed`` and, by cause,
-in ``ExperimentRecord.failures``; it never aborts the sweep.
+(a singular solve fails only its draw) is excluded from the averages and
+counted in ``n_failed`` and, by cause, in ``ExperimentRecord.failures``;
+it never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -302,33 +303,17 @@ def _designs(algorithm: str, designs: _StackDesigns, sampled):
     The robust designs' analytic weighted MSE is the direct evaluation
     their agreement check already made under the same knowledge; the
     naive design is evaluated under ``sampled``, the true error
-    statistics.  A draw whose design raised has a zero placeholder
-    transceiver.
+    statistics.  A draw that fails keeps its placeholder transceiver; a
+    rejection of numerics the whole stack shares (the whitening, a stacked
+    SVD or eigh) fails every draw of the stack, on zero placeholders.
     """
     cfg, know = designs.cfg, designs.know
     try:
         batch = _design_algorithm(algorithm, designs)
     except DesignError as err:
-        draws = know.est_sr.shape[0]
-        if draws == 1:
-            n = cfg.n_streams
-            shapes = ((cfg.n_s, n), (cfg.n_r, cfg.m_r), (n, cfg.m_d))
-            return Transceiver(*(np.zeros((1, *s)) for s in shapes)), np.full(1, np.nan), [err]
-        # A kernel rejected one draw's numerics for the whole stack:
-        # design the draws one by one to isolate it.
-        alone = [
-            _designs(
-                algorithm,
-                _StackDesigns(cfg, know.select(slice(i, i + 1))),
-                sampled.select(slice(i, i + 1)),
-            )
-            for i in range(draws)
-        ]
-        txs = [tx for tx, _, _ in alone]
-        tx = Transceiver(
-            *(np.concatenate([getattr(t, f.name) for t in txs]) for f in fields(Transceiver))
-        )
-        return tx, np.concatenate([a for _, a, _ in alone]), [f for *_, fs in alone for f in fs]
+        draws, n = know.est_sr.shape[0], cfg.n_streams
+        shapes = ((cfg.n_s, n), (cfg.n_r, cfg.m_r), (n, cfg.m_d))
+        return Transceiver(*(np.zeros((draws, *s)) for s in shapes)), np.full(draws, np.nan), [err] * draws
     tx = batch.solution.tx
     analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(cfg, sampled, tx)
     return tx, analytic, list(batch.failures)

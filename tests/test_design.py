@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 
 import numpy as np
@@ -23,6 +24,7 @@ from afrelay.design import (
     waterfill,
     waterfill_kkt_residual,
     weight_eigensystem,
+    _contract_failure,
     _extrapolate,
     _gain_terms,
     _waterfill,
@@ -709,6 +711,30 @@ class TestAssemble:
         assert np.linalg.matrix_rank(sol.tx.precoder, tol=1e-9) == 1
         assert np.linalg.matrix_rank(sol.tx.forward, tol=1e-9) == 1
 
+    def test_a_nan_allocation_fails_only_its_draw_as_numerical(self):
+        # Draw 1's relay allocation holds a NaN, so its design is not
+        # finite: it fails with cause numerical (no contract test lets a
+        # NaN pass), and draws 0 and 2 equal those of the same stack
+        # without the NaN, bit for bit.
+        from afrelay.channel import sample_scenario_stack
+
+        cfg = make_config()
+        rngs = [np.random.default_rng((17, i)) for i in range(3)]
+        know, _ = sample_scenario_stack(cfg, 10.0, 0.3, rngs)
+        sp = spectral_decompose(cfg, know)
+        state, _ = alternate(sp.gains_sr, sp.gains_rd, cfg.weight_eig.values, cfg.p_s, cfg.p_r)
+        alloc = dataclasses.replace(state, eta_p=solve_eta_p(state.p_alloc, sp, cfg.p_s))
+        f_nan = alloc.f_alloc.copy()
+        f_nan[1, 0] = np.nan
+        clean = assemble(cfg, know, sp, alloc)
+        broken = assemble(cfg, know, sp, dataclasses.replace(alloc, f_alloc=f_nan))
+        assert clean.failures == (None,) * 3
+        assert broken.failures[0] is None and broken.failures[2] is None
+        assert broken.failures[1].cause == "numerical"
+        want = _per_draw_arrays(clean)
+        for key, value in _per_draw_arrays(broken).items():
+            assert np.array_equal(value[[0, 2]], want[key][[0, 2]]), key
+
     def test_power_constraints_hold_with_equality(self):
         from afrelay.mse import second_order_stats
 
@@ -1054,6 +1080,20 @@ def test_eta_p_fixed_point_is_k1_level_bit_for_bit(mode, knowledge):
         assert np.array_equal(level, trace_form)
         if mode == "relay_only":
             assert np.array_equal(sol.alloc.eta_p, trace_form)
+
+
+def test_every_contract_test_fails_a_nan():
+    # Each test is written as "not within the bound", so a NaN in any
+    # checked quantity fails the contract that reads it.
+    cfg = make_config()
+    good = dict(power_p=cfg.p_s, power_f=cfg.p_r, eta_p=1.0, fixed_point=1.0, achieved=0.5,
+                direct=0.5)
+    assert _contract_failure(cfg, **good) is None
+    for name, cause in (("power_p", "source_power"), ("power_f", "relay_power"),
+                        ("eta_p", "eta_p"), ("fixed_point", "eta_p"),
+                        ("achieved", "wmse_agreement"), ("direct", "wmse_agreement")):
+        fail = _contract_failure(cfg, **{**good, name: np.nan})
+        assert fail is not None and fail.cause == cause, name
 
 
 def _per_draw_arrays(batch) -> dict:

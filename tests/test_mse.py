@@ -190,6 +190,28 @@ class TestOptimalEqualizer:
             assert perturbed >= base - 1e-12 * max(base, 1.0)
 
 
+def _singular_destination_stack():
+    """A config at 3000 dB second-hop SNR and a two-draw stack whose draw
+    1 has two equal second-hop rows, so with F and F_tilde the identity
+    both of its destination covariances are exactly singular in floats."""
+    cfg = make_config(dims=(2, 2, 2, 2), n_streams=2, snr2_db=3000.0)
+    rng = np.random.default_rng(60)
+    est_sr = np.stack([rand_complex(rng, 2, 2) for _ in range(2)])
+    est_rd = np.stack([rand_complex(rng, 2, 2), np.ones((2, 2))])
+    return cfg, exact_knowledge(est_sr, est_rd), rand_complex(rng, 2, 2), np.eye(2)
+
+
+@pytest.mark.parametrize("entry", [optimal_equalizer, residual_weighted_mse])
+def test_a_singular_solve_raises_from_the_public_entries(entry):
+    # Inside the designer a singular solve fails only its draw; the public
+    # entries still raise LinAlgError, for the draw alone and in a stack.
+    cfg, know, p, f = _singular_destination_stack()
+    assert np.isfinite(entry(cfg, know.select(0), p, f)).all()
+    for draws in (know.select(1), know):
+        with pytest.raises(np.linalg.LinAlgError):
+            entry(cfg, draws, p, f)
+
+
 class TestTildeMaps:
     def test_zero_precoder_scales_by_sigma(self):
         cfg, know, _ = make_instance(23)

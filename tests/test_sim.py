@@ -308,13 +308,48 @@ class TestRunExperiment:
                 "convergence", "source_power", "relay_power", "eta_p", "wmse_agreement"
             }
 
-    def test_stack_wide_numerical_failure_is_isolated(self, monkeypatch):
+    def test_singular_solves_fail_only_their_draws(self, monkeypatch):
+        # At 200 dB data SNR some draws' LMMSE solves are singular.  Each
+        # such draw fails alone, with cause numerical, inside the one
+        # design call per algorithm on the 24-draw stack, and the records,
+        # failures by cause included, equal those of one-draw stacks.
+        import afrelay.sim as sim_mod
+
+        sizes = []
+        real = sim_mod._design_algorithm
+
+        def counted(algorithm, designs):
+            sizes.append(designs.know.est_sr.shape[0])
+            return real(algorithm, designs)
+
+        monkeypatch.setattr(sim_mod, "_design_algorithm", counted)
+        spec = ExperimentSpec.from_dict(spec_dict(
+            dims=[4, 4, 4, 4], alpha=0.5, data_snr_db=[200.0, 200.0], est_snr_db=[40.0, 200.0],
+            n_channel_draws=12, n_symbols=16, seed=0,
+        ))
+        records = run_experiment(spec)
+        assert sizes == [24] * 3
+        numerical = {(r.est_snr_db, r.algorithm): r.failures.get("numerical", 0) for r in records}
+        assert numerical == {
+            (40.0, "naive"): 1, (40.0, "robust_full"): 0, (40.0, "robust_nopre"): 0,
+            (200.0, "naive"): 0, (200.0, "robust_full"): 1, (200.0, "robust_nopre"): 0,
+        }
+        monkeypatch.setattr(sim_mod, "CHUNK_DRAWS", 1)
+        sizes.clear()
+        assert [repr(r) for r in run_experiment(spec)] == [repr(r) for r in records]
+        assert sizes == [1] * 72
+
+    def test_stack_wide_numerical_failure_fails_every_draw_of_its_stack(self, monkeypatch):
+        # A rejection of numerics a whole stack shares (the whitening, a
+        # stacked SVD or eigh) fails every draw of that stack and no other.
         import afrelay.sim as sim_mod
         from afrelay.channel import sample_scenario
         from afrelay.design import NumericalError
 
+        monkeypatch.setattr(sim_mod, "CHUNK_DRAWS", 3)
         spec = tiny_spec()
         clean = {r.algorithm: r for r in run_experiment(spec)}
+        first = {r.algorithm: r for r in run_experiment(dataclasses.replace(spec, n_channel_draws=3))}
         cfg = system_config(spec)
         bad_est, _ = sample_scenario(
             cfg, 10.0 ** (spec.est_snr_db[0] / 10.0), spec.alpha,
@@ -331,55 +366,15 @@ class TestRunExperiment:
 
         monkeypatch.setattr(sim_mod, "_design_algorithm", fragile)
         records = {r.algorithm: r for r in run_experiment(spec)}
-        assert records["robust_full"].n_failed == 1
-        assert records["robust_full"].n_draws == spec.n_channel_draws - 1
-        assert records["robust_full"].failures == {"numerical": 1}
+        # Draws 3-5 form the second stack.
+        rec = records["robust_full"]
+        assert (rec.n_draws, rec.n_failed, rec.failures) == (3, 3, {"numerical": 3})
+        kept = first["robust_full"]
+        assert (rec.wmse_analytic, rec.wmse_empirical, rec.ber) == (
+            kept.wmse_analytic, kept.wmse_empirical, kept.ber
+        )
         assert records["naive"] == clean["naive"]
         assert records["robust_nopre"] == clean["robust_nopre"]
-
-    def test_isolated_draws_reuse_the_stack_identity_scales(self, monkeypatch):
-        # A stack-wide rejection designs each draw alone; the draws share
-        # the stack's statistics, so neither side is tested again.
-        import afrelay.sim as sim_mod
-        from afrelay.design import NumericalError
-
-        real = sim_mod._design_algorithm
-
-        def reject_stacks(algorithm, designs):
-            batch = real(algorithm, designs)
-            if designs.know.est_sr.shape[0] > 1:
-                raise NumericalError("forced kernel rejection")
-            return batch
-
-        monkeypatch.setattr(sim_mod, "_design_algorithm", reject_stacks)
-        spec = tiny_spec(algorithms=("robust_full", "robust_nopre"))
-        calls = count_identity_tests(monkeypatch)
-        records = run_experiment(spec)
-        assert [r.n_draws for r in records] == [spec.n_channel_draws] * 2
-        assert sorted(calls) == ["stats_rd.col_cov", "stats_sr.row_cov"]
-
-    def test_isolated_naive_draws_select_from_one_exact_knowledge(self, monkeypatch):
-        # A stack-wide rejection designs each draw alone.  The naive
-        # design's exact knowledge is built once per design stack and the
-        # isolated draws select from it, so it is tested on both sides
-        # once, as is the sampled knowledge of the naive evaluation.
-        import afrelay.sim as sim_mod
-        from afrelay.design import NumericalError
-
-        real = sim_mod._design_algorithm
-
-        def reject_stacks(algorithm, designs):
-            batch = real(algorithm, designs)
-            if designs.know.est_sr.shape[0] > 1:
-                raise NumericalError("forced kernel rejection")
-            return batch
-
-        monkeypatch.setattr(sim_mod, "_design_algorithm", reject_stacks)
-        spec = tiny_spec(algorithms=("naive",))
-        calls = count_identity_tests(monkeypatch)
-        records = run_experiment(spec)
-        assert [r.n_draws for r in records] == [spec.n_channel_draws]
-        assert len(calls) == 4
 
     def test_design_stacks_span_sweep_points(self, monkeypatch):
         import afrelay.sim as sim_mod
