@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_psd, herm_sqrt
+from .linalg import _as_psd, _rebuild, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -345,12 +345,15 @@ def estimation_stats(
     Training correlation D D^H proportional to exp_corr(alpha) at
     estimation SNR ``snr_est`` (linear) gives
     ``col_cov_sr = (I + snr_est * R_alpha)^{-1}`` on the first hop and
-    the mirrored ``row_cov_rd`` on the second.
+    the mirrored ``row_cov_rd`` on the second, both rebuilt from R_alpha's
+    eigensystem: Hermitian PSD even where R_alpha is ill-conditioned.
     """
     if snr_est < 0:
         raise ValueError("snr_est must be nonnegative")
-    psi_sr = np.linalg.inv(np.eye(n_s) + snr_est * exp_corr(alpha, n_s))
-    sigma_rd = np.linalg.inv(np.eye(m_d) + snr_est * exp_corr(alpha, m_d))
+    psi_sr, sigma_rd = (
+        _rebuild(q, 1.0 + snr_est * np.clip(w, 0.0, None), inverse=True)
+        for w, q in (np.linalg.eigh(exp_corr(alpha, n)) for n in (n_s, m_d))
+    )
     stats_sr = ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=psi_sr)
     stats_rd = ErrorStats(row_cov=sigma_rd, col_cov=np.eye(n_r, dtype=np.complex128))
     return stats_sr, stats_rd

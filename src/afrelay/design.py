@@ -51,13 +51,12 @@ import numpy as np
 
 from .channel import ChannelKnowledge
 from .linalg import (
-    LinalgError,
     OrderedHermitianEig,
     OrderedSVD,
     _check_psd,
     _ct,
+    _rebuild,
     eig_hermitian_ordered,
-    herm_inv_sqrt,
     svd_ordered,
 )
 from .mse import SystemConfig, Transceiver, _checked, _link, _scalar, _trace, tilde_maps
@@ -139,8 +138,8 @@ class ContractError(DesignError, RuntimeError):
 
 
 class NumericalError(DesignError, ValueError):
-    """A kernel rejected an intermediate: one draw's solve (that draw fails)
-    or numerics its stack shares (all fail; the error is the ``__cause__``)."""
+    """A draw's solve was singular: its equalizer, forward matrix or
+    weighted MSE is not finite.  Only that draw fails."""
 
     cause = "numerical"
 
@@ -307,6 +306,13 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
     )
 
 
+def _floored_inv_sqrt(m: np.ndarray, floor: float) -> np.ndarray:
+    """m^{-1/2} of m = (a PSD matrix) + floor I, its eigenvalues floored at
+    ``floor``: PD by construction, so no conditioning guard applies."""
+    w, q = np.linalg.eigh(0.5 * (m + _ct(m)))
+    return _rebuild(q, np.sqrt(np.maximum(w, floor)), inverse=True)
+
+
 def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
     """psi_eff, whiten_sr, k2_const and whiten_rd of the knowledge's
     error statistics (see :class:`SpectralData`)."""
@@ -315,7 +321,8 @@ def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
     sigma_rd_eff = know.c_rd * know.stats_rd.row_cov
     b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
     k2_const = cfg.p_r * sigma_rd_eff + cfg.sigma2_sq * np.eye(cfg.m_d)
-    return psi_eff, herm_inv_sqrt(b_sr), k2_const, herm_inv_sqrt(k2_const)
+    return (psi_eff, _floored_inv_sqrt(b_sr, cfg.sigma1_sq),
+            k2_const, _floored_inv_sqrt(k2_const, cfg.sigma2_sq))
 
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
@@ -870,14 +877,11 @@ class _StackDesigns:
 
     def __call__(self, opts: DesignOptions | None = None) -> DesignBatch:
         opts = opts or DesignOptions()
-        try:
-            if self._spectral is None:
-                self._spectral = spectral_decompose(self.cfg, self.know)
-            if opts.mode == "relay_only":
-                return _design_relay_only(self.cfg, self.know, self._spectral)
-            return _design_joint(self.cfg, self.know, self._spectral, opts)
-        except (LinalgError, np.linalg.LinAlgError) as err:
-            raise NumericalError(str(err)) from err
+        if self._spectral is None:
+            self._spectral = spectral_decompose(self.cfg, self.know)
+        if opts.mode == "relay_only":
+            return _design_relay_only(self.cfg, self.know, self._spectral)
+        return _design_joint(self.cfg, self.know, self._spectral, opts)
 
 
 def design_batch(
@@ -892,8 +896,8 @@ def design_batch(
     alternating water-filling (uniform init plus optional random restarts)
     -> eta_p -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
     robustly.  Draw i of the result equals the design of draw i alone, and
-    a failed draw (a singular solve too) is listed in ``failures``; only
-    rejected numerics the stack shares raise :class:`NumericalError`.
+    a failed draw (a singular solve too) is listed in ``failures``; no
+    draw's failure raises for the stack.
     """
     return _StackDesigns(cfg, know)(opts)
 

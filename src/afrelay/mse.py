@@ -42,7 +42,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _ct, _rebuild, _sq_norm, herm_sqrt
 
 __all__ = [
     "SystemConfig",
@@ -345,14 +345,14 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     k1_half = np.sqrt(k1)
     k1_inv_half = 1.0 / k1_half
     x = (k1_inv_half * know.est_sr) @ p
-    # pi_p = I + x x^H is always PD with min eigenvalue 1, so its roots are
-    # taken on the PSD part directly; herm_inv_sqrt's conditioning guard
-    # would reject extreme but perfectly valid SNRs here.
+    # pi_p = I + x x^H is PD by construction, its eigenvalues floored at 1,
+    # so no conditioning guard applies: herm_inv_sqrt's would reject
+    # extreme but perfectly valid SNRs here.
     w, q = np.linalg.eigh(_herm(x @ _ct(x)))
-    w = np.clip(w, 0.0, None)[..., None, :]
-    pi_p = _herm((q * (1.0 + w)) @ _ct(q))
-    pi_half = _herm((q * np.sqrt(1.0 + w)) @ _ct(q))
-    pi_inv_half = _herm((q / np.sqrt(1.0 + w)) @ _ct(q))
+    d = 1.0 + np.clip(w, 0.0, None)
+    pi_p = _rebuild(q, d)
+    pi_half = _rebuild(q, np.sqrt(d))
+    pi_inv_half = _rebuild(q, np.sqrt(d), inverse=True)
     return TildeMaps(
         pi_p=pi_p,
         _gram_p=gram_p,

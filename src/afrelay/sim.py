@@ -28,10 +28,10 @@ one batched product K z and the empirical weighted MSE is
 Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].  Draw i of a stack
 gets the same numbers as draw i designed alone, so the chunks and
 stacks, like a worker pool, change nothing: identical spec + seed
-reproduces identical results byte for byte.  A draw whose design fails
-(a singular solve fails only its draw) is excluded from the averages and
-counted in ``n_failed`` and, by cause, in ``ExperimentRecord.failures``;
-it never aborts the sweep.
+reproduces identical results byte for byte.  No design stack raises: a
+draw whose design fails (a singular solve too) fails alone, is excluded
+from the averages and is counted in ``n_failed`` and, by cause, in
+``ExperimentRecord.failures``; it never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -47,7 +47,7 @@ from operator import itemgetter
 import numpy as np
 
 from .channel import ChannelKnowledge, _complex_parts, exact_knowledge, sample_scenario_stack
-from .design import DesignError, DesignOptions, _StackDesigns, design
+from .design import DesignOptions, _StackDesigns, design
 from .linalg import _as_psd, _ct
 from .mse import SystemConfig, Transceiver, weighted_mse
 
@@ -303,19 +303,11 @@ def _designs(algorithm: str, designs: _StackDesigns, sampled):
     The robust designs' analytic weighted MSE is the direct evaluation
     their agreement check already made under the same knowledge; the
     naive design is evaluated under ``sampled``, the true error
-    statistics.  A draw that fails keeps its placeholder transceiver; a
-    rejection of numerics the whole stack shares (the whitening, a stacked
-    SVD or eigh) fails every draw of the stack, on zero placeholders.
+    statistics.  A draw that fails keeps its placeholder transceiver.
     """
-    cfg, know = designs.cfg, designs.know
-    try:
-        batch = _design_algorithm(algorithm, designs)
-    except DesignError as err:
-        draws, n = know.est_sr.shape[0], cfg.n_streams
-        shapes = ((cfg.n_s, n), (cfg.n_r, cfg.m_r), (n, cfg.m_d))
-        return Transceiver(*(np.zeros((draws, *s)) for s in shapes)), np.full(draws, np.nan), [err] * draws
+    batch = _design_algorithm(algorithm, designs)
     tx = batch.solution.tx
-    analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(cfg, sampled, tx)
+    analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(designs.cfg, sampled, tx)
     return tx, analytic, list(batch.failures)
 
 

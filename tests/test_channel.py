@@ -94,6 +94,19 @@ class TestTrainingStats:
         assert np.array_equal(stats_rd.col_cov, np.eye(4))
         assert np.allclose(stats_rd.row_cov, expected)
 
+    @pytest.mark.parametrize("k", [6, 9, 12, 15])
+    def test_estimation_stats_near_unit_alpha_are_hermitian(self, k):
+        # R_alpha is ill-conditioned near alpha = 1: a general inverse of
+        # I + s R_alpha misses ErrorStats' Hermitian tolerance somewhere
+        # in 60..200 dB for each of these alphas.  ErrorStats checks PSD too.
+        for snr_db in range(60, 201, 5):
+            stats_sr, stats_rd = estimation_stats(
+                10.0 ** (snr_db / 10.0), 1 - 10.0**-k, n_s=4, m_r=4, n_r=4, m_d=4
+            )
+            for cov in (stats_sr.col_cov, stats_rd.row_cov):
+                assert np.array_equal(cov, cov.conj().T)
+                assert 0.0 < np.trace(cov).real <= 4.0
+
 
 class TestErrorSampling:
     def test_zero_row_cov_gives_zero_matrix(self):

@@ -1,11 +1,11 @@
 """Property tests over a wide part of the parameter space the CLI accepts.
 
-The CLI accepts any finite SNR; the generated examples cover dims 1-5,
-data SNR -10..70 dB per hop, estimation SNR -20..60 dB (the sweep tests:
--300..100 dB), alpha up to 0.999, distinct, tied and partly zero
-weights.  Pinned examples reach further (200 dB data SNR).  The
-derandomized profile registered in conftest keeps every run on the same
-examples.
+The CLI accepts any finite SNR and alpha in [0, 1); the generated
+examples cover only part of that: dims 1-5, data SNR -10..70 dB per hop,
+estimation SNR -20..60 dB (the sweep tests: -300..100 dB), alpha up to
+0.999, distinct, tied and partly zero weights.  Pinned examples reach
+further (200 dB data SNR, alpha 1 - 1e-14).  The derandomized profile
+registered in conftest keeps every run on the same examples.
 """
 
 import pathlib
@@ -118,19 +118,33 @@ def experiment_specs(draw):
     })
 
 
+def _spec(**raw):
+    """A one-point ExperimentSpec of 4 draws of 8 symbols, 2 weighted streams."""
+    return ExperimentSpec.from_dict({"n_streams": 2, "weights": [0.6, 0.4], "n_channel_draws": 4,
+                                     "n_symbols": 8, "seed": 0, **raw})
+
+
 def test_sweeps_over_the_accepted_space_count_every_draw():
     # No exception escapes a sweep, every draw is averaged or counted as
-    # failed by cause, and the averages are finite.  Contract misses are
-    # reported, not asserted away: the misses at estimation SNRs near
-    # -100 dB and below are still open.
+    # failed by cause, no cell fails every draw as numerical, and the
+    # averages are finite.  Contract misses are reported, not asserted
+    # away: the misses at estimation SNRs near -100 dB and below are
+    # still open.
     causes = Counter()
 
     @settings(max_examples=60)
     @given(experiment_specs())
+    # alpha near 1: R_alpha is ill-conditioned, and a general inverse of
+    # I + s R_alpha is not Hermitian within ErrorStats' tolerance.
+    @example(_spec(dims=[4, 4, 4, 4], alpha=0.999999999, data_snr_db=30.0, est_snr_db=[60.0]))
+    # Both whitened matrices are PD only through the noise they add.
+    @example(_spec(dims=[4, 3, 5, 4], alpha=1 - 1e-14, data_snr_db=150.0, est_snr_db=[140.0],
+                   n_channel_draws=8, n_symbols=20, seed=14))
     def sweep(spec):
         for rec in run_experiment(spec):
             assert rec.n_draws + rec.n_failed == spec.n_channel_draws
             assert sum(rec.failures.values()) == rec.n_failed
+            assert rec.failures.get("numerical", 0) < spec.n_channel_draws
             if rec.n_draws > 0:
                 assert np.isfinite([rec.wmse_analytic, rec.wmse_empirical, rec.ber]).all()
             causes.update({(rec.algorithm, cause): k for cause, k in rec.failures.items()})
