@@ -7,11 +7,11 @@ i.i.d. circularly symmetric unit-variance complex Gaussians.  With MMSE
 training-based estimation the first hop has row covariance exactly I and
 the second hop has column covariance exactly I; the nontrivial factors
 follow from the training sequences.  The transceiver design needs that
-structure: :class:`ChannelKnowledge` tests each identity side once per
-set of statistics and keeps its scale (``c_sr``, ``c_rd``), while
-sampling and knowledge with general statistics never read it.  A stack
-may join draws of several sets of statistics (sweep points, say), each
-validated and tested once for all of its draws.
+structure: each :class:`ErrorStats` tests an identity side once, on
+first use, and keeps its scale (``ChannelKnowledge.c_sr``, ``c_rd``),
+while sampling and knowledge with general statistics never read it.
+The statistics of a knowledge stack are shared by all of its draws, or
+given draw by draw (a stack that joins sweep points, say).
 
 All sampling takes an explicit seed or ``numpy.random.Generator``; there
 is no hidden global RNG state.
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_psd, _rebuild, herm_sqrt
+from .linalg import _as_psd, _first_bad, _rebuild, _sq_norm, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -56,9 +56,10 @@ class ErrorStats:
 
     ``row_cov`` is the receive-side correlation (size = channel rows),
     ``col_cov`` the transmit-side correlation (size = channel columns).
-    The statistics of a knowledge stack that mixes several sets hold
-    (B, n, n) covariances, draw by draw (:meth:`ChannelKnowledge.concat`).
-    Equality is identity: no field-wise comparison of arrays.
+    Each is a matrix shared by every draw of a knowledge stack, or a
+    (B, n, n) stack, one per draw, validated draw by draw.  The scale of
+    an identity side is tested once per object, on first use.  Equality
+    is identity: no field-wise comparison of arrays.
     """
 
     row_cov: np.ndarray
@@ -66,10 +67,8 @@ class ErrorStats:
 
     def __post_init__(self):
         for name in ("row_cov", "col_cov"):
-            cov = _as_psd(getattr(self, name), name)
-            if cov.ndim != 2:
-                raise ValueError(f"{name} must be a square matrix, got shape {cov.shape}")
-            object.__setattr__(self, name, cov)
+            object.__setattr__(self, name, _as_psd(getattr(self, name), name))
+        object.__setattr__(self, "_scales", {})
 
     @property
     def rows(self) -> int:
@@ -79,14 +78,18 @@ class ErrorStats:
     def cols(self) -> int:
         return self.col_cov.shape[-1]
 
-    @classmethod
-    def _per_draw(cls, sets, index) -> "ErrorStats":
-        """Draw i's covariances are those of ``sets[index[i]]``.  Each set
-        was validated when it was built, so nothing is checked again."""
-        stats = object.__new__(cls)
-        for name in ("row_cov", "col_cov"):
-            object.__setattr__(stats, name, np.stack([getattr(t, name) for t in sets])[index])
-        return stats
+    def _scale(self, side: str, name: str):
+        """:func:`_identity_scale` of ``side`` ("row_cov" or "col_cov")."""
+        if side not in self._scales:
+            self._scales[side] = _identity_scale(getattr(self, side), name)
+        return self._scales[side]
+
+    def _select(self, index) -> "ErrorStats":
+        """These statistics for the draws ``index`` of a stack."""
+        if self.row_cov.ndim == 2 and self.col_cov.ndim == 2:
+            return self
+        return ErrorStats(*(cov if cov.ndim == 2 else cov[index]
+                            for cov in (self.row_cov, self.col_cov)))
 
 
 @dataclass(frozen=True)
@@ -112,31 +115,18 @@ class HopTraining:
         object.__setattr__(self, "training", t)
 
 
-def _identity_scale(cov: np.ndarray, name: str) -> float:
-    """c where ``cov`` = c I (within 1e-10 relative, Frobenius norm); any
+def _identity_scale(cov: np.ndarray, name: str):
+    """c where ``cov`` = c I (within 1e-10 relative, Frobenius norm): a
+    float, or (B, 1, 1) for a (B, n, n) stack, tested draw by draw; any
     other covariance raises a ValueError naming it."""
-    c = float(cov[0, 0].real)
-    gap = cov - c * np.eye(len(cov))
-    if np.vdot(gap, gap).real ** 0.5 > 1e-10 * max(abs(c) * len(cov) ** 0.5, 1e-300):
-        raise ValueError(f"{name} must be a scaled identity, as training-based estimation makes it")
-    return c
-
-
-class _Statistics:
-    """One set of error statistics of both hops and the scales of its
-    identity sides, each tested once, on first use."""
-
-    __slots__ = ("stats_sr", "stats_rd", "scales")
-
-    def __init__(self, stats_sr: ErrorStats, stats_rd: ErrorStats):
-        self.stats_sr, self.stats_rd, self.scales = stats_sr, stats_rd, {}
-
-    def scale(self, name: str) -> float:
-        """c of the covariance ``name`` ("stats_sr.row_cov", say) = c I."""
-        if name not in self.scales:
-            hop, side = name.split(".")
-            self.scales[name] = _identity_scale(getattr(getattr(self, hop), side), name)
-        return self.scales[name]
+    c = cov[..., 0, 0].real
+    n = cov.shape[-1]
+    gap = cov - c[..., None, None] * np.eye(n)
+    bad = np.sqrt(_sq_norm(gap)) > 1e-10 * np.maximum(np.abs(c) * n**0.5, 1e-300)
+    if bad.any():
+        raise ValueError(f"{name} must be a scaled identity{_first_bad(bad)}, "
+                         "as training-based estimation makes it")
+    return float(c) if c.ndim == 0 else c[:, None, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -144,19 +134,17 @@ class ChannelKnowledge:
     """Estimated channels of both hops plus their error statistics.
 
     ``est_sr`` / ``est_rd`` are single matrices, or (B, rows, cols)
-    stacks of B draws.  The draws of a stack built here share one set of
-    statistics; :meth:`concat` joins stacks of different sets (several
-    sweep points, say), and then ``stats_sr`` / ``stats_rd`` hold
-    (B, n, n) covariances, draw by draw.  ``c_sr`` and ``c_rd`` are the
-    scales of the identity sides that training-based estimation gives,
-    ``stats_sr.row_cov`` = c_sr I and ``stats_rd.col_cov`` = c_rd I:
-    floats, or (B, 1, 1) arrays that broadcast per draw where the draws'
-    statistics differ.  Each side is tested once per set of statistics,
-    on first use, and the result is shared with every :meth:`select`,
-    :meth:`as_stack` and :meth:`concat` that holds the set; reading one
-    where that side is not a scaled identity raises a ValueError naming
-    the covariance.  Equality is identity: no field-wise comparison of
-    arrays.
+    stacks of B draws.  Each :class:`ErrorStats` is shared by every draw,
+    or holds (B, n, n) covariances, one per draw (:meth:`concat` builds
+    those where the joined stacks' statistics differ).  ``c_sr`` and
+    ``c_rd`` are the scales of the identity sides that training-based
+    estimation gives, ``stats_sr.row_cov`` = c_sr I and
+    ``stats_rd.col_cov`` = c_rd I: floats, or (B, 1, 1) arrays that
+    broadcast per draw.  Each is tested once per statistics object, on
+    first use, so every knowledge that holds the object (a
+    :meth:`select`, say) shares the result; reading one where that side
+    is not a scaled identity raises a ValueError naming the covariance.
+    Equality is identity: no field-wise comparison of arrays.
     """
 
     est_sr: np.ndarray
@@ -175,110 +163,63 @@ class ChannelKnowledge:
                 f"est_sr and est_rd stack different numbers of draws "
                 f"({sr.shape[:-2]} vs {rd.shape[:-2]})"
             )
-        if sr.shape[-2:] != (self.stats_sr.rows, self.stats_sr.cols):
-            raise ValueError(
-                f"stats_sr shape {(self.stats_sr.rows, self.stats_sr.cols)} "
-                f"does not match est_sr shape {sr.shape}"
-            )
-        if rd.shape[-2:] != (self.stats_rd.rows, self.stats_rd.cols):
-            raise ValueError(
-                f"stats_rd shape {(self.stats_rd.rows, self.stats_rd.cols)} "
-                f"does not match est_rd shape {rd.shape}"
-            )
+        for hop, est in (("sr", sr), ("rd", rd)):
+            stats = getattr(self, f"stats_{hop}")
+            if est.shape[-2:] != (stats.rows, stats.cols):
+                raise ValueError(
+                    f"stats_{hop} shape {(stats.rows, stats.cols)} "
+                    f"does not match est_{hop} shape {est.shape}"
+                )
+            if {stats.row_cov.shape[:-2], stats.col_cov.shape[:-2]} - {(), est.shape[:-2]}:
+                raise ValueError(f"stats_{hop} holds covariances of other draws "
+                                 f"than est_{hop} of shape {est.shape}")
         object.__setattr__(self, "est_sr", sr)
         object.__setattr__(self, "est_rd", rd)
-        # The distinct sets of statistics, and each draw's set (None: one set).
-        object.__setattr__(self, "_sets", (_Statistics(self.stats_sr, self.stats_rd),))
-        object.__setattr__(self, "_set_of", None)
 
     @property
     def c_sr(self):
-        return self._scale("stats_sr.row_cov")
+        return self.stats_sr._scale("row_cov", "stats_sr.row_cov")
 
     @property
     def c_rd(self):
-        return self._scale("stats_rd.col_cov")
-
-    def _scale(self, name: str):
-        if self._set_of is None:
-            return self._sets[0].scale(name)
-        return np.array([s.scale(name) for s in self._sets])[self._set_of, None, None]
-
-    @classmethod
-    def _of_sets(cls, est_sr, est_rd, sets, set_of) -> "ChannelKnowledge":
-        """Estimates whose draw i has the statistics ``sets[set_of[i]]``;
-        sets no draw uses are dropped, and one set left gives an ordinary
-        knowledge object."""
-        used, set_of = np.unique(set_of, return_inverse=True)
-        sets = tuple(sets[i] for i in used.tolist())
-        if len(sets) == 1:
-            know = cls(est_sr, est_rd, sets[0].stats_sr, sets[0].stats_rd)
-        else:
-            hops = [ErrorStats._per_draw([getattr(s, hop) for s in sets], set_of)
-                    for hop in ("stats_sr", "stats_rd")]
-            know = cls(est_sr, est_rd, *hops)
-            object.__setattr__(know, "_set_of", set_of.reshape(-1))
-        object.__setattr__(know, "_sets", sets)
-        return know
+        return self.stats_rd._scale("col_cov", "stats_rd.col_cov")
 
     @classmethod
     def concat(cls, parts) -> "ChannelKnowledge":
         """The draws of ``parts`` (knowledge objects of one shape), in order,
         as one stack.
 
-        Nothing is validated or tested again: each part's statistics keep
-        their identity scales, and parts holding the same set of
-        statistics (selections of one stack, say) share it.  Where every
-        draw has the same set the result is an ordinary stack.
+        A hop whose statistics object every part shares keeps it (and the
+        scales it has tested); otherwise that hop's statistics are given
+        draw by draw, validated as any new :class:`ErrorStats` is.
         """
         parts = [p.as_stack() for p in parts]
-        sets, set_of = {}, []
-        for part in parts:
-            ids = np.array([sets.setdefault(id(s), (len(sets), s))[0] for s in part._sets])
-            local = 0 if part._set_of is None else part._set_of
-            set_of.append(np.broadcast_to(ids[local], part.est_sr.shape[:1]))
-        return cls._of_sets(
+
+        def joined(stats):
+            if all(s is stats[0] for s in stats):
+                return stats[0]
+            return ErrorStats(*(np.concatenate([
+                np.broadcast_to(c, p.est_sr.shape[:1] + c.shape[-2:]) for p, c in zip(parts, covs)
+            ]) for covs in ([s.row_cov for s in stats], [s.col_cov for s in stats])))
+
+        return cls(
             np.concatenate([p.est_sr for p in parts]),
             np.concatenate([p.est_rd for p in parts]),
-            [s for _, s in sets.values()],
-            np.concatenate(set_of),
+            joined([p.stats_sr for p in parts]),
+            joined([p.stats_rd for p in parts]),
         )
 
     def select(self, index) -> "ChannelKnowledge":
-        """The draws ``index`` (an int, slice or index array) of a stack.
-
-        The selection holds the sets of statistics of its draws, with the
-        identity scales this object has tested: a scale either of them
-        tests is known to both.  A single draw, or draws of one set, get
-        that set's own 2-D statistics.
-        """
-        if self._set_of is None:
-            picked = ChannelKnowledge(
-                self.est_sr[index], self.est_rd[index], self.stats_sr, self.stats_rd
-            )
-            object.__setattr__(picked, "_sets", self._sets)
-            return picked
-        return self._of_sets(
-            self.est_sr[index], self.est_rd[index], self._sets, self._set_of[index]
+        """The draws ``index`` (an int, slice or index array) of a stack:
+        shared statistics are kept, per-draw ones sliced alike."""
+        return ChannelKnowledge(
+            self.est_sr[index], self.est_rd[index],
+            self.stats_sr._select(index), self.stats_rd._select(index),
         )
 
     def as_stack(self) -> "ChannelKnowledge":
         """This knowledge as a stack (a single draw becomes a stack of one)."""
         return self if self.est_sr.ndim == 3 else self.select(np.newaxis)
-
-    def per_statistics(self, fn):
-        """``fn(k)`` for a ``fn`` that reads only the statistics and
-        identity scales of a knowledge ``k`` and returns a tuple of arrays.
-
-        Where the draws share one set of statistics, ``k`` is this object.
-        Otherwise ``k`` holds one draw per set, and each output's leading
-        (set) axis is gathered draw by draw into a (B, ...) stack; so what
-        depends only on the statistics is computed once per set.
-        """
-        if self._set_of is None:
-            return fn(self)
-        _, first = np.unique(self._set_of, return_index=True)
-        return tuple(out[self._set_of] for out in fn(self.select(first)))
 
 
 @dataclass(frozen=True)
@@ -301,21 +242,27 @@ def exp_corr(alpha: float, n: int) -> np.ndarray:
     return alpha ** np.abs(idx[:, None] - idx[None, :]) + 0j
 
 
+def _mmse_error_cov(gram: np.ndarray, prior: float, gain: float) -> np.ndarray:
+    """(prior I + gain gram)^{-1} for a PSD ``gram``, rebuilt from gram's
+    eigensystem: Hermitian PSD even where gram is ill-conditioned."""
+    w, q = np.linalg.eigh(gram)
+    return _rebuild(q, prior + gain * np.clip(w, 0.0, None), inverse=True)
+
+
 def error_stats_first_hop(t: HopTraining, n_s: int, m_r: int) -> ErrorStats:
     """MMSE error covariances of the source->relay channel estimate.
 
     Row covariance is exactly I_{m_r}; the column covariance is
     ``((1/channel_var) I + (1/noise_var) D1 D1^H)^{-1}`` with the
-    training D1 transmitted from the source (n_s rows).
+    training D1 transmitted from the source (n_s rows), rebuilt from the
+    eigensystem of D1 D1^H.
     """
     if t.training.shape[0] != n_s:
         raise ValueError(
             f"first-hop training must have n_s={n_s} rows, "
             f"got {t.training.shape[0]}"
         )
-    d = t.training
-    info = np.eye(n_s) / t.channel_var + (d @ d.conj().T) / t.noise_var
-    col = np.linalg.inv(info)
+    col = _mmse_error_cov(t.training @ t.training.conj().T, 1 / t.channel_var, 1 / t.noise_var)
     return ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=col)
 
 
@@ -324,16 +271,15 @@ def error_stats_second_hop(t: HopTraining, n_r: int, m_d: int) -> ErrorStats:
 
     Training for this hop travels in the reverse direction (m_d rows),
     so the roles flip: column covariance is exactly I_{n_r} and
-    ``row_cov = ((1/channel_var) I + (1/noise_var) D2 D2^H)^{-1}``.
+    ``row_cov = ((1/channel_var) I + (1/noise_var) D2 D2^H)^{-1}``,
+    rebuilt from the eigensystem of D2 D2^H.
     """
     if t.training.shape[0] != m_d:
         raise ValueError(
             f"second-hop training must have m_d={m_d} rows, "
             f"got {t.training.shape[0]}"
         )
-    d = t.training
-    info = np.eye(m_d) / t.channel_var + (d @ d.conj().T) / t.noise_var
-    row = np.linalg.inv(info)
+    row = _mmse_error_cov(t.training @ t.training.conj().T, 1 / t.channel_var, 1 / t.noise_var)
     return ErrorStats(row_cov=row, col_cov=np.eye(n_r, dtype=np.complex128))
 
 
@@ -350,10 +296,7 @@ def estimation_stats(
     """
     if snr_est < 0:
         raise ValueError("snr_est must be nonnegative")
-    psi_sr, sigma_rd = (
-        _rebuild(q, 1.0 + snr_est * np.clip(w, 0.0, None), inverse=True)
-        for w, q in (np.linalg.eigh(exp_corr(alpha, n)) for n in (n_s, m_d))
-    )
+    psi_sr, sigma_rd = (_mmse_error_cov(exp_corr(alpha, n), 1.0, snr_est) for n in (n_s, m_d))
     stats_sr = ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=psi_sr)
     stats_rd = ErrorStats(row_cov=sigma_rd, col_cov=np.eye(n_r, dtype=np.complex128))
     return stats_sr, stats_rd

@@ -33,13 +33,13 @@ allocation, and a third alternation from it is kept where it does not
 raise the objective (:func:`alternate`).
 
 The pipeline works on a (B, ., .) stack of channel draws that share one
-config (:func:`design_batch`): the whitening once per set of error
-statistics in the stack, one stacked SVD per hop, the alternation on
-every draw at once with a per-draw convergence mask, and the contract
-checks per draw, so a failing draw is reported without disturbing the
-others.  The draws may come from several sweep points: each reads its
-own statistics.  :func:`design` is the B = 1 case.  Every step has one
-public entry, which takes stacks: :func:`spectral_decompose`,
+config (:func:`design_batch`): the whitening once for error statistics
+that the draws share (draw by draw for per-draw statistics, as where the
+draws come from several sweep points), one stacked SVD per hop, the
+alternation on every draw at once with a per-draw convergence mask, and
+the contract checks per draw, so a failing draw is reported without
+disturbing the others.  :func:`design` is the B = 1 case.  Every step
+has one public entry, which takes stacks: :func:`spectral_decompose`,
 :func:`waterfill`, :func:`alternate`, :func:`solve_eta_p`, :func:`assemble`.
 """
 
@@ -160,8 +160,8 @@ class SpectralData:
     sigma2^2 I.  Gains are the leading n_streams singular values.  For a
     stack of draws the SVDs and gains carry its leading axis; the
     whitening matrices, ``k2_const`` and ``psi_eff`` are shared (2-D)
-    where the draws share their error statistics and carry the leading
-    axis where they do not.
+    where the draws share that hop's error statistics and carry the
+    leading axis where they do not.
     """
 
     first_hop: OrderedSVD
@@ -327,11 +327,10 @@ def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
     """Ordered SVDs of both whitened hop estimates plus truncated gains;
-    the whitening is formed once per set of error statistics."""
+    the whitening is formed once for statistics shared by the stack's
+    draws, and draw by draw for per-draw statistics."""
     _checked(cfg, know)
-    psi_eff, whiten_sr, k2_const, whiten_rd = know.per_statistics(
-        lambda stats: _whitening(cfg, stats)
-    )
+    psi_eff, whiten_sr, k2_const, whiten_rd = _whitening(cfg, know)
     n = cfg.n_streams
     first = svd_ordered(know.est_sr @ whiten_sr)
     second = svd_ordered(whiten_rd @ know.est_rd)
@@ -890,14 +889,14 @@ def design_batch(
     """Design every draw of a stack of channel knowledge at once.
 
     ``know`` holds (B, rows, cols) estimates (a single draw counts as
-    B = 1), whose draws may have different error statistics
-    (:meth:`ChannelKnowledge.concat`); each draw is designed under its
-    own.  Joint mode: weight eigensystem -> whitened-hop SVDs ->
-    alternating water-filling (uniform init plus optional random restarts)
-    -> eta_p -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and designs F, G
-    robustly.  Draw i of the result equals the design of draw i alone, and
-    a failed draw (a singular solve too) is listed in ``failures``; no
-    draw's failure raises for the stack.
+    B = 1), whose error statistics are shared or given draw by draw
+    (:class:`ChannelKnowledge`); each draw is designed under its own.
+    Joint mode: weight eigensystem -> whitened-hop SVDs -> alternating
+    water-filling (uniform init plus optional random restarts) -> eta_p
+    -> assembled (P, F, G).  Relay-only mode keeps the precoder fixed and
+    designs F, G robustly.  Draw i of the result equals the design of
+    draw i alone, and a failed draw (a singular solve too) is listed in
+    ``failures``; no draw's failure raises for the stack.
     """
     return _StackDesigns(cfg, know)(opts)
 

@@ -14,19 +14,18 @@ and both noises):
 with Hsr/Hrd the channel estimates.  Training-based estimation makes the
 first hop's row covariance c_sr I and the second hop's column covariance
 c_rd I, and every entry requires that: it reads each c from the
-knowledge (``ChannelKnowledge.c_sr`` / ``c_rd``), which tests the side
-once and rejects any other covariance by name.  So K1 is a scaled
+knowledge (``ChannelKnowledge.c_sr`` / ``c_rd``), whose statistics test
+the side once and reject any other covariance by name.  So K1 is a scaled
 identity, carried as its level with scalar roots; that level is also the
 eta_p fixed point the designer checks.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P.
 Every function takes one draw, or (B, ., .) stacks of draws that share
-the config, and then works draw by draw; a stack whose draws have
-different error statistics carries them, and c_sr, c_rd, per draw
-(:meth:`ChannelKnowledge.concat`), so K1's level and K2 are each draw's
-own.  Each
-public entry checks its arguments once (``_checked``) and evaluates
+the config, and then works draw by draw; a stack's error statistics, and
+so c_sr and c_rd, are shared by its draws or given per draw
+(:class:`ChannelKnowledge`), so K1's level and K2 are each draw's own.
+Each public entry checks its arguments once (``_checked``) and evaluates
 through one builder, ``_Link``, which forms P P^H, K1, Rx, F Rx F^H, K2,
 Hrd F and the destination covariance each at most once, on first use.
 The designer builds one per stack, with P P^H and K1 taken from the

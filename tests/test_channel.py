@@ -94,6 +94,24 @@ class TestTrainingStats:
         assert np.array_equal(stats_rd.col_cov, np.eye(4))
         assert np.allclose(stats_rd.row_cov, expected)
 
+    def test_ill_conditioned_training_gives_hermitian_stats(self):
+        # D = Q diag(sqrt(0.1 s lam)) for the eigensystem (lam, Q) of R_alpha
+        # at alpha = 1 - 1e-15 and s = 200 dB: a general inverse of the
+        # information matrix misses ErrorStats' Hermitian tolerance.
+        lam, q = np.linalg.eigh(exp_corr(1 - 1e-15, 4))
+        d = q * np.sqrt(0.1 * 1e20 * np.clip(lam, 0.0, None))
+        t = HopTraining(d, channel_var=1.0, noise_var=0.1)
+        for cov in (error_stats_first_hop(t, 4, 3).col_cov, error_stats_second_hop(t, 2, 4).row_cov):
+            assert np.array_equal(cov, cov.conj().T)
+            assert 0.0 < np.trace(cov).real <= 4.0
+        # Well-conditioned training agrees with the general inverse.
+        rng = np.random.default_rng(5)
+        d = rng.standard_normal((3, 6)) + 1j * rng.standard_normal((3, 6))
+        t = HopTraining(d, channel_var=0.8, noise_var=0.3)
+        expected = np.linalg.inv(np.eye(3) / 0.8 + d @ d.conj().T / 0.3)
+        for cov in (error_stats_first_hop(t, 3, 2).col_cov, error_stats_second_hop(t, 4, 3).row_cov):
+            assert np.linalg.norm(cov - expected) <= 1e-12 * np.linalg.norm(expected)
+
     @pytest.mark.parametrize("k", [6, 9, 12, 15])
     def test_estimation_stats_near_unit_alpha_are_hermitian(self, k):
         # R_alpha is ill-conditioned near alpha = 1: a general inverse of
@@ -259,6 +277,26 @@ class TestKnowledgeObjects:
         with pytest.raises(ValueError):
             ErrorStats(np.diag([1.0, -0.2]), np.eye(3))
 
+    def test_per_draw_error_stats_are_validated_draw_by_draw(self):
+        good = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+        not_psd, not_hermitian = good.copy(), good.astype(complex)
+        not_psd[1] = np.diag([1.0, -0.2])
+        not_hermitian[2, 0, 1] = 0.5j
+        with pytest.raises(ValueError, match=r"not PSD \(stack entry 1\)"):
+            ErrorStats(not_psd, good)
+        with pytest.raises(ValueError, match=r"not Hermitian \(stack entry 2\)"):
+            ErrorStats(good, not_hermitian)
+        assert ErrorStats(good, good).row_cov.shape == (3, 2, 2)
+
+    def test_per_draw_statistics_must_match_the_draw_count(self):
+        est = np.zeros((3, 2, 2))
+        eye = np.stack([np.eye(2)] * 3)
+        shared, per_draw = ErrorStats(eye[0], eye[0]), ErrorStats(eye, eye)
+        assert ChannelKnowledge(est, est, per_draw, shared).c_sr.shape == (3, 1, 1)
+        for est_sr, stats in ((est[:2], per_draw), (est[0], per_draw)):
+            with pytest.raises(ValueError, match="stats_sr holds covariances of other draws"):
+                ChannelKnowledge(est_sr, est_sr, stats, shared)
+
 
 def _point_stacks(cfg, snrs, draws=2):
     """One sampled knowledge stack per estimation SNR (linear)."""
@@ -282,33 +320,41 @@ class TestKnowledgeStacks:
             channel_mod, "_as_psd", lambda m, name="matrix": validations.append(name) or real(m, name)
         )
         mixed = ChannelKnowledge.concat(parts)
+        # Each per-draw covariance is validated once, and each identity
+        # side tested once, for all draws at a time.
+        assert validations == ["row_cov", "col_cov"] * 2
+        mixed.c_sr, mixed.c_rd, mixed.c_sr
+        assert calls == ["stats_sr.row_cov", "stats_rd.col_cov"]
         assert mixed.est_sr.shape == (4, 4, 3) and mixed.est_rd.shape == (4, 3, 2)
         assert mixed.stats_sr.col_cov.shape == (4, 3, 3)
         for i in range(4):
             part, j = parts[i // 2], i % 2
+            one = mixed.select(i)
             for hop in ("stats_sr", "stats_rd"):
                 for side in ("row_cov", "col_cov"):
                     expected = getattr(getattr(part, hop), side)
                     assert np.array_equal(getattr(getattr(mixed, hop), side)[i], expected)
-            one = mixed.select(i)
-            assert one.stats_sr is part.stats_sr and one.stats_rd is part.stats_rd
+                    assert np.array_equal(getattr(getattr(one, hop), side), expected)
             assert np.array_equal(one.est_sr, part.est_sr[j])
             assert one.c_sr == part.c_sr and one.c_rd == part.c_rd
         for name in ("c_sr", "c_rd"):
             per_draw = getattr(mixed, name)
             assert per_draw.shape == (4, 1, 1)
             assert per_draw[:, 0, 0].tolist() == [getattr(p, name) for p in parts for _ in range(2)]
-        # Draws of one set select to, and rejoin into, an ordinary stack.
-        assert mixed.select(slice(2, 4)).stats_sr is parts[1].stats_sr
-        rejoined = ChannelKnowledge.concat([parts[0].select(1), mixed.select(0)])
-        assert rejoined.stats_sr is parts[0].stats_sr
+        # Draws of one point select to, and rejoin into, its statistics.
+        same = mixed.select(slice(2, 4))
+        assert np.array_equal(same.est_sr, parts[1].est_sr)
+        assert np.array_equal(same.stats_sr.col_cov, np.stack([parts[1].stats_sr.col_cov] * 2))
+        rejoined = ChannelKnowledge.concat([mixed.select(1), mixed.select(0)])
         assert np.array_equal(rejoined.est_sr, parts[0].est_sr[::-1])
-        # A mixed selection keeps the order and the sets of its draws.
+        assert np.array_equal(rejoined.stats_rd.row_cov, np.stack([parts[0].stats_rd.row_cov] * 2))
+        # A concat of parts that share statistics keeps that object.
+        shared = ChannelKnowledge.concat([parts[0].select(1), parts[0]])
+        assert shared.stats_sr is parts[0].stats_sr and shared.stats_rd is parts[0].stats_rd
+        # A mixed selection keeps the order and the statistics of its draws.
         picked = mixed.select([3, 0, 2])
         assert np.array_equal(picked.stats_sr.col_cov[1], parts[0].stats_sr.col_cov)
         assert picked.c_sr[:, 0, 0].tolist() == [parts[1].c_sr, parts[0].c_sr, parts[1].c_sr]
-        # Each part was validated and tested when built, never again.
-        assert validations == [] and calls == []
 
     def test_stacks_of_general_statistics_concat_without_reading_scales(self):
         rng = np.random.default_rng(4)

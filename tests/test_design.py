@@ -1132,10 +1132,17 @@ def test_mixed_statistics_stack_designs_each_draw_as_its_points_stack():
     est_sr[1] = 0.0
     parts[0] = ChannelKnowledge(est_sr, parts[0].est_rd, parts[0].stats_sr, parts[0].stats_rd)
     mixed = ChannelKnowledge.concat(parts)
+    # The same stack with its per-draw statistics built directly.
+    direct = ChannelKnowledge(mixed.est_sr, mixed.est_rd, *(
+        ErrorStats(*(np.repeat([getattr(getattr(p, hop), side) for p in parts], 3, axis=0)
+                     for side in ("row_cov", "col_cov")))
+        for hop in ("stats_sr", "stats_rd")
+    ))
     for make, opts in (
         (lambda k: k, DesignOptions()),
         (lambda k: k, DesignOptions(mode="relay_only")),
         (lambda k: exact_knowledge(k.est_sr, k.est_rd), DesignOptions()),
+        (lambda k: direct if k is mixed else k, DesignOptions()),
     ):
         stacked = design_batch(cfg, make(mixed), opts)
         own = [design_batch(cfg, make(part), opts) for part in parts]

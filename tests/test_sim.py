@@ -177,15 +177,16 @@ class TestSpecValidation:
 
 
 class TestRunExperiment:
-    def test_identity_sides_are_tested_once_per_chunk_knowledge(self, monkeypatch):
-        # The 40 draws are one design stack.  Each point's sampled
+    def test_identity_sides_are_tested_once_per_design_stack(self, monkeypatch):
+        # The 40 draws are one design stack.  Its per-draw sampled
         # statistics (read by robust_full, robust_nopre and the naive
-        # evaluation) and the stack's exact knowledge for the naive design
-        # are tested on both sides once: 5 x 2 + 2.
+        # evaluation) and its exact knowledge for the naive design are
+        # each tested on both sides once, all draws at a time: 2 + 2.
         spec = dataclasses.replace(ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8)
         calls = count_identity_tests(monkeypatch)
         run_experiment(spec)
-        assert len(calls) == 12
+        assert sorted(calls) == ["stats_rd.col_cov", "stats_rd.col_cov",
+                                 "stats_sr.row_cov", "stats_sr.row_cov"]
 
     def test_produces_one_record_per_point_and_algorithm(self):
         spec = tiny_spec(est_snr_db=(0.0, 10.0))
