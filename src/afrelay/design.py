@@ -37,10 +37,11 @@ config (:func:`design_batch`): the whitening once for error statistics
 that the draws share (draw by draw for per-draw statistics, as where the
 draws come from several sweep points), one stacked SVD per hop, the
 alternation on every draw at once with a per-draw convergence mask, and
-the contract checks per draw, so a failing draw is reported without
-disturbing the others.  :func:`design` is the B = 1 case.  Every step
-has one public entry, which takes stacks: :func:`spectral_decompose`,
-:func:`waterfill`, :func:`alternate`, :func:`solve_eta_p`, :func:`assemble`.
+one pass of checks that gives every draw its verdict, so a failing draw
+is reported without disturbing the others.  :func:`design` is the B = 1
+case.  Every step has one public entry, which takes stacks:
+:func:`spectral_decompose`, :func:`waterfill`, :func:`alternate`,
+:func:`solve_eta_p`, :func:`assemble`.
 """
 
 from __future__ import annotations
@@ -663,76 +664,88 @@ def solve_eta_p(p_alloc, spectral: SpectralData, p_s):
         return _scalar(p_s / load)
 
 
-def _contract_failure(cfg, power_p, power_f, eta_p, fixed_point, achieved, direct):
-    """The first design contract a draw misses, or None.
+# Verdicts in check order, (error class or contract cause, message); 0 passes.
+_VERDICTS = (
+    None,
+    (NumericalError, "the equalizer, forward matrix or weighted MSE is not finite"),
+    (InfeasibleAllocationError, "all channel gains are zero"),
+    (ConvergenceError, f"alternating water-filling did not converge in {MAX_ITERS} iterations"),
+    ("eta_p", "eta_p {eta_p:.12e} is not positive"),
+    ("source_power", "source power {power_p:.12e} misses the budget {p_s:.12e}"),
+    ("relay_power", "relay power {power_f:.12e} misses the budget {p_r:.12e}"),
+    ("eta_p", "eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}"),
+    ("wmse_agreement", "residual weighted MSE {achieved:.12e} disagrees with the direct "
+                       "evaluation {direct:.12e}"),
+)
 
-    In order, each failed by a NaN: eta_p is positive, both powers sit on
-    their budgets (1e-9 relative), eta_p satisfies its fixed point, and
-    the residual weighted MSE agrees with the direct one at the LMMSE G.
+
+def _failures(cfg, alloc, zero_hop, finite, power_p, power_f, fixed_point, achieved, direct):
+    """Each draw's :class:`DesignError`, or None: its first failed check
+    of :data:`_VERDICTS` in one pass over the stack's (B,) arrays, with
+    the message formatted from the draw's values.  An unconverged
+    allocation is infeasible on a ``zero_hop`` (a hop whose gains are all
+    zero).  Each test reads "within the bound", so a NaN fails it.
+    Errors are built for failing draws only.
     """
-    if not (np.isfinite(eta_p) and eta_p > 0):
-        return ContractError("eta_p", f"eta_p {eta_p:.12e} is not positive")
-    if not abs(power_p - cfg.p_s) <= 1e-9 * cfg.p_s:
-        return ContractError(
-            "source_power",
-            f"source power {power_p:.12e} misses the budget {cfg.p_s:.12e}",
-        )
-    if not abs(power_f - cfg.p_r) <= 1e-9 * cfg.p_r:
-        return ContractError(
-            "relay_power",
-            f"relay power {power_f:.12e} misses the budget {cfg.p_r:.12e}",
-        )
-    if not abs(eta_p - fixed_point) <= 1e-9 * abs(eta_p):
-        return ContractError(
-            "eta_p",
-            f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}",
-        )
+    eta = np.asarray(alloc.eta_p, dtype=float)
     # Both evaluations subtract nearly equal quantities from tr(W); at
     # extreme SNR the difference is dominated by that cancellation, hence
     # the absolute floor scaled by tr(W).
     floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
-    if not abs(achieved - direct) <= max(1e-9 * max(abs(achieved), abs(direct)), floor):
-        return ContractError(
-            "wmse_agreement",
-            f"residual weighted MSE {achieved:.12e} disagrees with the direct "
-            f"evaluation {direct:.12e}",
-        )
-    return None
+    with np.errstate(invalid="ignore"):
+        passed = np.stack([
+            np.ones_like(finite),
+            finite,
+            alloc.converged | ~zero_hop,
+            alloc.converged,
+            (eta > 0.0) & (eta < np.inf),
+            np.abs(power_p - cfg.p_s) <= 1e-9 * cfg.p_s,
+            np.abs(power_f - cfg.p_r) <= 1e-9 * cfg.p_r,
+            np.abs(eta - fixed_point) <= 1e-9 * np.abs(eta),
+            np.abs(achieved - direct)
+            <= np.maximum(1e-9 * np.maximum(np.abs(achieved), np.abs(direct)), floor),
+        ])
+    verdicts = passed.argmin(axis=0)
+    failures = [None] * len(verdicts)
+    for d in np.flatnonzero(verdicts).tolist():
+        kind, message = _VERDICTS[verdicts[d]]
+        message = message.format(p_s=cfg.p_s, p_r=cfg.p_r, eta_p=eta[d], power_p=power_p[d],
+                                 power_f=power_f[d], fixed_point=fixed_point[d],
+                                 achieved=achieved[d], direct=direct[d])
+        if kind is ConvergenceError:
+            trace = alloc.objective_trace[d]
+            failures[d] = ConvergenceError(message, trace[~np.isnan(trace)])
+        else:
+            failures[d] = ContractError(kind, message) if isinstance(kind, str) else kind(message)
+    return tuple(failures)
 
 
-def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures) -> DesignBatch:
+def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps) -> DesignBatch:
     """Finish a stack of designs from P and F_tilde and check every draw.
 
     Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
     and both powers, all from the one ``mse._link`` of (P, F) and the
     precoder's tilde maps; the eta_p fixed point tr(P P^H psi_eff) +
-    sigma1^2 is K1's level, which the maps already hold.  A draw whose G,
-    F or either weighted MSE is not finite fails as numerical; any other
-    keeps its ``failures`` entry or gets its first missed contract.  An
-    ``alloc`` whose eta_p is None belongs to a fixed precoder: its eta_p
-    is the fixed point and its objective trace the achieved weighted MSE.
+    sigma1^2 is K1's level, which the maps already hold.  An ``alloc``
+    whose eta_p is None belongs to a fixed precoder: its eta_p is the
+    fixed point and its objective trace the achieved weighted MSE.  Every
+    :class:`DesignError` a design stack reports comes from its one
+    :func:`_failures` pass.
     """
     f_mat = maps.from_tilde(tilde_f)
     link = _link(cfg, know, p_mat, f_mat, maps)
     tx = Transceiver(precoder=p_mat, forward=f_mat, equalizer=link.equalizer())
     achieved = link.residual_weighted_mse(tilde_f, maps)
     direct = link.weighted_mse(tx.equalizer)
-    power_p = np.real(_trace(link.gram_p))
-    power_f = np.real(_trace(link.frf))
     fixed_point = link.k1[:, 0, 0]
     if alloc.eta_p is None:
         alloc = replace(alloc, eta_p=fixed_point, objective_trace=achieved[:, None])
     finite = np.isfinite(achieved) & np.isfinite(direct)
     finite &= np.isfinite(tx.equalizer).all(axis=(-2, -1)) & np.isfinite(f_mat).all(axis=(-2, -1))
-    checks = zip(
-        power_p.tolist(), power_f.tolist(), np.asarray(alloc.eta_p, dtype=float).tolist(),
-        fixed_point.tolist(), achieved.tolist(), direct.tolist(),
-    )
-    failures = tuple(
-        NumericalError("the equalizer, forward matrix or weighted MSE is not finite")
-        if not ok else fail if fail is not None else _contract_failure(cfg, *vals)
-        for ok, fail, vals in zip(finite.tolist(), failures, checks)
-    )
+    # The gains are ordered, so a hop's first is its largest.
+    zero_hop = np.minimum(spectral.gains_sr[:, 0], spectral.gains_rd[:, 0]) <= 0.0
+    failures = _failures(cfg, alloc, zero_hop, finite, np.real(_trace(link.gram_p)),
+                         np.real(_trace(link.frf)), fixed_point, achieved, direct)
     solution = TransceiverSolution(
         tx=tx, tilde_forward=tilde_f, alloc=alloc, spectral=spectral, achieved_wmse=achieved
     )
@@ -744,22 +757,19 @@ def assemble(
     know: ChannelKnowledge,
     spectral: SpectralData,
     alloc: AllocationState,
-    failures=None,
 ) -> DesignBatch:
     """Build (P, F, G) for a stack of draws from converged allocations and
     verify the contracts.
 
     ``know``, ``spectral`` and ``alloc`` carry the leading draw axis (a
-    single draw is a stack of one).  Checks per draw: both power
-    constraints hold with equality (1e-9 relative), eta_p satisfies its
-    fixed point, and the residual weighted MSE agrees with the direct
-    evaluation at the LMMSE equalizer.  A draw that is not finite fails as
-    numerical; any other keeps its ``failures`` entry (none by default) or
-    gets its first missed contract as a :class:`ContractError`.
+    single draw is a stack of one).  Checks per draw: the design is
+    finite, the allocation converged, both power constraints hold with
+    equality (1e-9 relative), eta_p satisfies its fixed point, and the
+    residual weighted MSE agrees with the direct evaluation at the LMMSE
+    equalizer.  Each failed draw gets its first failed check as a
+    :class:`DesignError` (see :func:`_failures`).
     """
     n = cfg.n_streams
-    if failures is None:
-        failures = (None,) * know.est_sr.shape[0]
     eta = np.asarray(alloc.eta_p, dtype=float)
     safe_eta = np.where(np.isfinite(eta) & (eta > 0), eta, 1.0)
     v_sr_n = spectral.first_hop.right[..., :n]
@@ -769,7 +779,7 @@ def assemble(
     p_mat = (np.sqrt(safe_eta)[:, None, None] * spectral.whiten_sr) @ tilde_p
     tilde_f = (v_rd_n * alloc.f_alloc[:, None, :]) @ _ct(u_sr_n)
     maps = tilde_maps(cfg, know, p_mat)
-    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
+    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps)
 
 
 def _design_relay_only(cfg, know, spectral) -> DesignBatch:
@@ -800,13 +810,9 @@ def _design_relay_only(cfg, know, spectral) -> DesignBatch:
         eta_p=None,
         objective_trace=None,
         n_iters=np.ones(draws, dtype=int),
-        converged=np.ones(draws, dtype=bool),
+        converged=~terms[3],  # an all-zero second hop has no relay fill
     )
-    failures = [
-        InfeasibleAllocationError("all channel gains are zero") if bad else None
-        for bad in terms[3].tolist()
-    ]
-    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps, failures)
+    return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps)
 
 
 def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
@@ -823,7 +829,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             inits.append(start * np.sqrt(cfg.p_s / float(np.sum(start**2))))
     # Rows are init-major: row j * draws + d is init j on draw d.
     n_inits = len(inits)
-    rows, infeasible = alternate(
+    rows, _ = alternate(
         np.tile(spectral.gains_sr, (n_inits, 1)),
         np.tile(spectral.gains_rd, (n_inits, 1)),
         cfg.weight_eig.values,
@@ -831,24 +837,17 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
         cfg.p_r,
         np.repeat(np.stack(inits), draws, axis=0),
     )
+    # A failed row ranks behind every converged one, and among failed rows
+    # the last init's ranks first: a draw on which every init failed (as
+    # an infeasible draw does) keeps the last init, whose trace its
+    # ConvergenceError carries.
     ok = rows.converged
     final = np.full(ok.shape, np.inf)
+    final[-draws:] = np.finfo(float).max
     final[ok] = rows.objective_trace[ok, 2 * rows.n_iters[ok] - 1]
     pick = np.argmin(final.reshape(n_inits, draws), axis=0) * draws + np.arange(draws)
     alloc = AllocationState(**{name: value[pick] for name, value in vars(rows).items()})
-    # An infeasible draw never converges; a draw on which every init failed
-    # reports the last one, as the loop over inits did.
     failed = ~alloc.converged
-    failures = [None] * draws
-    for d in np.flatnonzero(failed).tolist():
-        if infeasible[d]:
-            failures[d] = InfeasibleAllocationError("all channel gains are zero")
-            continue
-        trace = rows.objective_trace[(n_inits - 1) * draws + d]
-        failures[d] = ConvergenceError(
-            f"alternating water-filling did not converge in {MAX_ITERS} iterations",
-            trace[~np.isnan(trace)],
-        )
     if failed.any():
         # Placeholder allocations keep the stacked numerics well defined.
         alloc = replace(
@@ -857,7 +856,7 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
             f_alloc=np.where(failed[:, None], np.sqrt(cfg.p_r / n), alloc.f_alloc),
         )
     alloc = replace(alloc, eta_p=solve_eta_p(alloc.p_alloc, spectral, cfg.p_s))
-    return assemble(cfg, know, spectral, alloc, failures)
+    return assemble(cfg, know, spectral, alloc)
 
 
 class _StackDesigns:

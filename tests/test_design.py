@@ -24,7 +24,6 @@ from afrelay.design import (
     waterfill,
     waterfill_kkt_residual,
     weight_eigensystem,
-    _contract_failure,
     _extrapolate,
     _gain_terms,
     _waterfill,
@@ -994,6 +993,25 @@ class TestDesign:
         multi = design(cfg, know, DesignOptions(restarts=8, restart_seed=1))
         assert multi.achieved_wmse <= base.achieved_wmse + 1e-12
 
+    def test_a_draw_failing_every_restart_reports_one_trace(self, monkeypatch):
+        # Every init stops unconverged after one evaluation, so the draw
+        # fails; its ConvergenceError and its allocation row carry the
+        # same init's trace (the last init's).
+        design_mod = importlib.import_module("afrelay.design")
+        real = design_mod.alternate
+
+        def one_evaluation(*args, **kwargs):
+            return real(*args, **{**kwargs, "tol": 0.0, "max_iters": 1})
+
+        monkeypatch.setattr(design_mod, "alternate", one_evaluation)
+        cfg, know, _ = make_instance(3)
+        batch = design_batch(cfg, know, DesignOptions(restarts=2, restart_seed=1))
+        (failure,) = batch.failures
+        assert isinstance(failure, ConvergenceError)
+        trace = batch.solution.alloc.objective_trace[0]
+        assert np.array_equal(failure.objective_trace, trace[~np.isnan(trace)])
+        assert len(failure.objective_trace) == 2
+
     def test_failing_draw_is_masked_in_a_stack(self):
         from afrelay.design import design_batch
 
@@ -1011,6 +1029,24 @@ class TestDesign:
             alone = design(cfg, stack.select(i))
             assert batch.draw(i).tx.precoder.tobytes() == alone.tx.precoder.tobytes()
             assert batch.draw(i).achieved_wmse == alone.achieved_wmse
+
+    def test_relay_only_fails_a_zero_second_hop_as_infeasible(self):
+        # The relay-only precoder is fixed, so a zero first hop still has
+        # a relay design; a zero second hop has none.  Joint designs need
+        # both hops.
+        cfg, know, _ = make_instance(39)
+        est_sr = np.stack([know.est_sr, np.zeros_like(know.est_sr), know.est_sr])
+        est_rd = np.stack([know.est_rd, know.est_rd, np.zeros_like(know.est_rd)])
+        stack = ChannelKnowledge(est_sr, est_rd, know.stats_sr, know.stats_rd)
+        relay = design_batch(cfg, stack, DesignOptions(mode="relay_only")).failures
+        assert relay[0] is None and relay[1] is None
+        assert type(relay[2]) is InfeasibleAllocationError
+        assert str(relay[2]) == "all channel gains are zero"
+        joint = design_batch(cfg, stack).failures
+        assert joint[0] is None
+        for fail in joint[1:]:
+            assert type(fail) is InfeasibleAllocationError
+            assert str(fail) == "all channel gains are zero"
 
     def test_design_errors_share_a_base(self):
         from afrelay.design import ContractError, DesignError, NumericalError
@@ -1083,17 +1119,138 @@ def test_eta_p_fixed_point_is_k1_level_bit_for_bit(mode, knowledge):
 
 
 def test_every_contract_test_fails_a_nan():
-    # Each test is written as "not within the bound", so a NaN in any
-    # checked quantity fails the contract that reads it.
-    cfg = make_config()
-    good = dict(power_p=cfg.p_s, power_f=cfg.p_r, eta_p=1.0, fixed_point=1.0, achieved=0.5,
-                direct=0.5)
-    assert _contract_failure(cfg, **good) is None
-    for name, cause in (("power_p", "source_power"), ("power_f", "relay_power"),
-                        ("eta_p", "eta_p"), ("fixed_point", "eta_p"),
-                        ("achieved", "wmse_agreement"), ("direct", "wmse_agreement")):
-        fail = _contract_failure(cfg, **{**good, name: np.nan})
-        assert fail is not None and fail.cause == cause, name
+    # One pass over a stack gives each row its first failed check.  Each
+    # test reads "within the bound", so a NaN in any checked quantity
+    # fails the contract that reads it; a row just outside a bound fails
+    # it, one just inside passes, and a row that misses two contracts
+    # reports the earlier check.  Every message is pinned byte for byte
+    # (perfbench's failure_cause reads their words).
+    from afrelay.design import ContractError, NumericalError, _failures
+
+    cfg = make_config(p_s=2.0, p_r=3.0)  # tr(W) = 1: the agreement floor is 1e-12
+    nan, inf = np.nan, np.inf
+    good = dict(finite=True, converged=True, zero_hop=False, eta_p=1.0, power_p=2.0,
+                power_f=3.0, fixed_point=1.0, achieved=0.5, direct=0.5)
+
+    def src(v):
+        return f"source power {v:.12e} misses the budget 2.000000000000e+00"
+
+    def relay(v):
+        return f"relay power {v:.12e} misses the budget 3.000000000000e+00"
+
+    def agree(a, d):
+        return f"residual weighted MSE {a:.12e} disagrees with the direct evaluation {d:.12e}"
+
+    cases = [
+        ({}, None, None),
+        ({"finite": False}, "numerical",
+         "the equalizer, forward matrix or weighted MSE is not finite"),
+        ({"converged": False, "zero_hop": True}, "infeasible", "all channel gains are zero"),
+        ({"converged": False}, "convergence",
+         "alternating water-filling did not converge in 500 iterations"),
+        ({"eta_p": nan}, "eta_p", "eta_p nan is not positive"),
+        ({"power_p": nan}, "source_power", "source power nan misses the budget 2.000000000000e+00"),
+        ({"power_f": nan}, "relay_power", "relay power nan misses the budget 3.000000000000e+00"),
+        ({"fixed_point": nan}, "eta_p",
+         "eta_p fixed-point residual too large: 1.000000000000e+00 vs nan"),
+        ({"achieved": nan}, "wmse_agreement",
+         "residual weighted MSE nan disagrees with the direct evaluation 5.000000000000e-01"),
+        ({"direct": nan}, "wmse_agreement",
+         "residual weighted MSE 5.000000000000e-01 disagrees with the direct evaluation nan"),
+        ({"eta_p": 0.0, "fixed_point": 0.0}, "eta_p", "eta_p 0.000000000000e+00 is not positive"),
+        ({"eta_p": inf, "fixed_point": inf}, "eta_p", "eta_p inf is not positive"),
+        ({"power_p": 2.0 * (1 + 2e-9)}, "source_power", src(2.0 * (1 + 2e-9))),
+        ({"power_p": 2.0 * (1 + 5e-10)}, None, None),
+        ({"power_f": 3.0 * (1 - 2e-9)}, "relay_power", relay(3.0 * (1 - 2e-9))),
+        ({"power_f": 3.0 * (1 - 5e-10)}, None, None),
+        ({"fixed_point": 1.0 + 2e-9}, "eta_p",
+         f"eta_p fixed-point residual too large: 1.000000000000e+00 vs {1.0 + 2e-9:.12e}"),
+        ({"fixed_point": 1.0 + 5e-10}, None, None),
+        ({"direct": 0.5 * (1 + 3e-9)}, "wmse_agreement", agree(0.5, 0.5 * (1 + 3e-9))),
+        ({"direct": 0.5 * (1 + 5e-10)}, None, None),
+        ({"achieved": 0.0, "direct": 2e-12}, "wmse_agreement", agree(0.0, 2e-12)),
+        ({"achieved": 0.0, "direct": 5e-13}, None, None),
+        ({"power_p": 0.0, "power_f": 0.0}, "source_power", src(0.0)),
+        ({"finite": False, "converged": False, "zero_hop": True}, "numerical",
+         "the equalizer, forward matrix or weighted MSE is not finite"),
+    ]
+    rows = [{**good, **over} for over, _, _ in cases]
+    col = {name: np.array([row[name] for row in rows]) for name in good}
+    trace = np.full((len(rows), 3), nan)
+    trace[:, :2] = np.arange(2 * len(rows)).reshape(-1, 2)
+    alloc = AllocationState(p_alloc=None, f_alloc=None, mu_p=None, mu_f=None,
+                            eta_p=col["eta_p"], objective_trace=trace, n_iters=None,
+                            converged=col["converged"])
+    failures = _failures(cfg, alloc, col["zero_hop"], col["finite"], col["power_p"],
+                         col["power_f"], col["fixed_point"], col["achieved"], col["direct"])
+    kinds = {"numerical": NumericalError, "infeasible": InfeasibleAllocationError,
+             "convergence": ConvergenceError}
+    assert len(failures) == len(cases)
+    for i, ((over, cause, message), fail) in enumerate(zip(cases, failures)):
+        if cause is None:
+            assert fail is None, over
+            continue
+        assert type(fail) is kinds.get(cause, ContractError), over
+        assert fail.cause == cause and str(fail) == message, over
+        if cause == "convergence":
+            assert np.array_equal(fail.objective_trace, trace[i, :2])
+
+
+def _scalar_verdict(cfg, finite, converged, zero_hop, eta_p, power_p, power_f, fixed_point,
+                    achieved, direct):
+    """One draw's checks in scalar Python: the reference the one-pass
+    check of a stack must equal, as (cause, message) or None."""
+    if not finite:
+        return "numerical", "the equalizer, forward matrix or weighted MSE is not finite"
+    if not converged:
+        if zero_hop:
+            return "infeasible", "all channel gains are zero"
+        return "convergence", f"alternating water-filling did not converge in {MAX_ITERS} iterations"
+    if not (np.isfinite(eta_p) and eta_p > 0):
+        return "eta_p", f"eta_p {eta_p:.12e} is not positive"
+    if not abs(power_p - cfg.p_s) <= 1e-9 * cfg.p_s:
+        return "source_power", f"source power {power_p:.12e} misses the budget {cfg.p_s:.12e}"
+    if not abs(power_f - cfg.p_r) <= 1e-9 * cfg.p_r:
+        return "relay_power", f"relay power {power_f:.12e} misses the budget {cfg.p_r:.12e}"
+    if not abs(eta_p - fixed_point) <= 1e-9 * abs(eta_p):
+        return "eta_p", f"eta_p fixed-point residual too large: {eta_p:.12e} vs {fixed_point:.12e}"
+    floor = 1e-12 * float(np.real(np.trace(cfg.weight)))
+    if not abs(achieved - direct) <= max(1e-9 * max(abs(achieved), abs(direct)), floor):
+        return "wmse_agreement", (f"residual weighted MSE {achieved:.12e} disagrees with the "
+                                  f"direct evaluation {direct:.12e}")
+    return None
+
+
+def test_one_pass_check_equals_the_scalar_checks_draw_by_draw():
+    # 2,000 rows whose checked values are each good, NaN, infinite, zero,
+    # negative or just inside or outside its bound, in random mixes.
+    from afrelay.design import _failures
+
+    cfg = make_config(p_s=2.0, p_r=3.0, weight=np.diag([0.4, 0.3, 2e-3, 1e-4]))
+    rng = np.random.default_rng(19)
+    rows = 2000
+    good = dict(eta_p=1.5, power_p=2.0, power_f=3.0, fixed_point=1.5, achieved=0.25,
+                direct=0.25)
+    cols = {}
+    for name, value in good.items():
+        choices = np.array([value, np.nan, np.inf, -np.inf, 0.0, -value, value * (1 + 2e-9),
+                            value * (1 - 5e-10), value * (1 + 1e-12), 1e-13])
+        pick = np.where(rng.random(rows) < 0.7, 0, rng.integers(0, len(choices), rows))
+        cols[name] = choices[pick]
+    flags = {name: rng.random(rows) < p for name, p in
+             (("finite", 0.95), ("converged", 0.9), ("zero_hop", 0.3))}
+    alloc = AllocationState(p_alloc=None, f_alloc=None, mu_p=None, mu_f=None,
+                            eta_p=cols["eta_p"], objective_trace=np.zeros((rows, 1)),
+                            n_iters=None, converged=flags["converged"])
+    failures = _failures(cfg, alloc, flags["zero_hop"], flags["finite"], cols["power_p"],
+                         cols["power_f"], cols["fixed_point"], cols["achieved"], cols["direct"])
+    causes = set()
+    for i, fail in enumerate(failures):
+        want = _scalar_verdict(cfg, **{k: v[i].item() for k, v in {**flags, **cols}.items()})
+        assert (None if fail is None else (fail.cause, str(fail))) == want, i
+        causes.add(None if want is None else want[0])
+    assert causes == {None, "numerical", "infeasible", "convergence", "eta_p", "source_power",
+                      "relay_power", "wmse_agreement"}
 
 
 def _per_draw_arrays(batch) -> dict:
