@@ -309,7 +309,12 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
 
 def _floored_inv_sqrt(m: np.ndarray, floor: float) -> np.ndarray:
     """m^{-1/2} of m = (a PSD matrix) + floor I, its eigenvalues floored at
-    ``floor``: PD by construction, so no conditioning guard applies."""
+    ``floor``: PD by construction, so no conditioning guard applies.  A
+    zero PSD part (exact knowledge) gives floor^{-1/2} I without a
+    decomposition, the bytes the decomposition gives."""
+    eye = np.eye(m.shape[-1])
+    if (m == floor * eye).all():
+        return np.broadcast_to(eye / np.sqrt(floor), m.shape).astype(m.dtype)
     w, q = np.linalg.eigh(0.5 * (m + _ct(m)))
     return _rebuild(q, np.sqrt(np.maximum(w, floor)), inverse=True)
 
@@ -384,11 +389,16 @@ def _waterfill(coeffs, terms, budget):
     level = coeffs * g2
     s_c = np.sqrt(level) * inv_g2
     rows = np.arange(level.shape[0])[:, None]
-    order = (-level).argsort(axis=-1)
-    root_k = s_c[rows, order].cumsum(axis=-1) / (
-        budget + (inv_g2 * (level > 0.0))[rows, order].cumsum(axis=-1)
-    )
-    k = (root_k * root_k < level[rows, order]).sum(axis=-1)
+    sorted_s, sorted_inv, sorted_level = s_c, inv_g2 * (level > 0.0), level
+    # Nonincreasing gains and coefficients give nonincreasing levels, as on
+    # every evaluation of the alternation that does not start from an
+    # extrapolation or a random restart.  The stable sort leaves such rows
+    # as they are, so skipping it there changes no bit.
+    if not (level[:, 1:] <= level[:, :-1]).all():
+        order = (-level).argsort(axis=-1, kind="stable")
+        sorted_s, sorted_inv, sorted_level = (v[rows, order] for v in (s_c, sorted_inv, level))
+    root_k = sorted_s.cumsum(axis=-1) / (budget + sorted_inv.cumsum(axis=-1))
+    k = (root_k * root_k < sorted_level).sum(axis=-1)
     root = root_k[rows, k[:, None] - 1]
     if k.all():
         return np.maximum(s_c / root - inv_g2, 0.0), root[:, 0] ** 2
@@ -815,18 +825,17 @@ def _design_relay_only(cfg, know, spectral) -> DesignBatch:
     return _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps)
 
 
-def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
-    """Alternating water-filling for every (draw, init) pair of the stack,
-    the best init per draw, eta_p, and the assembled, verified designs."""
+def _best_start(cfg, spectral, opts) -> AllocationState:
+    """Alternating water-filling from the uniform init and ``opts.restarts``
+    random ones on every draw of the stack, the best init per draw."""
     n = cfg.n_streams
-    draws = know.est_sr.shape[0]
+    draws = spectral.gains_sr.shape[0]
     inits = [np.full(n, np.sqrt(cfg.p_s / n))]
-    if opts.restarts > 0:
-        rng = np.random.default_rng(opts.restart_seed)
-        for _ in range(opts.restarts):
-            frac = rng.random(n) + 1e-3
-            start = np.sqrt(cfg.p_s * frac / frac.sum())
-            inits.append(start * np.sqrt(cfg.p_s / float(np.sum(start**2))))
+    rng = np.random.default_rng(opts.restart_seed)
+    for _ in range(opts.restarts):
+        frac = rng.random(n) + 1e-3
+        start = np.sqrt(cfg.p_s * frac / frac.sum())
+        inits.append(start * np.sqrt(cfg.p_s / float(np.sum(start**2))))
     # Rows are init-major: row j * draws + d is init j on draw d.
     n_inits = len(inits)
     rows, _ = alternate(
@@ -846,7 +855,19 @@ def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
     final[-draws:] = np.finfo(float).max
     final[ok] = rows.objective_trace[ok, 2 * rows.n_iters[ok] - 1]
     pick = np.argmin(final.reshape(n_inits, draws), axis=0) * draws + np.arange(draws)
-    alloc = AllocationState(**{name: value[pick] for name, value in vars(rows).items()})
+    return AllocationState(**{name: value[pick] for name, value in vars(rows).items()})
+
+
+def _design_joint(cfg, know, spectral, opts) -> DesignBatch:
+    """Alternating water-filling for every draw of the stack (the best of
+    its inits with restarts), eta_p, and the assembled, verified designs."""
+    n = cfg.n_streams
+    if opts.restarts:
+        alloc = _best_start(cfg, spectral, opts)
+    else:
+        alloc, _ = alternate(
+            spectral.gains_sr, spectral.gains_rd, cfg.weight_eig.values, cfg.p_s, cfg.p_r
+        )
     failed = ~alloc.converged
     if failed.any():
         # Placeholder allocations keep the stacked numerics well defined.

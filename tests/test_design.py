@@ -231,6 +231,45 @@ class TestSpectralDecompose:
         assert np.all(np.diff(sp.gains_sr) <= 0)
         assert np.all(np.diff(sp.gains_rd) <= 0)
 
+    def test_exact_knowledge_whitens_without_a_decomposition(self, monkeypatch):
+        # A zero error covariance leaves sigma^2 I to whiten: sigma^{-1} I,
+        # the bytes its eigendecomposition gives, with no eigh call; the
+        # sampled knowledge's whitening decomposes both hops.
+        from afrelay.design import _floored_inv_sqrt
+        from afrelay.linalg import _rebuild
+
+        design_mod = importlib.import_module("afrelay.design")
+        cfg, know, _ = make_instance(43)
+        naive = exact_knowledge(know.est_sr, know.est_rd)
+        calls, whitenings = [], []
+        real_eigh, real_whitening = np.linalg.eigh, design_mod._whitening
+
+        def whitening(cfg, know):
+            whitenings.append(know)
+            monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real_eigh(m))
+            try:
+                return real_whitening(cfg, know)
+            finally:
+                monkeypatch.setattr(np.linalg, "eigh", real_eigh)
+
+        monkeypatch.setattr(design_mod, "_whitening", whitening)
+        sol = design(cfg, naive)
+        assert len(whitenings) == 1 and calls == []
+        design(cfg, know)
+        assert len(whitenings) == 2 and len(calls) == 2
+        for whiten, m, noise in (
+            (sol.spectral.whiten_sr,
+             cfg.p_s * naive.stats_sr.col_cov + cfg.sigma1_sq * np.eye(cfg.n_s), cfg.sigma1_sq),
+            (sol.spectral.whiten_rd,
+             cfg.p_r * naive.stats_rd.row_cov + cfg.sigma2_sq * np.eye(cfg.m_d), cfg.sigma2_sq),
+        ):
+            assert np.array_equal(m, noise * np.eye(len(m)))
+            w, q = real_eigh(m)
+            decomposed = _rebuild(q, np.sqrt(np.maximum(w, noise)), inverse=True)
+            assert whiten.dtype == decomposed.dtype
+            assert whiten.tobytes() == _floored_inv_sqrt(m, noise).tobytes()
+            assert whiten.tobytes() == decomposed.tobytes()
+
     def test_rejects_general_row_covariance(self):
         cfg = make_config()
         rng = np.random.default_rng(5)
@@ -326,13 +365,19 @@ class TestWaterfill:
         assert np.allclose(p**2, np.sqrt(weights) * t - 1.0, rtol=1e-4)
 
     def test_stack_rows_equal_each_row_alone(self):
-        # tied, zero, all-zero-coefficient (flat) and clamped rows in one stack
+        # tied, zero, all-zero-coefficient (flat) and clamped rows in one
+        # stack, and rows whose levels c g^2 are nonincreasing with ties of
+        # unequal terms 1/g^2 (225 on three streams, then 9 on two): alone
+        # such a row skips the sort, in the stack it is sorted with the
+        # unordered rows, and only a stable sort keeps its summation order
         coeffs = np.array([
             [0.5, 0.5, 0.5, 0.5],
             [2.0, 1.0, 0.5, 0.0],
             [0.0, 0.0, 0.0, 0.0],
             [1.0, 1.0, 1.0, 1.0],
             [0.3, 0.9, 0.2, 0.7],
+            [225.0, 25.0, 9.0, 0.0],
+            [9.0, 1.0, 1.0, 1.0],
         ])
         gains = np.array([
             [2.0, 2.0, 2.0, 2.0],
@@ -340,11 +385,16 @@ class TestWaterfill:
             [1.0, 1.0, 0.0, 0.0],
             [10.0, 0.01, 0.0, 10.0],
             [4.0, 3.0, 3.0, 1e-15],
+            [1.0, 3.0, 5.0, 7.0],
+            [1.0, 3.0, 1.0, 0.5],
         ])
         x, mu = waterfill(coeffs, gains, 1.5)
-        assert x.shape == (5, 4) and mu.shape == (5,)
+        assert x.shape == (7, 4) and mu.shape == (7,)
         assert np.isinf(mu[2]) and np.array_equal(x[2], [0.75, 0.75, 0.0, 0.0])
-        for i in range(5):
+        levels = coeffs * gains**2
+        assert (np.diff(levels[5:], axis=-1) <= 0.0).all() and (np.diff(levels[4]) > 0.0).any()
+        assert levels[5, 0] == levels[5, 2] and levels[6, 0] == levels[6, 1]
+        for i in range(7):
             x_i, mu_i = waterfill(coeffs[i : i + 1], gains[i : i + 1], 1.5)
             assert np.array_equal(x_i[0], x[i]) and np.array_equal(mu_i[0], mu[i])
 
@@ -986,6 +1036,21 @@ class TestDesign:
                                          weight=np.eye(3))
         with pytest.raises(ValueError):
             design(cfg, wrong_know)
+
+    def test_a_single_start_design_is_the_alternate_row(self):
+        # Without restarts the stack's gains go to alternate as they are,
+        # from its uniform default start.
+        cfg, know, _ = make_instance(44)
+        _, other, _ = make_instance(45)
+        stack = ChannelKnowledge.concat([know.as_stack(), other.as_stack()])
+        batch = design_batch(cfg, stack)
+        spectral = batch.solution.spectral
+        want, _ = alternate(spectral.gains_sr, spectral.gains_rd, cfg.weight_eig.values,
+                            cfg.p_s, cfg.p_r)
+        got = batch.solution.alloc
+        assert batch.failures == (None, None)
+        for name in STATE_FIELDS:
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
 
     def test_restarts_never_worsen_the_objective(self):
         cfg, know, _ = make_instance(34)
