@@ -27,10 +27,12 @@ k strongest active, sqrt(mu) = sum s_i / (budget + sum 1/g_i^2) over the
 active set (s_i = sqrt(c_i) / g_i), for the largest k whose k-th stream
 stays active.  Both constraints are active at the optimum, so power
 lands on the budget to rounding.  The alternation converges linearly,
-so it runs in squared-extrapolation (SQUAREM) cycles: two alternations
-p1 = T(p0), p2 = T(p1) give the step length of an extrapolated source
-allocation, and a third alternation from it is kept where it does not
-raise the objective (:func:`alternate`).
+so after one plain alternation it runs in squared-extrapolation
+(SQUAREM) cycles: two alternations p1 = T(p0), p2 = T(p1) give the step
+length of an extrapolated source allocation, and a third alternation
+from it is kept where it does not raise the objective
+(:func:`alternate`).  A row that settles within three alternations, as
+most rows of an error-free design do, pays for no extrapolation.
 
 The pipeline works on a (B, ., .) stack of channel draws that share one
 config (:func:`design_batch`): the whitening once for error statistics
@@ -504,8 +506,11 @@ def alternate(
     accelerated by squared extrapolation (SQUAREM, Varadhan & Roland 2008).
 
     The iteration map T is one relay half step then one source half step,
-    each solving its subproblem exactly.  A cycle evaluates T three times:
-    p1 = T(p0), p2 = T(p1), then T(p_e) at the extrapolation
+    each solving its subproblem exactly.  One plain evaluation from
+    ``p_init`` leads, and its output is the first cycle's p0; the cycles
+    start at the second evaluation, so a row that settles by its third
+    runs no extrapolation.  A cycle evaluates T three times: p1 = T(p0),
+    p2 = T(p1), then T(p_e) at the extrapolation
 
         r = p1 - p0,  v = p2 - 2 p1 + p0,  alpha = min(-|r| / |v|, -1),
         p_e = |p0 - 2 alpha r + alpha^2 v|  rescaled onto sum p^2 = p_s
@@ -525,6 +530,8 @@ def alternate(
     against the final source allocation is at most CROSS_KKT_TOL (the
     last relay update lags one half step).  An evaluation updates the
     pending rows only; rows that stop leave the working arrays.
+    ``n_iters`` counts every evaluation of T: the lead, the plain ones and
+    the extrapolated ones, rejected or kept.
 
     Gains, weights and ``p_init`` broadcast to (R, n).  One check raises a
     ValueError naming the argument unless the budgets are finite and
@@ -559,8 +566,6 @@ def alternate(
     settled = np.zeros(idx.size, dtype=bool)
     prev = np.full(idx.size, np.nan)
     segments, columns, width = [], [], 0
-    # The source amplitudes of the running cycle: p0, then T's outputs.
-    cycle = [p]
     # a = (p g_sr)^2 and b = (f g_rd)^2 with 1 + a and 1 + b are formed
     # once per half step and shared by the next half step's coefficients
     # w a / (1 + a) and the objective sum w (1 + a + b) / ((1 + a)(1 + b)).
@@ -568,7 +573,10 @@ def alternate(
     one_a = 1.0 + a
     coeff_f = w * a / one_a
     for it in range(1, max_iters + 1 if idx.size else 1):
-        step = (it - 1) % 3
+        # The lead evaluation (it = 1) ends a cycle of its own; after it
+        # every third evaluation starts from an extrapolation.
+        step = (it + 1) % 3
+        guarded = step == 2 and it > 1
         x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
         f = np.sqrt(x_f)
         b = (f * grd) ** 2
@@ -578,8 +586,8 @@ def alternate(
         p = np.sqrt(x_p)
         # The safeguard: a row whose extrapolation raises the objective of
         # (p2, f2) after the relay half step keeps that pair.
-        counts = half <= prev if step == 2 else True
-        rejected = step == 2 and not counts.all()
+        counts = half <= prev if guarded else True
+        rejected = guarded and not counts.all()
         if rejected:
             p = np.where(counts[:, None], p, cycle[2])
         a = (p * gsr) ** 2
@@ -589,6 +597,7 @@ def alternate(
         if rejected:
             half, cur = np.where(counts, half, prev), np.where(counts, cur, prev)
         columns += [half, cur]
+        # The source amplitudes of the running cycle: p0, then T's outputs.
         cycle = [p] if step == 2 else cycle + [p]
         settle = np.abs(prev - cur) <= tol * np.maximum(np.abs(cur), 1e-300)
         prev = cur

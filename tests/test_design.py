@@ -79,10 +79,11 @@ def reference_alternate(gsr, grd, w, p, p_s, p_r, tol, max_iters, extrapolate=Tr
     """Alternating water-filling that updates every row of (R, n) arrays
     until the slowest row stops: the reference for :func:`alternate`.
 
-    With ``extrapolate`` every third evaluation of the iteration map T
-    starts from the squared extrapolation of the cycle's amplitudes p0, p1
-    = T(p0), p2 = T(p1), and a row that it does not serve keeps (p2, f2,
-    mu_p, mu_f); without it T simply repeats.  Returns (p, f, mu_p, mu_f,
+    With ``extrapolate`` one plain evaluation of the iteration map T
+    leads, and then every third evaluation starts from the squared
+    extrapolation of the cycle's amplitudes p0, p1 = T(p0), p2 = T(p1),
+    and a row that it does not serve keeps (p2, f2, mu_p, mu_f); without
+    it T simply repeats.  Returns (p, f, mu_p, mu_f,
     n_iters, converged, objective trace, rejected extrapolations per row)."""
 
     def half_coeffs(amp, gains):
@@ -110,8 +111,10 @@ def reference_alternate(gsr, grd, w, p, p_s, p_r, tol, max_iters, extrapolate=Tr
     settled, prev, trace = np.zeros(rows, dtype=bool), np.full(rows, np.nan), []
     cycle = [p]
     for it in range(1, max_iters + 1 if pending.any() else 1):
-        step = (it - 1) % 3 if extrapolate else 0
-        start = extrapolation(*cycle) if step == 2 else p
+        # The lead evaluation (it = 1) closes a cycle without extrapolating.
+        step = (it + 1) % 3 if extrapolate else 0
+        guarded = step == 2 and it > 1
+        start = extrapolation(*cycle) if guarded else p
         x_f, mu_f = _waterfill(half_coeffs(start, gsr), _gain_terms(grd), p_r)
         f = np.sqrt(x_f)
         half = scalar_objective(start, f, gsr, grd, w)
@@ -119,7 +122,7 @@ def reference_alternate(gsr, grd, w, p, p_s, p_r, tol, max_iters, extrapolate=Tr
         p = np.sqrt(x_p)
         cur = scalar_objective(p, f, gsr, grd, w)
         counts = np.ones(rows, dtype=bool)
-        if step == 2:
+        if guarded:
             counts = half <= prev
             rejected += pending & ~counts
             p, f = np.where(counts[:, None], p, cycle[2]), np.where(counts[:, None], f, f_2)
@@ -556,16 +559,18 @@ class TestIterateAllocations:
 
     def test_a_settled_objective_survives_the_compaction(self):
         # At tol 1e-3 row 0's objective settles at evaluation 3 (relative
-        # change 9.3e-4) while its cross-KKT test is still open.  Row 1
-        # stops at evaluation 4 and leaves the working arrays; row 0's
-        # next change, 3.2e-3, is above tol, so row 0 stops at evaluation 5
-        # only if it kept its settled flag through that compaction.
-        gsr = np.array([[6.076700208273337, 0.8400074240766581],
-                        [27.931008152068713, 12.507500302540668]])
-        grd = np.array([[10.04402474292785, 0.6266474923673595],
-                        [20.329081381266807, 20.170176106132832]])
-        w = np.array([[0.8674203036785572, 0.46371168285750375],
-                      [0.39919870170232574, 0.32700380929037215]])
+        # change 3.7e-4) while its cross-KKT test is still open.  Row 1
+        # stops at evaluation 4 and leaves the working arrays; row 0's next
+        # changes, 1.53e-3 and 1.01e-3, are above tol, so row 0 stops at
+        # evaluation 5 only if it kept its settled flag through that
+        # compaction.  (Found by a search over random two-stream pairs for
+        # one whose stop moves when the flag is dropped at the compaction.)
+        gsr = np.array([[2.5413971360668164, 0.9814943375081745],
+                        [8.030714480889849, 1.5606099840579717]])
+        grd = np.array([[27.916118069793537, 1.7262012147144445],
+                        [18.737793844696757, 1.6406003041765733]])
+        w = np.array([[0.9184875792840514, 0.20525415444566847],
+                      [0.8480747521657895, 0.3159528747663637]])
         state, _ = alternate(gsr, grd, w, 1.0, 1.0, tol=1e-3)
         want = reference_alternate(gsr, grd, w, np.full((2, 2), np.sqrt(0.5)), 1.0, 1.0, 1e-3,
                                    MAX_ITERS)
