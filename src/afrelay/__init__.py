@@ -16,7 +16,6 @@ from .channel import (
     estimation_stats,
     exact_knowledge,
     exp_corr,
-    sample_error,
     sample_scenario,
     sample_scenario_stack,
 )
@@ -44,9 +43,7 @@ from .linalg import (
     NotPSDError,
     OrderedHermitianEig,
     OrderedSVD,
-    SingularMatrixError,
     eig_hermitian_ordered,
-    herm_inv_sqrt,
     herm_sqrt,
     svd_ordered,
 )

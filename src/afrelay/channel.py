@@ -37,8 +37,6 @@ __all__ = [
     "exact_knowledge",
     "as_generator",
     "complex_gaussian",
-    "sample_error",
-    "sample_error_batch",
     "sample_scenario",
     "sample_scenario_stack",
 ]
@@ -110,8 +108,9 @@ class HopTraining:
             raise ValueError("training must be a 2-D matrix")
         if not np.isfinite(t).all():
             raise ValueError("training contains non-finite entries")
-        if self.channel_var <= 0 or self.noise_var <= 0:
-            raise ValueError("channel_var and noise_var must be positive")
+        for name in ("channel_var", "noise_var"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         object.__setattr__(self, "training", t)
 
 
@@ -256,6 +255,8 @@ def error_stats_first_hop(t: HopTraining, n_s: int, m_r: int) -> ErrorStats:
     ``((1/channel_var) I + (1/noise_var) D1 D1^H)^{-1}`` with the
     training D1 transmitted from the source (n_s rows), rebuilt from the
     eigensystem of D1 D1^H.
+
+    Kept without a package caller: the paper's general training model.
     """
     if t.training.shape[0] != n_s:
         raise ValueError(
@@ -273,6 +274,8 @@ def error_stats_second_hop(t: HopTraining, n_r: int, m_d: int) -> ErrorStats:
     so the roles flip: column covariance is exactly I_{n_r} and
     ``row_cov = ((1/channel_var) I + (1/noise_var) D2 D2^H)^{-1}``,
     rebuilt from the eigensystem of D2 D2^H.
+
+    Kept without a package caller: the paper's general training model.
     """
     if t.training.shape[0] != m_d:
         raise ValueError(
@@ -294,8 +297,8 @@ def estimation_stats(
     the mirrored ``row_cov_rd`` on the second, both rebuilt from R_alpha's
     eigensystem: Hermitian PSD even where R_alpha is ill-conditioned.
     """
-    if snr_est < 0:
-        raise ValueError("snr_est must be nonnegative")
+    if not snr_est >= 0:
+        raise ValueError(f"snr_est must be nonnegative, got {snr_est}")
     psi_sr, sigma_rd = (_mmse_error_cov(exp_corr(alpha, n), 1.0, snr_est) for n in (n_s, m_d))
     stats_sr = ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=psi_sr)
     stats_rd = ErrorStats(row_cov=sigma_rd, col_cov=np.eye(n_r, dtype=np.complex128))
@@ -336,33 +339,6 @@ def complex_gaussian(rng, *shape) -> np.ndarray:
     The real parts are drawn first, then the imaginary parts.
     """
     return _complex_parts(as_generator(rng).standard_normal((2, *shape)), 1 / np.sqrt(2.0))
-
-
-def _sample_error_from_roots(left: np.ndarray, right: np.ndarray, n: int, rng) -> np.ndarray:
-    """n draws of left @ H_w @ right for given covariance roots.
-
-    Both products run as one 2-D GEMM over all draws, (left @ H_w) first
-    as in the stacked product, instead of n tiny matmuls.
-    """
-    rows, cols = left.shape[0], right.shape[0]
-    hw = complex_gaussian(rng, n, rows, cols)
-    # (n, r, c) -> (r, n*c): every draw's columns side by side.
-    lh = left @ hw.transpose(1, 0, 2).reshape(rows, n * cols)
-    # (r, n*c) -> (n*r, c): every draw's rows stacked.
-    lh = lh.reshape(rows, n, cols).transpose(1, 0, 2).reshape(n * rows, cols)
-    return (lh @ right).reshape(n, rows, cols)
-
-
-def sample_error_batch(stats: ErrorStats, n: int, rng) -> np.ndarray:
-    """n draws of row_cov^{1/2} @ H_w @ col_cov^{1/2}, shape (n, rows, cols)."""
-    return _sample_error_from_roots(
-        herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov), n, as_generator(rng)
-    )
-
-
-def sample_error(stats: ErrorStats, rng) -> np.ndarray:
-    """One estimation-error realization with the given covariances."""
-    return sample_error_batch(stats, 1, rng)[0]
 
 
 def _scenario_factors(cfg, snr_est: float, alpha: float):

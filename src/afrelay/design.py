@@ -438,7 +438,9 @@ def waterfill(coeffs, gains, budget):
     """:func:`_waterfill` (levels x and multiplier mu) of every row of (R, n)
     coefficients and gains, after one check: a ValueError unless ``budget``
     is finite and positive and every entry finite and nonnegative, and an
-    :class:`InfeasibleAllocationError` if a row's gains are all zero."""
+    :class:`InfeasibleAllocationError` if a row's gains are all zero.
+
+    Kept without a package caller: the checked public water-filling step."""
     c, g = _checked_rows({"budget": budget}, coeffs=coeffs, gains=gains)
     terms = _gain_terms(g)
     if terms[3].any():
@@ -455,6 +457,8 @@ def waterfill_kkt_residual(levels_sq, mu, coeffs, gains) -> float | np.ndarray:
     subnormal mu has no relative precision).  Degenerate flat problems
     (mu = inf) vacuously satisfy the conditions.  One value per row for
     (..., n) arrays.
+
+    Kept without a package caller: the test oracle of water-filling KKT.
     """
     g2 = np.asarray(gains, dtype=float) ** 2
     return _scalar(_kkt_residual(

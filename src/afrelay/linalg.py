@@ -1,10 +1,10 @@
 """Deterministic dense complex-matrix kernels.
 
 Ordered SVD and Hermitian eigendecompositions with a fixed phase /
-tie-breaking convention, plus Hermitian square roots and inverse square
-roots.  Everything downstream (whitening, spectral design, oracle checks)
-leans on the reproducibility guarantees here: the same input bits always
-produce the same output bits.
+tie-breaking convention, plus Hermitian square roots.  Everything
+downstream (whitening, spectral design, oracle checks) leans on the
+reproducibility guarantees here: the same input bits always produce the
+same output bits.
 
 Conventions
 -----------
@@ -32,13 +32,11 @@ __all__ = [
     "LinalgError",
     "NotHermitianError",
     "NotPSDError",
-    "SingularMatrixError",
     "OrderedSVD",
     "OrderedHermitianEig",
     "svd_ordered",
     "eig_hermitian_ordered",
     "herm_sqrt",
-    "herm_inv_sqrt",
 ]
 
 # Relative tolerance for accepting an input as Hermitian.
@@ -46,8 +44,6 @@ HERMITIAN_RTOL = 1e-10
 # Eigenvalues above -PSD_CLAMP_RTOL * ||m|| are clamped to zero; anything
 # more negative is treated as a modeling bug, not noise.
 PSD_CLAMP_RTOL = 1e-10
-# Minimum eigenvalue ratio for inverse square roots.
-INV_COND_RTOL = 1e-12
 # Relative gap below which singular values / eigenvalues count as tied.
 TIE_RTOL = 1e-12
 
@@ -61,10 +57,6 @@ class NotHermitianError(LinalgError):
 
 
 class NotPSDError(LinalgError):
-    pass
-
-
-class SingularMatrixError(LinalgError):
     pass
 
 
@@ -255,18 +247,6 @@ def _as_psd(m, name: str = "matrix") -> np.ndarray:
     return h
 
 
-def _check_pd(w: np.ndarray) -> None:
-    wmin = w[..., 0] if w.size else np.zeros(w.shape[:-1])
-    wmax = w[..., -1] if w.size else np.zeros(w.shape[:-1])
-    bad = (wmax <= 0.0) | (wmin <= INV_COND_RTOL * wmax)
-    if bad.any():
-        raise SingularMatrixError(
-            f"matrix is singular or too ill-conditioned for an inverse "
-            f"square root{_first_bad(bad)} (eigenvalue range "
-            f"[{float(np.min(wmin)):.3e}, {float(np.max(wmax)):.3e}])"
-        )
-
-
 def herm_sqrt(m) -> np.ndarray:
     """Hermitian square root S of a PSD matrix (or stack), S @ S = m.
 
@@ -276,15 +256,4 @@ def herm_sqrt(m) -> np.ndarray:
     w, q = np.linalg.eigh(_as_hermitian(m))
     _check_psd(w)
     return _rebuild(q, np.sqrt(np.clip(w, 0.0, None)))
-
-
-def herm_inv_sqrt(m) -> np.ndarray:
-    """Hermitian inverse square root R of a PD matrix (or stack), R @ m @ R = I.
-
-    Raises :class:`SingularMatrixError` when the smallest eigenvalue is
-    not above ``INV_COND_RTOL`` times the largest.
-    """
-    w, q = np.linalg.eigh(_as_hermitian(m))
-    _check_pd(w)
-    return _rebuild(q, np.sqrt(w), inverse=True)
 

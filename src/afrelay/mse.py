@@ -205,25 +205,27 @@ class TildeMaps:
     ``F_tilde = F @ k1^{1/2} @ pi_p^{1/2}`` with
     ``pi_p = k1^{-1/2} Hsr P P^H Hsr^H k1^{-1/2} + I``, which makes
     tr(F Rx F^H) = tr(F_tilde F_tilde^H) exactly.  K1 = k1 I, so its
-    roots are (..., 1, 1) scalars, applied by broadcasting.
+    roots are (..., 1, 1) scalars, applied by broadcasting.  The maps
+    keep P P^H, K1's level, k1^{-1/2}, pi_p^{-1/2} and pi_p's
+    eigensystem (vectors ``_pi_q``, values ``_pi_d``).
     """
 
-    pi_p: np.ndarray
     _gram_p: np.ndarray = field(repr=False)
     _k1_level: np.ndarray = field(repr=False)
-    _k1_half: np.ndarray = field(repr=False)
     _k1_inv_half: np.ndarray = field(repr=False)
-    _pi_half: np.ndarray = field(repr=False)
     _pi_inv_half: np.ndarray = field(repr=False)
+    _pi_q: np.ndarray = field(repr=False)
+    _pi_d: np.ndarray = field(repr=False)
 
     @property
     def k1(self) -> np.ndarray:
         """K1 as a (..., m_r, m_r) matrix, built from its level when read."""
-        return self._k1_level * np.eye(self.pi_p.shape[-1], dtype=np.complex128)
+        return self._k1_level * np.eye(self._pi_q.shape[-1], dtype=np.complex128)
 
     def to_tilde(self, forward) -> np.ndarray:
+        """F -> F_tilde; pi_p^{1/2} is rebuilt from its eigensystem."""
         f = np.asarray(forward, dtype=np.complex128)
-        return (f * self._k1_half) @ self._pi_half
+        return (f * np.sqrt(self._k1_level)) @ _rebuild(self._pi_q, np.sqrt(self._pi_d))
 
     def from_tilde(self, tilde_forward) -> np.ndarray:
         ft = np.asarray(tilde_forward, dtype=np.complex128)
@@ -290,9 +292,8 @@ class _Link:
         """tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B] for F the image
         of ``ft`` under the precoder's ``maps``; forms neither Hrd F nor
         cov_y."""
-        est_rd = self.know.est_rd
-        b = est_rd @ ft @ maps.whitened_source @ self.know.est_sr @ self.p @ self.cfg.weight_half
-        hft = est_rd @ ft
+        hft = self.know.est_rd @ ft
+        b = hft @ maps.whitened_source @ self.know.est_sr @ self.p @ self.cfg.weight_half
         cov = hft @ _ct(hft) + self.k2
         quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
         return float(np.real(np.trace(self.cfg.weight))) - quad
@@ -332,7 +333,9 @@ def weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, tx: Transceiver):
 
 
 def optimal_equalizer(cfg: SystemConfig, know: ChannelKnowledge, precoder, forward) -> np.ndarray:
-    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}; LinAlgError if singular."""
+    """LMMSE equalizer (Hrd F Hsr P)^H (Hrd F Rx F^H Hrd^H + K2)^{-1}; LinAlgError if singular.
+
+    Kept without a package caller: the test oracle of the substituted G."""
     link = _link(cfg, know, *_checked(cfg, know, precoder=precoder, forward=forward))
     return _solved(link.equalizer())
 
@@ -341,25 +344,19 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     """Build the F <-> F_tilde maps for the given precoder (or stack)."""
     (p,) = _checked(cfg, know, precoder=precoder)
     gram_p, k1 = _first_hop(cfg, know, p)
-    k1_half = np.sqrt(k1)
-    k1_inv_half = 1.0 / k1_half
+    k1_inv_half = 1.0 / np.sqrt(k1)
     x = (k1_inv_half * know.est_sr) @ p
     # pi_p = I + x x^H is PD by construction, its eigenvalues floored at 1,
-    # so no conditioning guard applies: herm_inv_sqrt's would reject
-    # extreme but perfectly valid SNRs here.
+    # so its inverse root needs no conditioning guard.
     w, q = np.linalg.eigh(_herm(x @ _ct(x)))
     d = 1.0 + np.clip(w, 0.0, None)
-    pi_p = _rebuild(q, d)
-    pi_half = _rebuild(q, np.sqrt(d))
-    pi_inv_half = _rebuild(q, np.sqrt(d), inverse=True)
     return TildeMaps(
-        pi_p=pi_p,
         _gram_p=gram_p,
         _k1_level=k1,
-        _k1_half=k1_half,
         _k1_inv_half=k1_inv_half,
-        _pi_half=pi_half,
-        _pi_inv_half=pi_inv_half,
+        _pi_inv_half=_rebuild(q, np.sqrt(d), inverse=True),
+        _pi_q=q,
+        _pi_d=d,
     )
 
 

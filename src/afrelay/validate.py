@@ -250,7 +250,9 @@ def gradient_check_scalar_objective(
     p_alloc, f_alloc, gains_sr, gains_rd, weights, h: float = 1e-6
 ) -> float:
     """Max relative error of the analytic scalarized gradient vs central
-    finite differences at an interior point (all p_i, f_i > 0)."""
+    finite differences at an interior point (all p_i, f_i > 0).
+
+    Kept without a package caller: checks the stationarity oracle's gradient."""
     if not 1e-7 <= h <= 1e-4:
         raise ValueError("h must be in [1e-7, 1e-4]")
     p = np.asarray(p_alloc, dtype=float)
@@ -281,6 +283,8 @@ def projected_gradient_norm(p_alloc, f_alloc, gains_sr, gains_rd, weights) -> fl
     At a KKT point of the two-sphere problem the gradient restricted to
     the active coordinates is parallel to the allocation vector in each
     block, so this norm vanishes.
+
+    Kept without a package caller: the designer's stationarity oracle.
     """
     p = np.asarray(p_alloc, dtype=float)
     f = np.asarray(f_alloc, dtype=float)

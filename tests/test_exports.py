@@ -65,3 +65,37 @@ def test_scipy_is_loaded_only_by_the_brute_force():
     before, after = json.loads(out.stdout)
     assert before == []
     assert "scipy.optimize" in after
+
+
+# Exported functions that nothing in the package or perfbench calls, each
+# kept for the reason its docstring states.
+KEPT_WITHOUT_CALLER = {
+    "error_stats_first_hop",
+    "error_stats_second_hop",
+    "optimal_equalizer",
+    "waterfill",
+    "waterfill_kkt_residual",
+    "gradient_check_scalar_objective",
+    "projected_gradient_norm",
+}
+
+
+def test_every_exported_function_has_a_caller_or_a_stated_reason():
+    root = SRC.parent
+    referenced = set()
+    for path in [*sorted((SRC / "afrelay").glob("*.py")), *sorted((root / "perfbench").glob("*.py"))]:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    orphans = {}
+    for layer in LAYERS:
+        module = importlib.import_module(f"afrelay.{layer}")
+        for name in module.__all__:
+            obj = getattr(module, name)
+            if inspect.isfunction(obj) and name not in referenced:
+                orphans[name] = obj
+    assert set(orphans) == KEPT_WITHOUT_CALLER
+    for name, func in orphans.items():
+        assert "Kept without a package caller: " in inspect.getdoc(func), name

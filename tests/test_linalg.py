@@ -6,9 +6,7 @@ from afrelay.linalg import (
     TIE_RTOL,
     NotHermitianError,
     NotPSDError,
-    SingularMatrixError,
     eig_hermitian_ordered,
-    herm_inv_sqrt,
     herm_sqrt,
     svd_ordered,
 )
@@ -168,28 +166,6 @@ class TestHermSqrt:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPSDError):
             herm_sqrt(np.diag([1.0, -0.5]))
-
-
-class TestHermInvSqrt:
-    def test_identity(self):
-        assert np.allclose(herm_inv_sqrt(np.eye(3)), np.eye(3))
-
-    def test_diagonal_example(self):
-        r = herm_inv_sqrt(np.diag([4.0, 9.0]))
-        assert np.allclose(r, np.diag([0.5, 1.0 / 3.0]))
-
-    def test_random_pd_sandwich(self):
-        rng = np.random.default_rng(9)
-        a = _rand_complex(rng, 5, 5)
-        m = a @ a.conj().T + np.eye(5)
-        r = herm_inv_sqrt(m)
-        assert np.linalg.norm(r @ m @ r - np.eye(5)) <= 1e-8
-
-    def test_rejects_ill_conditioned(self):
-        with pytest.raises(SingularMatrixError):
-            herm_inv_sqrt(np.diag([1.0, 1e-14]))
-        with pytest.raises(SingularMatrixError):
-            herm_inv_sqrt(np.zeros((2, 2)))
 
 
 # The per-matrix tie sort that the stacked ``np.lexsort`` in

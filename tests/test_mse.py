@@ -60,7 +60,8 @@ class TestSecondOrderStats:
         assert np.allclose(so.k1, (cfg.p_s + cfg.sigma1_sq) * np.eye(4))
 
     def test_relay_covariance_matches_monte_carlo(self):
-        from afrelay.channel import complex_gaussian, sample_error_batch
+        from afrelay.channel import complex_gaussian
+        from afrelay.linalg import herm_sqrt
 
         cfg, know, _ = make_instance(2, snr1_db=10.0)
         rng = np.random.default_rng(3)
@@ -68,7 +69,8 @@ class TestSecondOrderStats:
         so = second_order_stats(cfg, know, p, f)
         n = 100_000
         mc = np.random.default_rng(4)
-        dh = sample_error_batch(know.stats_sr, n, mc)
+        row, col = know.stats_sr.row_cov, know.stats_sr.col_cov
+        dh = herm_sqrt(row) @ complex_gaussian(mc, n, cfg.m_r, cfg.n_s) @ herm_sqrt(col)
         s = complex_gaussian(mc, n, cfg.n_streams)
         n1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(mc, n, cfg.m_r)
         x = np.einsum("nij,nj->ni", know.est_sr[None] + dh, s @ p.T) + n1
@@ -216,7 +218,7 @@ class TestTildeMaps:
     def test_zero_precoder_scales_by_sigma(self):
         cfg, know, _ = make_instance(23)
         maps = tilde_maps(cfg, know, np.zeros((cfg.n_s, cfg.n_streams)))
-        assert np.allclose(maps.pi_p, np.eye(cfg.m_r))
+        assert np.allclose(maps.whitened_source, np.eye(cfg.m_r) / np.sqrt(cfg.sigma1_sq))
         rng = np.random.default_rng(24)
         f = rand_complex(rng, cfg.n_r, cfg.m_r)
         assert np.allclose(maps.to_tilde(f), np.sqrt(cfg.sigma1_sq) * f)
@@ -392,7 +394,7 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
     # equal those with the Hermitian roots of the K1 matrix, and K1, Rx, K2
     # the general forms tr(. col) row + sigma^2 I, bit for bit.
     from afrelay.channel import sample_scenario_stack
-    from afrelay.linalg import herm_inv_sqrt, herm_sqrt
+    from afrelay.linalg import _rebuild, herm_sqrt
 
     cfg = make_config()
     n = draws or 1
@@ -406,13 +408,17 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
         know, p, f, ft = know.select(0), p[0], f[0], ft[0]
 
     maps = tilde_maps(cfg, know, p)
-    k1_half, k1_inv_half = herm_sqrt(maps.k1), herm_inv_sqrt(maps.k1)
-    assert np.array_equal(maps.to_tilde(f), f @ k1_half @ maps._pi_half)
-    assert np.array_equal(maps.from_tilde(ft), ft @ maps._pi_inv_half @ k1_inv_half)
-    assert np.array_equal(maps.whitened_source, maps._pi_inv_half @ k1_inv_half)
+    # The Hermitian roots of K1, and pi_p's, rebuilt from their eigensystems.
+    w1, q1 = np.linalg.eigh(_herm(maps.k1))
+    k1_half, k1_inv_half = herm_sqrt(maps.k1), _rebuild(q1, np.sqrt(w1), inverse=True)
     x = k1_inv_half @ know.est_sr @ p
     w, q = np.linalg.eigh(_herm(x @ _ct(x)))
-    assert np.array_equal(maps.pi_p, _herm((q * (1.0 + np.clip(w, 0.0, None)[..., None, :])) @ _ct(q)))
+    d = 1.0 + np.clip(w, 0.0, None)
+    pi_half, pi_inv_half = _rebuild(q, np.sqrt(d)), _rebuild(q, np.sqrt(d), inverse=True)
+    assert np.array_equal(maps.to_tilde(f), f @ k1_half @ pi_half)
+    assert np.array_equal(maps.from_tilde(ft), ft @ pi_inv_half @ k1_inv_half)
+    assert np.array_equal(maps.whitened_source, pi_inv_half @ k1_inv_half)
+    assert np.array_equal(maps._pi_q, q) and np.array_equal(maps._pi_d, d)
 
     stats_sr, stats_rd = know.stats_sr, know.stats_rd
     gram = p @ _ct(p)
