@@ -352,8 +352,10 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
     # estimate with covariance I - (error covariance) = s R (I + s R)^{-1};
     # that factors per hop because estimation_stats builds row_cov_sr and
     # col_cov_rd as I.  The product form has no cancellation, so a tiny s
-    # still gives a PSD covariance.
+    # still gives a PSD covariance; an infinite s gives its limit, I.
     def estimate_cov(n, err_cov):
+        if snr_est == np.inf:
+            return np.eye(n, dtype=np.complex128)
         a = snr_est * exp_corr(alpha, n) @ err_cov
         return 0.5 * (a + a.conj().T)
 

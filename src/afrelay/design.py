@@ -161,10 +161,10 @@ class SpectralData:
     whiten_rd @ est_rd where whiten_sr = (p_s Psi + sigma1^2 I)^{-1/2}
     and whiten_rd = K2^{-1/2} with the constant K2 = p_r Sigma_rd +
     sigma2^2 I.  Gains are the leading n_streams singular values.  For a
-    stack of draws the SVDs and gains carry its leading axis; the
-    whitening matrices, ``k2_const`` and ``psi_eff`` are shared (2-D)
-    where the draws share that hop's error statistics and carry the
-    leading axis where they do not.
+    stack of draws the SVDs and gains carry its leading axis; whiten_sr,
+    which the assembled precoder reads, is shared (2-D) where the draws
+    share the first hop's error statistics and carries the leading axis
+    where they do not.
     """
 
     first_hop: OrderedSVD
@@ -172,25 +172,18 @@ class SpectralData:
     gains_sr: np.ndarray
     gains_rd: np.ndarray
     whiten_sr: np.ndarray
-    whiten_rd: np.ndarray
-    k2_const: np.ndarray
-    psi_eff: np.ndarray
 
     def draw(self, i: int) -> "SpectralData":
         def svd(s):
             return OrderedSVD(left=_own(s.left, i), values=_own(s.values, i), right=_own(s.right, i))
 
-        def stats(name):
-            m = getattr(self, name)
-            return _own(m, i) if m.ndim == 3 else m
-
-        return replace(
-            self,
+        whiten_sr = self.whiten_sr
+        return SpectralData(
             first_hop=svd(self.first_hop),
             second_hop=svd(self.second_hop),
             gains_sr=_own(self.gains_sr, i),
             gains_rd=_own(self.gains_rd, i),
-            **{name: stats(name) for name in ("whiten_sr", "whiten_rd", "k2_const", "psi_eff")},
+            whiten_sr=_own(whiten_sr, i) if whiten_sr.ndim == 3 else whiten_sr,
         )
 
 
@@ -283,21 +276,20 @@ class DesignOptions:
     the scaled identity that spreads the source budget evenly over the
     streams; only F and G are designed).  ``restarts`` adds that many
     random initializations on top of the uniform one; the best final
-    objective wins, ties going to the earlier candidate; ``restart_seed``
-    seeds their draws.  All three are checked when the options are built.
+    objective wins, ties going to the earlier candidate.  Their draws come
+    from a generator seeded with 0, so a design is deterministic.  Both
+    knobs are checked when the options are built.
     """
 
     mode: str = "joint"
     restarts: int = 0
-    restart_seed: int = 0
 
     def __post_init__(self):
         if self.mode not in ("joint", "relay_only"):
             raise ValueError(f"unknown design mode {self.mode!r}")
-        for name in ("restarts", "restart_seed"):
-            r = getattr(self, name)
-            if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
-                raise ValueError(f"{name} must be an int >= 0, got {r!r}")
+        r = self.restarts
+        if isinstance(r, bool) or not isinstance(r, (int, np.integer)) or r < 0:
+            raise ValueError(f"restarts must be an int >= 0, got {r!r}")
 
 
 def weight_eigensystem(w) -> OrderedHermitianEig:
@@ -322,15 +314,12 @@ def _floored_inv_sqrt(m: np.ndarray, floor: float) -> np.ndarray:
 
 
 def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
-    """psi_eff, whiten_sr, k2_const and whiten_rd of the knowledge's
-    error statistics (see :class:`SpectralData`)."""
+    """whiten_sr and whiten_rd of the knowledge's error statistics (see
+    :class:`SpectralData`)."""
     # Each hop's identity-side scale folds into its other factor.
-    psi_eff = know.c_sr * know.stats_sr.col_cov
-    sigma_rd_eff = know.c_rd * know.stats_rd.row_cov
-    b_sr = cfg.p_s * psi_eff + cfg.sigma1_sq * np.eye(cfg.n_s)
-    k2_const = cfg.p_r * sigma_rd_eff + cfg.sigma2_sq * np.eye(cfg.m_d)
-    return (psi_eff, _floored_inv_sqrt(b_sr, cfg.sigma1_sq),
-            k2_const, _floored_inv_sqrt(k2_const, cfg.sigma2_sq))
+    b_sr = cfg.p_s * (know.c_sr * know.stats_sr.col_cov) + cfg.sigma1_sq * np.eye(cfg.n_s)
+    k2_const = cfg.p_r * (know.c_rd * know.stats_rd.row_cov) + cfg.sigma2_sq * np.eye(cfg.m_d)
+    return _floored_inv_sqrt(b_sr, cfg.sigma1_sq), _floored_inv_sqrt(k2_const, cfg.sigma2_sq)
 
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
@@ -338,7 +327,7 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
     the whitening is formed once for statistics shared by the stack's
     draws, and draw by draw for per-draw statistics."""
     _checked(cfg, know)
-    psi_eff, whiten_sr, k2_const, whiten_rd = _whitening(cfg, know)
+    whiten_sr, whiten_rd = _whitening(cfg, know)
     n = cfg.n_streams
     first = svd_ordered(know.est_sr @ whiten_sr)
     second = svd_ordered(whiten_rd @ know.est_rd)
@@ -348,9 +337,6 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
         gains_sr=first.values[..., :n].copy(),
         gains_rd=second.values[..., :n].copy(),
         whiten_sr=whiten_sr,
-        whiten_rd=whiten_rd,
-        k2_const=k2_const,
-        psi_eff=psi_eff,
     )
 
 
@@ -748,7 +734,7 @@ def _verified_batch(cfg, know, spectral, alloc, p_mat, tilde_f, maps) -> DesignB
 
     Builds F, the LMMSE equalizer G, the residual and direct weighted MSE
     and both powers, all from the one ``mse._link`` of (P, F) and the
-    precoder's tilde maps; the eta_p fixed point tr(P P^H psi_eff) +
+    precoder's tilde maps; the eta_p fixed point c_sr tr(P P^H Psi) +
     sigma1^2 is K1's level, which the maps already hold.  An ``alloc``
     whose eta_p is None belongs to a fixed precoder: its eta_p is the
     fixed point and its objective trace the achieved weighted MSE.  Every
@@ -810,15 +796,16 @@ def _design_relay_only(cfg, know, spectral) -> DesignBatch:
     source budget evenly over the streams (no source optimization).
 
     The per-stream coefficients come from the SVD of
-    A = Pi_P^{-1/2} K1^{-1/2} Hsr P W^{1/2}; a single water-filling pass
-    against the whitened second-hop gains yields the relay diagonal.
+    A = Pi_P^{-1/2} K1^{-1/2} Hsr P W^{1/2}, the maps' whitened signal
+    times W^{1/2}; a single water-filling pass against the whitened
+    second-hop gains yields the relay diagonal.
     """
     n = cfg.n_streams
     draws = know.est_sr.shape[0]
     p_one = np.sqrt(cfg.p_s / n) * np.eye(cfg.n_s, n, dtype=np.complex128)
     p_mat = np.broadcast_to(p_one, (draws, *p_one.shape))
     maps = tilde_maps(cfg, know, p_mat)
-    a_svd = svd_ordered(maps.whitened_source @ know.est_sr @ p_mat @ cfg.weight_half)
+    a_svd = svd_ordered(maps.signal @ cfg.weight_half)
     terms = _gain_terms(spectral.gains_rd)
     levels, mu_f = _waterfill(a_svd.values[:, :n] ** 2, terms, cfg.p_r)
     f_alloc = np.sqrt(levels)
@@ -844,7 +831,7 @@ def _best_start(cfg, spectral, opts) -> AllocationState:
     n = cfg.n_streams
     draws = spectral.gains_sr.shape[0]
     inits = [np.full(n, np.sqrt(cfg.p_s / n))]
-    rng = np.random.default_rng(opts.restart_seed)
+    rng = np.random.default_rng(0)
     for _ in range(opts.restarts):
         frac = rng.random(n) + 1e-3
         start = np.sqrt(cfg.p_s * frac / frac.sum())

@@ -20,7 +20,9 @@ identity, carried as its level with scalar roots; that level is also the
 eta_p fixed point the designer checks.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
-F -> F_tilde that makes the relay power constraint independent of P.
+F -> F_tilde that makes the relay power constraint independent of P; its
+pi_p is kept as an eigensystem and applied factor by factor, together
+with the whitened first-hop signal, formed once per precoder.
 Every function takes one draw, or (B, ., .) stacks of draws that share
 the config, and then works draw by draw; a stack's error statistics, and
 so c_sr and c_rd, are shared by its draws or given per draw
@@ -41,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _rebuild, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _ct, _sq_norm, herm_sqrt
 
 __all__ = [
     "SystemConfig",
@@ -203,19 +205,22 @@ class TildeMaps:
     """Whitening change of variables F <-> F_tilde for a fixed precoder.
 
     ``F_tilde = F @ k1^{1/2} @ pi_p^{1/2}`` with
-    ``pi_p = k1^{-1/2} Hsr P P^H Hsr^H k1^{-1/2} + I``, which makes
+    ``pi_p = x x^H + I``, ``x = k1^{-1/2} Hsr P``, which makes
     tr(F Rx F^H) = tr(F_tilde F_tilde^H) exactly.  K1 = k1 I, so its
-    roots are (..., 1, 1) scalars, applied by broadcasting.  The maps
-    keep P P^H, K1's level, k1^{-1/2}, pi_p^{-1/2} and pi_p's
-    eigensystem (vectors ``_pi_q``, values ``_pi_d``).
+    roots are (..., 1, 1) scalars, applied by broadcasting.  pi_p is kept
+    only as its eigensystem (vectors ``_pi_q``, values ``_pi_d``, which
+    run from 1 to about 1/sigma1^2), and each of its powers is applied
+    factor by factor, q diag(d^{+-1/2}) q^H, never as a dense matrix: a
+    dense root would round its small range-space block at the absolute
+    eps of its O(1) null-space block.  The maps also keep P P^H, K1's
+    level and the whitened first-hop signal pi_p^{-1/2} x (``signal``).
     """
 
     _gram_p: np.ndarray = field(repr=False)
     _k1_level: np.ndarray = field(repr=False)
-    _k1_inv_half: np.ndarray = field(repr=False)
-    _pi_inv_half: np.ndarray = field(repr=False)
     _pi_q: np.ndarray = field(repr=False)
     _pi_d: np.ndarray = field(repr=False)
+    signal: np.ndarray = field(repr=False)
 
     @property
     def k1(self) -> np.ndarray:
@@ -223,18 +228,16 @@ class TildeMaps:
         return self._k1_level * np.eye(self._pi_q.shape[-1], dtype=np.complex128)
 
     def to_tilde(self, forward) -> np.ndarray:
-        """F -> F_tilde; pi_p^{1/2} is rebuilt from its eigensystem."""
+        """F -> F_tilde = ((F k1^{1/2}) q) diag(d^{1/2}) q^H."""
         f = np.asarray(forward, dtype=np.complex128)
-        return (f * np.sqrt(self._k1_level)) @ _rebuild(self._pi_q, np.sqrt(self._pi_d))
+        q = self._pi_q
+        return ((f * np.sqrt(self._k1_level)) @ q * np.sqrt(self._pi_d)[..., None, :]) @ _ct(q)
 
     def from_tilde(self, tilde_forward) -> np.ndarray:
+        """F_tilde -> F = ((F_tilde q) diag(d^{-1/2})) q^H k1^{-1/2}."""
         ft = np.asarray(tilde_forward, dtype=np.complex128)
-        return (ft @ self._pi_inv_half) * self._k1_inv_half
-
-    @property
-    def whitened_source(self) -> np.ndarray:
-        """pi_p^{-1/2} k1^{-1/2}, the factor in front of Hsr P in the MSE."""
-        return self._pi_inv_half * self._k1_inv_half
+        q, k1_inv_half = self._pi_q, 1.0 / np.sqrt(self._k1_level)
+        return ((ft @ q) / np.sqrt(self._pi_d)[..., None, :]) @ _ct(q) * k1_inv_half
 
 
 @dataclass(frozen=True)
@@ -293,7 +296,7 @@ class _Link:
         of ``ft`` under the precoder's ``maps``; forms neither Hrd F nor
         cov_y."""
         hft = self.know.est_rd @ ft
-        b = hft @ maps.whitened_source @ self.know.est_sr @ self.p @ self.cfg.weight_half
+        b = hft @ maps.signal @ self.cfg.weight_half
         cov = hft @ _ct(hft) + self.k2
         quad = np.real(_trace(_ct(b) @ _solve_hermitian(cov, b)))
         return float(np.real(np.trace(self.cfg.weight))) - quad
@@ -347,25 +350,21 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     k1_inv_half = 1.0 / np.sqrt(k1)
     x = (k1_inv_half * know.est_sr) @ p
     # pi_p = I + x x^H is PD by construction, its eigenvalues floored at 1,
-    # so its inverse root needs no conditioning guard.
+    # so d^{-1/2} needs no conditioning guard.  The signal pi_p^{-1/2} x is
+    # q diag(d^{-1/2}) q^H x, applied factor by factor.
     w, q = np.linalg.eigh(_herm(x @ _ct(x)))
     d = 1.0 + np.clip(w, 0.0, None)
-    return TildeMaps(
-        _gram_p=gram_p,
-        _k1_level=k1,
-        _k1_inv_half=k1_inv_half,
-        _pi_inv_half=_rebuild(q, np.sqrt(d), inverse=True),
-        _pi_q=q,
-        _pi_d=d,
-    )
+    signal = q @ ((_ct(q) @ x) / np.sqrt(d)[..., :, None])
+    return TildeMaps(_gram_p=gram_p, _k1_level=k1, _pi_q=q, _pi_d=d, signal=signal)
 
 
 def residual_weighted_mse(cfg: SystemConfig, know: ChannelKnowledge, precoder, tilde_forward):
     """Weighted MSE with the optimal equalizer already substituted in.
 
     tr(W) - tr[B^H (Hrd Ft Ft^H Hrd^H + K2)^{-1} B], B = Hrd Ft pi_p^{-1/2}
-    k1^{-1/2} Hsr P W^{1/2}.  Matches ``weighted_mse`` at the LMMSE
-    equalizer to solver precision; a LinAlgError if the solve is singular.
+    k1^{-1/2} Hsr P W^{1/2}, with the whitened signal read from the maps.
+    Matches ``weighted_mse`` at the LMMSE equalizer to solver precision;
+    a LinAlgError if the solve is singular.
     """
     p, ft = _checked(cfg, know, precoder=precoder, tilde_forward=tilde_forward)
     maps = tilde_maps(cfg, know, p)

@@ -198,7 +198,7 @@ def test_criterion_05_eta_p_self_consistency():
         sol = design(cfg, know)
         p = sol.tx.precoder
         fixed_point = float(
-            np.real(np.trace(p @ p.conj().T @ sol.spectral.psi_eff))
+            np.real(np.trace(p @ p.conj().T @ (know.c_sr * know.stats_sr.col_cov)))
         ) + cfg.sigma1_sq
         if abs(sol.alloc.eta_p - fixed_point) > 1e-9 * sol.alloc.eta_p:
             violations.append(
@@ -259,9 +259,7 @@ def test_criterion_07_weight_basis_alignment():
         cfg, know, _ = make_instance(700 + i, weight=weight)
         sol = design(cfg, know)
         maps = tilde_maps(cfg, know, sol.tx.precoder)
-        a_mat = (
-            maps.whitened_source @ know.est_sr @ sol.tx.precoder @ herm_sqrt(cfg.weight)
-        )
+        a_mat = maps.signal @ herm_sqrt(cfg.weight)
         a_svd = svd_ordered(a_mat)
         u_w = weight_eigensystem(cfg.weight).vectors
         values = a_svd.values

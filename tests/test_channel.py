@@ -1,4 +1,5 @@
 import pickle
+import warnings
 
 import numpy as np
 import pytest
@@ -220,6 +221,26 @@ class TestScenario:
         know, truth = sample_scenario(cfg, 1e12, 0.3, 9)
         assert np.linalg.norm(truth.delta_sr) <= 1e-5
         assert np.allclose(truth.h_sr, know.est_sr, atol=1e-5)
+
+    def test_infinite_estimation_snr_gives_exact_estimates(self):
+        # At snr_est = inf the error covariance is zero and the estimate
+        # covariance s R (I + s R)^{-1} takes its limit I: no inf * 0, so
+        # no warning, and the truth is the estimate.
+        from afrelay.channel import _scenario_factors
+
+        cfg = make_config(dims=(3, 2, 4, 3), n_streams=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            know, truth = sample_scenario(cfg, np.inf, 0.3, 1)
+            _, _, roots = _scenario_factors(cfg, np.inf, 0.3)
+            _, stack = sample_scenario_stack(cfg, np.inf, 0.3, [np.random.default_rng(32)] * 10_000)
+        assert not truth.delta_sr.any() and not truth.delta_rd.any()
+        assert np.array_equal(truth.h_sr, know.est_sr) and np.array_equal(truth.h_rd, know.est_rd)
+        (sr_row, sr_col), _, (rd_row, rd_col), _ = roots
+        for root in (sr_row, sr_col, rd_row, rd_col):
+            assert np.array_equal(root, np.eye(len(root)))
+        for h in (stack.h_sr, stack.h_rd):
+            assert np.all(np.abs(np.mean(np.abs(h) ** 2, axis=0) - 1.0) <= 0.05)
 
     def test_true_channel_entries_have_unit_variance(self):
         cfg = make_config()

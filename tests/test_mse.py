@@ -218,10 +218,12 @@ class TestTildeMaps:
     def test_zero_precoder_scales_by_sigma(self):
         cfg, know, _ = make_instance(23)
         maps = tilde_maps(cfg, know, np.zeros((cfg.n_s, cfg.n_streams)))
-        assert np.allclose(maps.whitened_source, np.eye(cfg.m_r) / np.sqrt(cfg.sigma1_sq))
+        assert np.array_equal(maps._pi_d, np.ones(cfg.m_r))
+        assert np.array_equal(maps.signal, np.zeros((cfg.m_r, cfg.n_streams)))
         rng = np.random.default_rng(24)
         f = rand_complex(rng, cfg.n_r, cfg.m_r)
         assert np.allclose(maps.to_tilde(f), np.sqrt(cfg.sigma1_sq) * f)
+        assert np.allclose(maps.from_tilde(f), f / np.sqrt(cfg.sigma1_sq))
 
     def test_round_trip(self):
         cfg, know, _ = make_instance(25)
@@ -394,7 +396,6 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
     # equal those with the Hermitian roots of the K1 matrix, and K1, Rx, K2
     # the general forms tr(. col) row + sigma^2 I, bit for bit.
     from afrelay.channel import sample_scenario_stack
-    from afrelay.linalg import _rebuild, herm_sqrt
 
     cfg = make_config()
     n = draws or 1
@@ -408,16 +409,17 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
         know, p, f, ft = know.select(0), p[0], f[0], ft[0]
 
     maps = tilde_maps(cfg, know, p)
-    # The Hermitian roots of K1, and pi_p's, rebuilt from their eigensystems.
+    # K1's roots as matrices and pi_p's powers as factors, from eigh.
     w1, q1 = np.linalg.eigh(_herm(maps.k1))
-    k1_half, k1_inv_half = herm_sqrt(maps.k1), _rebuild(q1, np.sqrt(w1), inverse=True)
+    k1_half = (q1 * np.sqrt(w1)[..., None, :]) @ _ct(q1)
+    k1_inv_half = (q1 / np.sqrt(w1)[..., None, :]) @ _ct(q1)
     x = k1_inv_half @ know.est_sr @ p
     w, q = np.linalg.eigh(_herm(x @ _ct(x)))
     d = 1.0 + np.clip(w, 0.0, None)
-    pi_half, pi_inv_half = _rebuild(q, np.sqrt(d)), _rebuild(q, np.sqrt(d), inverse=True)
-    assert np.array_equal(maps.to_tilde(f), f @ k1_half @ pi_half)
-    assert np.array_equal(maps.from_tilde(ft), ft @ pi_inv_half @ k1_inv_half)
-    assert np.array_equal(maps.whitened_source, pi_inv_half @ k1_inv_half)
+    root = np.sqrt(d)[..., None, :]
+    assert np.array_equal(maps.to_tilde(f), (f @ k1_half @ q * root) @ _ct(q))
+    assert np.array_equal(maps.from_tilde(ft), ((ft @ q) / root) @ _ct(q) @ k1_inv_half)
+    assert np.array_equal(maps.signal, q @ ((_ct(q) @ x) / root.swapaxes(-1, -2)))
     assert np.array_equal(maps._pi_q, q) and np.array_equal(maps._pi_d, d)
 
     stats_sr, stats_rd = know.stats_sr, know.stats_rd

@@ -208,13 +208,13 @@ def _nonincreasing(vals) -> bool:
 @example(_identity_estimates(*scenario(_point([4, 4, 4, 4], [0.25] * 4, alpha=0.0), 3, 2)), 2)
 # A single stream.
 @example(scenario(_point([2, 3, 1, 2], [1.0]), 4, 3), 2)
-# 200 dB data SNR: under exact knowledge draw 1's LMMSE solve is singular,
-# so it fails alone as numerical, while draws 0 and 2 miss the relay budget.
+# 200 dB data SNR: under exact knowledge pi_p's eigenvalues reach about
+# 1e20, so F meets the relay budget only through pi_p's factors.
 @example(scenario(_point([4, 4, 4, 4], [0.6, 0.4], data_snr_db=200.0), 14, 3), 0)
 def test_stack_equals_single_draw_designs(scenario, restarts):
     cfg, know = scenario
     for knowledge, opts in (
-        (know, DesignOptions(restarts=restarts, restart_seed=restarts)),
+        (know, DesignOptions(restarts=restarts)),
         (know, DesignOptions(mode="relay_only")),
         (exact_knowledge(know.est_sr, know.est_rd), DesignOptions()),
     ):

@@ -310,10 +310,11 @@ class TestRunExperiment:
             }
 
     def test_singular_solves_fail_only_their_draws(self, monkeypatch):
-        # At 200 dB data SNR some draws' LMMSE solves are singular.  Each
-        # such draw fails alone, with cause numerical, inside the one
-        # design call per algorithm on the 24-draw stack, and the records,
-        # failures by cause included, equal those of one-draw stacks.
+        # At 200 dB data SNR some draws' LMMSE solves are singular or miss
+        # the backward-error bound.  Each such draw fails alone, with cause
+        # numerical, inside the one design call per algorithm on the
+        # 24-draw stack, and the records, failures by cause included,
+        # equal those of one-draw stacks.
         import afrelay.sim as sim_mod
 
         sizes = []
@@ -330,15 +331,29 @@ class TestRunExperiment:
         ))
         records = run_experiment(spec)
         assert sizes == [24] * 3
-        numerical = {(r.est_snr_db, r.algorithm): r.failures.get("numerical", 0) for r in records}
-        assert numerical == {
-            (40.0, "naive"): 0, (40.0, "robust_full"): 0, (40.0, "robust_nopre"): 0,
-            (200.0, "naive"): 0, (200.0, "robust_full"): 1, (200.0, "robust_nopre"): 2,
+        failures = {(r.est_snr_db, r.algorithm): r.failures for r in records}
+        assert failures == {
+            (40.0, "naive"): {"numerical": 2}, (40.0, "robust_full"): {},
+            (40.0, "robust_nopre"): {}, (200.0, "naive"): {},
+            (200.0, "robust_full"): {"numerical": 1},
+            (200.0, "robust_nopre"): {"numerical": 1, "relay_power": 7, "wmse_agreement": 3},
         }
         monkeypatch.setattr(sim_mod, "CHUNK_DRAWS", 1)
         sizes.clear()
         assert [repr(r) for r in run_experiment(spec)] == [repr(r) for r in records]
         assert sizes == [1] * 72
+
+    def test_high_data_snr_sweep_fails_no_draw(self):
+        # At 150 dB data SNR with fewer streams than relay antennas, pi_p's
+        # eigenvalues run from 1 to about 1/sigma1^2 = 1e15: a dense
+        # pi_p^{-1/2} would round its small range-space block at the eps
+        # of its O(1) null-space block, and F would miss the relay budget.
+        spec = ExperimentSpec.from_dict(spec_dict(
+            dims=[4, 3, 5, 4], alpha=0.5, data_snr_db=[150.0, 150.0],
+            est_snr_db=[-20.0, 40.0, 200.0], n_channel_draws=8, n_symbols=8, seed=0,
+        ))
+        records = run_experiment(spec)
+        assert [(r.n_draws, r.n_failed, r.failures) for r in records] == [(8, 0, {})] * 9
 
     def test_high_snr_whitening_fails_no_stack(self):
         # Near alpha = 1 and at high SNR both whitened matrices are PD
