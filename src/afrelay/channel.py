@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_psd, _first_bad, _rebuild, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _first_bad, _herm, _rebuild, _sq_norm, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -356,8 +356,7 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
     def estimate_cov(n, err_cov):
         if snr_est == np.inf:
             return np.eye(n, dtype=np.complex128)
-        a = snr_est * exp_corr(alpha, n) @ err_cov
-        return 0.5 * (a + a.conj().T)
+        return _herm(snr_est * exp_corr(alpha, n) @ err_cov)
 
     covs = (
         (stats_sr.row_cov, estimate_cov(cfg.n_s, stats_sr.col_cov)),

@@ -58,6 +58,7 @@ from .linalg import (
     OrderedSVD,
     _check_psd,
     _ct,
+    _herm,
     _rebuild,
     eig_hermitian_ordered,
     svd_ordered,
@@ -309,7 +310,7 @@ def _floored_inv_sqrt(m: np.ndarray, floor: float) -> np.ndarray:
     eye = np.eye(m.shape[-1])
     if (m == floor * eye).all():
         return np.broadcast_to(eye / np.sqrt(floor), m.shape).astype(m.dtype)
-    w, q = np.linalg.eigh(0.5 * (m + _ct(m)))
+    w, q = np.linalg.eigh(_herm(m))
     return _rebuild(q, np.sqrt(np.maximum(w, floor)), inverse=True)
 
 

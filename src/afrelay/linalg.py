@@ -98,6 +98,11 @@ def _ct(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2).conj()
 
 
+def _herm(a: np.ndarray) -> np.ndarray:
+    """Hermitian part (a + a^H) / 2 of a matrix or of every matrix in a stack."""
+    return 0.5 * (a + _ct(a))
+
+
 def _sq_norm(a: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of a matrix or of every matrix in a stack."""
     return (a.real**2 + a.imag**2).sum(axis=(-2, -1))
@@ -123,15 +128,14 @@ def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = _as_matrix(m, name)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    ah = _ct(a)
-    skew = np.sqrt(_sq_norm(a - ah))
+    skew = np.sqrt(_sq_norm(a - _ct(a)))
     bad = skew > HERMITIAN_RTOL * np.maximum(np.sqrt(_sq_norm(a)), 1e-300)
     if bad.any():
         raise NotHermitianError(
             f"{name} is not Hermitian{_first_bad(bad)}: ||m - m^H|| = "
             f"{float(np.max(skew)):.3e} exceeds {HERMITIAN_RTOL:g} * ||m||"
         )
-    return 0.5 * (a + ah)
+    return _herm(a)
 
 
 def _phase_factors(cols: np.ndarray) -> np.ndarray:
@@ -221,8 +225,7 @@ def eig_hermitian_ordered(m) -> OrderedHermitianEig:
 def _rebuild(q: np.ndarray, d: np.ndarray, inverse: bool = False) -> np.ndarray:
     """Hermitian part of q diag(d) q^H (of q diag(d)^{-1} q^H when
     ``inverse``), matrix by matrix."""
-    root = ((q / d[..., None, :]) if inverse else (q * d[..., None, :])) @ _ct(q)
-    return 0.5 * (root + _ct(root))
+    return _herm(((q / d[..., None, :]) if inverse else (q * d[..., None, :])) @ _ct(q))
 
 
 def _check_psd(w: np.ndarray, name: str = "matrix") -> None:

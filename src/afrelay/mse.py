@@ -21,15 +21,15 @@ eta_p fixed point the designer checks.  This module evaluates these
 quantities, the LMMSE equalizer, the residual weighted MSE after the
 optimal G has been substituted in, and the whitening change of variables
 F -> F_tilde that makes the relay power constraint independent of P; its
-pi_p is kept as an eigensystem and applied factor by factor, together
-with the whitened first-hop signal, formed once per precoder.
+pi_p and the whitened first-hop signal come from one SVD per precoder,
+and pi_p is kept as an eigensystem and applied factor by factor.
 Every function takes one draw, or (B, ., .) stacks of draws that share
 the config, and then works draw by draw; a stack's error statistics, and
 so c_sr and c_rd, are shared by its draws or given per draw
 (:class:`ChannelKnowledge`), so K1's level and K2 are each draw's own.
 Each public entry checks its arguments once (``_checked``) and evaluates
 through one builder, ``_Link``, which forms P P^H, K1, Rx, F Rx F^H, K2,
-Hrd F and the destination covariance each at most once, on first use.
+Hrd F, Hrd F Hsr P and cov_y each at most once, on first use.
 The designer builds one per stack, with P P^H and K1 taken from the
 precoder's tilde maps, and reads every quantity it checks from it.
 """
@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _ct, _herm, _rebuild, _sq_norm
 
 __all__ = [
     "SystemConfig",
@@ -103,8 +103,8 @@ class SystemConfig:
 
     @cached_property
     def weight_half(self) -> np.ndarray:
-        """W^{1/2}, computed once per config."""
-        return herm_sqrt(self.weight)
+        """W^{1/2}, rebuilt once per config from W's eigensystem."""
+        return _rebuild(self.weight_eig.vectors, np.sqrt(self.weight_eig.values))
 
     @cached_property
     def weight_eig(self):
@@ -130,10 +130,6 @@ class SecondOrderStats:
     r_x: np.ndarray
     k1: np.ndarray
     k2: np.ndarray
-
-
-def _herm(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + _ct(a))
 
 
 def _trace(a: np.ndarray) -> np.ndarray:
@@ -209,11 +205,12 @@ class TildeMaps:
     tr(F Rx F^H) = tr(F_tilde F_tilde^H) exactly.  K1 = k1 I, so its
     roots are (..., 1, 1) scalars, applied by broadcasting.  pi_p is kept
     only as its eigensystem (vectors ``_pi_q``, values ``_pi_d``, which
-    run from 1 to about 1/sigma1^2), and each of its powers is applied
-    factor by factor, q diag(d^{+-1/2}) q^H, never as a dense matrix: a
-    dense root would round its small range-space block at the absolute
-    eps of its O(1) null-space block.  The maps also keep P P^H, K1's
-    level and the whitened first-hop signal pi_p^{-1/2} x (``signal``).
+    run from 1 to about 1/sigma1^2), taken from the SVD of x, and each of
+    its powers is applied factor by factor, q diag(d^{+-1/2}) q^H, never
+    as a dense matrix: a dense root would round its small range-space
+    block at the absolute eps of its O(1) null-space block.  The maps
+    also keep P P^H, K1's level and the whitened first-hop signal
+    pi_p^{-1/2} x (``signal``).
     """
 
     _gram_p: np.ndarray = field(repr=False)
@@ -245,8 +242,9 @@ class _Link:
     """The second-order quantities of checked (P, F), draw by draw.
 
     ``gram_p`` is P P^H and ``k1`` K1's (..., 1, 1) level; r_x, F Rx F^H
-    (``frf``), K2, Hrd F (``hf``) and the destination covariance
-    Hrd F Rx F^H Hrd^H + K2 (``cov_y``) are each formed once, on first use.
+    (``frf``), K2, Hrd F (``hf``), Hrd F Hsr P (``gain``) and the destination
+    covariance Hrd F Rx F^H Hrd^H + K2 (``cov_y``) are each formed once, on
+    first use.
     """
 
     cfg: SystemConfig
@@ -280,12 +278,16 @@ class _Link:
     def cov_y(self) -> np.ndarray:
         return self.hf @ self.r_x @ _ct(self.hf) + self.k2
 
+    @cached_property
+    def gain(self) -> np.ndarray:
+        return self.hf @ self.know.est_sr @ self.p
+
     def equalizer(self) -> np.ndarray:
         """The LMMSE equalizer (Hrd F Hsr P)^H cov_y^{-1}."""
-        return _ct(_solve_hermitian(self.cov_y, self.hf @ self.know.est_sr @ self.p))
+        return _ct(_solve_hermitian(self.cov_y, self.gain))
 
     def mse_matrix(self, g) -> np.ndarray:
-        lin = g @ self.hf @ self.know.est_sr @ self.p
+        lin = g @ self.gain
         return _herm(g @ self.cov_y @ _ct(g) + np.eye(self.cfg.n_streams) - lin - _ct(lin))
 
     def weighted_mse(self, g) -> np.ndarray:
@@ -349,12 +351,16 @@ def tilde_maps(cfg: SystemConfig, know: ChannelKnowledge, precoder) -> TildeMaps
     gram_p, k1 = _first_hop(cfg, know, p)
     k1_inv_half = 1.0 / np.sqrt(k1)
     x = (k1_inv_half * know.est_sr) @ p
-    # pi_p = I + x x^H is PD by construction, its eigenvalues floored at 1,
-    # so d^{-1/2} needs no conditioning guard.  The signal pi_p^{-1/2} x is
-    # q diag(d^{-1/2}) q^H x, applied factor by factor.
-    w, q = np.linalg.eigh(_herm(x @ _ct(x)))
-    d = 1.0 + np.clip(w, 0.0, None)
-    signal = q @ ((_ct(q) @ x) / np.sqrt(d)[..., :, None])
+    # x = q diag(s) v^H gives pi_p = q diag(d) q^H, d = 1 + s^2 padded with
+    # ones (>= 1: no conditioning guard), and the signal pi_p^{-1/2} x as
+    # q diag(s / sqrt(d)) v^H, exactly 0 along the unit eigenvalues.  Not
+    # q^H x: that rounds to eps |x| ~ eps / sigma1 there, and F would scale
+    # it by 1 / sigma1 past the relay budget.
+    q, s, vh = np.linalg.svd(x)
+    k = s.shape[-1]
+    d = np.ones(q.shape[:-1])
+    d[..., :k] += s**2
+    signal = (q[..., :k] * (s / np.sqrt(d[..., :k]))[..., None, :]) @ vh
     return TildeMaps(_gram_p=gram_p, _k1_level=k1, _pi_q=q, _pi_d=d, signal=signal)
 
 

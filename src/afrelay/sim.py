@@ -7,31 +7,31 @@ design that trusts the channel estimate -- then pushes QPSK symbols
 through the true channels and records analytic and empirical weighted
 MSE plus BER.
 
-The run's draws, in (point, draw) order, are cut into link chunks of at
-most ``CHUNK_DRAWS`` draws of one sweep point, fewer for long symbol
-blocks so that every (draws, antennas, symbols) block of a chunk stays
-within ``CHUNK_ELEMS`` entries.  Consecutive chunks, across sweep points,
-form design stacks of at most ``CHUNK_DRAWS`` draws.  A stack samples
-every draw from its own RNG streams, keyed by (seed, sweep point, draw
-index, stream) exactly as a draw-by-draw loop would key them (stream 0:
-channels, stream 1: QPSK bits and noise), joins the draws' knowledge
-(each draw keeps its point's error statistics) and designs each
-algorithm once on the whole stack (:func:`afrelay.design.design_batch`);
-the two robust designs share one spectral decomposition of the sampled
-knowledge.
-It then transmits chunk by chunk.  Each draw's QPSK symbols and both
-noise blocks sit in one (n + m_r + m_d, N) block z, whose Gram z z^H is
-formed once per chunk and shared by every algorithm.  An algorithm's
-transceiver and the draw's true channels compose, on the small matrices,
-into K = [G H_rd F H_sr P, G H_rd F, G], so the received estimates are
-one batched product K z and the empirical weighted MSE is
-Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].  Draw i of a stack
-gets the same numbers as draw i designed alone, so the chunks and
-stacks, like a worker pool, change nothing: identical spec + seed
-reproduces identical results byte for byte.  No design stack raises: a
-draw whose design fails (a singular solve too) fails alone, is excluded
-from the averages and is counted in ``n_failed`` and, by cause, in
-``ExperimentRecord.failures``; it never aborts the sweep.
+The run's draws, in (point, draw) order, are cut once into consecutive
+design stacks of near-equal size, which may span sweep points: as few
+as keep each within ``CHUNK_DRAWS`` draws, but at least one per worker.
+A stack samples every draw from its own RNG streams, keyed by (seed,
+sweep point, draw index, stream) exactly as a draw-by-draw loop would
+key them (stream 0: channels, stream 1: QPSK bits and noise), joins the
+draws' knowledge (each draw keeps its point's error statistics) and
+designs each algorithm once on the whole stack
+(:func:`afrelay.design.design_batch`); the two robust designs share one
+spectral decomposition of the sampled knowledge.
+It then transmits in link chunks of at most ``CHUNK_DRAWS`` draws of one
+sweep point, fewer for long symbol blocks so that every (draws, antennas,
+symbols) block of a chunk stays within ``CHUNK_ELEMS`` entries.  Each
+draw's QPSK symbols and both noise blocks sit in one (n + m_r + m_d, N)
+block z, whose Gram z z^H is formed once per chunk and shared by every
+algorithm.  An algorithm's transceiver and the draw's true channels
+compose, on the small matrices, into K = [G H_rd F H_sr P, G H_rd F, G],
+so the received estimates are one batched product K z and the empirical
+weighted MSE is Re tr(W K_e z z^H K_e^H) / N with K_e = K - [I 0 0].
+Draw i of a stack gets the same numbers as draw i designed alone, so the
+chunks and stacks, like a worker pool, change nothing: identical spec +
+seed reproduces identical results byte for byte.  No design stack
+raises: a draw whose design fails (a singular solve too) fails alone, is
+excluded from the averages and is counted in ``n_failed`` and, by cause,
+in ``ExperimentRecord.failures``; it never aborts the sweep.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
-from itertools import groupby
+from itertools import groupby, repeat
 from operator import itemgetter
 
 import numpy as np
@@ -368,28 +368,29 @@ def _transmit(tx, link, weight):
     return wmse, flips / (2 * n * n_sym)
 
 
-def _run_job(spec: ExperimentSpec, chunks) -> dict:
-    """One design stack: the link chunks ``chunks``, (point, start, stop)
-    in run order, as algorithm -> per-draw outcomes, each (analytic,
-    empirical, ber) or the failure cause.
+def _run_job(spec: ExperimentSpec, keys) -> dict:
+    """One design stack: the (point, draw) ``keys``, in run order, as
+    algorithm -> per-draw outcomes, each (analytic, empirical, ber) or
+    the failure cause.
 
     Each point's draws are sampled as one stack, and the knowledge of
     all of them is joined, so every algorithm designs the job once.  The
-    links are then built and transmitted chunk by chunk against slices
-    of the designs, and a chunk's blocks are freed before the next
-    chunk's are drawn.  All algorithms share the channel realization and
-    the QPSK block, so comparisons are paired.
+    links are then built and transmitted in link chunks of at most
+    ``_chunk_draws(spec)`` draws of one point, against slices of the
+    designs; a chunk's blocks are freed before the next chunk's are
+    drawn.  All algorithms share the channel realization and the QPSK
+    block, so comparisons are paired.
     """
     cfg = system_config(spec)
-    runs = [(point, list(run)) for point, run in groupby(chunks, key=itemgetter(0))]
+    runs = [(point, [draw for _, draw in run]) for point, run in groupby(keys, key=itemgetter(0))]
     sampled = [
         sample_scenario_stack(
             cfg,
             _linear("est_snr_db", spec.est_snr_db[point]),
             spec.alpha,
-            [_draw_rng(spec.seed, point, d, 0) for d in range(run[0][1], run[-1][2])],
+            [_draw_rng(spec.seed, point, d, 0) for d in draws],
         )
-        for point, run in runs
+        for point, draws in runs
     ]
     know = ChannelKnowledge.concat([k for k, _ in sampled])
     robust = _StackDesigns(cfg, know)
@@ -399,13 +400,13 @@ def _run_job(spec: ExperimentSpec, chunks) -> dict:
         for alg in spec.algorithms
     }
     outcomes = {alg: [] for alg in spec.algorithms}
+    step = _chunk_draws(spec)
     row = 0
-    for (point, run), (_, truth) in zip(runs, sampled):
-        first = run[0][1]
-        for _, start, stop in run:
-            local = slice(start - first, stop - first)
-            link = _link(spec, cfg, point, range(start, stop), _rows(truth, local))
-            rows = slice(row, row + stop - start)
+    for (point, draws), (_, truth) in zip(runs, sampled):
+        for start in range(0, len(draws), step):
+            local = slice(start, start + step)
+            link = _link(spec, cfg, point, draws[local], _rows(truth, local))
+            rows = slice(row, row + len(draws[local]))
             for alg, (tx, analytic, failures) in designs.items():
                 empirical, ber = _transmit(_rows(tx, rows), link, cfg.weight)
                 outcomes[alg] += [
@@ -421,32 +422,6 @@ def _chunk_draws(spec: ExperimentSpec) -> int:
     """Draws per link chunk: CHUNK_DRAWS, fewer where a draw's symbol
     blocks would push a chunk's blocks past CHUNK_ELEMS entries."""
     return min(CHUNK_DRAWS, max(1, CHUNK_ELEMS // (spec.n_symbols * max(spec.dims))))
-
-
-def _jobs(chunks: list, workers: int) -> list:
-    """``chunks`` cut into runs of consecutive chunks holding at most
-    CHUNK_DRAWS draws each: as few runs as that bound allows, but no
-    fewer than ``workers`` (at most ``len(chunks)``), by halving the
-    largest run of several chunks until there are enough."""
-
-    def size(job):
-        return sum(stop - start for _, start, stop in job)
-
-    jobs = []
-    for chunk in chunks:
-        if jobs and size(jobs[-1]) + chunk[2] - chunk[1] <= CHUNK_DRAWS:
-            jobs[-1].append(chunk)
-        else:
-            jobs.append([chunk])
-    while len(jobs) < workers:
-        i = max((i for i, job in enumerate(jobs) if len(job) > 1), key=lambda i: size(jobs[i]))
-        half = len(jobs[i]) // 2
-        jobs[i : i + 1] = [jobs[i][:half], jobs[i][half:]]
-    return jobs
-
-
-def _job_worker(args):
-    return _run_job(*args)
 
 
 def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> ExperimentRecord:
@@ -480,21 +455,22 @@ def _record(spec: ExperimentSpec, point: int, alg: str, outcomes: list) -> Exper
 def run_experiment(spec: ExperimentSpec) -> list[ExperimentRecord]:
     """Run the full sweep; one record per (sweep point, algorithm).
 
-    With ``workers`` > 1 one process pool serves every design stack of
-    the run; it starts no more processes than there are link chunks or
-    CPUs, and the run is cut into at least as many stacks.
+    The run's D (point, draw) keys, in run order, are cut once into
+    consecutive design stacks of near-equal size: as few as keep each
+    within CHUNK_DRAWS draws, but one per worker (at most D), all served
+    by one process pool when there are several workers and stacks.
     """
-    step = _chunk_draws(spec)
     n = spec.n_channel_draws
     points = range(len(spec.est_snr_db))
-    chunks = [(point, start, min(start + step, n)) for point in points for start in range(0, n, step)]
-    workers = min(spec.workers, len(chunks), os.cpu_count() or 1)
-    jobs = [(spec, job) for job in _jobs(chunks, workers)]
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_job_worker, jobs))
+    keys = [(point, draw) for point in points for draw in range(n)]
+    workers = min(spec.workers, os.cpu_count() or 1)
+    count = min(len(keys), max(-(-len(keys) // CHUNK_DRAWS), workers))
+    stacks = [keys[i * len(keys) // count : (i + 1) * len(keys) // count] for i in range(count)]
+    if min(workers, count) > 1:
+        with ProcessPoolExecutor(max_workers=min(workers, count)) as pool:
+            done = list(pool.map(_run_job, repeat(spec), stacks))
     else:
-        done = [_run_job(*job) for job in jobs]
+        done = [_run_job(spec, stack) for stack in stacks]
     outcomes = {alg: [out for job in done for out in job[alg]] for alg in spec.algorithms}
     return [
         _record(spec, point, alg, outcomes[alg][point * n : (point + 1) * n])

@@ -409,17 +409,18 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
         know, p, f, ft = know.select(0), p[0], f[0], ft[0]
 
     maps = tilde_maps(cfg, know, p)
-    # K1's roots as matrices and pi_p's powers as factors, from eigh.
+    # K1's roots as matrices from eigh, pi_p's powers as factors from the
+    # SVD x = q diag(s) v^H (x is square here, so pi_p has no unit padding).
     w1, q1 = np.linalg.eigh(_herm(maps.k1))
     k1_half = (q1 * np.sqrt(w1)[..., None, :]) @ _ct(q1)
     k1_inv_half = (q1 / np.sqrt(w1)[..., None, :]) @ _ct(q1)
     x = k1_inv_half @ know.est_sr @ p
-    w, q = np.linalg.eigh(_herm(x @ _ct(x)))
-    d = 1.0 + np.clip(w, 0.0, None)
+    q, s, vh = np.linalg.svd(x)
+    d = 1.0 + s**2
     root = np.sqrt(d)[..., None, :]
     assert np.array_equal(maps.to_tilde(f), (f @ k1_half @ q * root) @ _ct(q))
     assert np.array_equal(maps.from_tilde(ft), ((ft @ q) / root) @ _ct(q) @ k1_inv_half)
-    assert np.array_equal(maps.signal, q @ ((_ct(q) @ x) / root.swapaxes(-1, -2)))
+    assert np.array_equal(maps.signal, (q * (s[..., None, :] / root)) @ vh)
     assert np.array_equal(maps._pi_q, q) and np.array_equal(maps._pi_d, d)
 
     stats_sr, stats_rd = know.stats_sr, know.stats_rd
