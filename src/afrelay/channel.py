@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_psd, _first_bad, _herm, _rebuild, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _first_bad, _herm, _rebuild, _rows, _sq_norm, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -409,9 +409,4 @@ def sample_scenario(cfg, snr_est: float, alpha: float, rng):
     ``(ChannelKnowledge, TrueChannelDraw)``.
     """
     know, truth = sample_scenario_stack(cfg, snr_est, alpha, [rng])
-    return know.select(0), TrueChannelDraw(
-        h_sr=truth.h_sr[0],
-        h_rd=truth.h_rd[0],
-        delta_sr=truth.delta_sr[0],
-        delta_rd=truth.delta_rd[0],
-    )
+    return know.select(0), _rows(truth, 0)

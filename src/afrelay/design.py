@@ -60,6 +60,7 @@ from .linalg import (
     _ct,
     _herm,
     _rebuild,
+    _rows,
     eig_hermitian_ordered,
     svd_ordered,
 )
@@ -148,12 +149,6 @@ class NumericalError(DesignError, ValueError):
     cause = "numerical"
 
 
-def _own(stack: np.ndarray, i: int) -> np.ndarray:
-    """Entry i of a stack as an array of its own, so a kept single-draw
-    result does not pin the whole stack."""
-    return stack[i].copy()
-
-
 @dataclass(frozen=True)
 class SpectralData:
     """Whitened-hop SVDs and per-stream gains used by the designer.
@@ -162,10 +157,9 @@ class SpectralData:
     whiten_rd @ est_rd where whiten_sr = (p_s Psi + sigma1^2 I)^{-1/2}
     and whiten_rd = K2^{-1/2} with the constant K2 = p_r Sigma_rd +
     sigma2^2 I.  Gains are the leading n_streams singular values.  For a
-    stack of draws the SVDs and gains carry its leading axis; whiten_sr,
-    which the assembled precoder reads, is shared (2-D) where the draws
-    share the first hop's error statistics and carries the leading axis
-    where they do not.
+    stack of draws every field carries its leading axis; whiten_sr, which
+    the assembled precoder reads, is a broadcast view of one matrix where
+    the draws share the first hop's error statistics.
     """
 
     first_hop: OrderedSVD
@@ -173,19 +167,6 @@ class SpectralData:
     gains_sr: np.ndarray
     gains_rd: np.ndarray
     whiten_sr: np.ndarray
-
-    def draw(self, i: int) -> "SpectralData":
-        def svd(s):
-            return OrderedSVD(left=_own(s.left, i), values=_own(s.values, i), right=_own(s.right, i))
-
-        whiten_sr = self.whiten_sr
-        return SpectralData(
-            first_hop=svd(self.first_hop),
-            second_hop=svd(self.second_hop),
-            gains_sr=_own(self.gains_sr, i),
-            gains_rd=_own(self.gains_rd, i),
-            whiten_sr=_own(whiten_sr, i) if whiten_sr.ndim == 3 else whiten_sr,
-        )
 
 
 @dataclass(frozen=True)
@@ -214,8 +195,8 @@ class AllocationState:
     def draw(self, i: int) -> "AllocationState":
         trace = self.objective_trace[i]
         return AllocationState(
-            p_alloc=_own(self.p_alloc, i),
-            f_alloc=_own(self.f_alloc, i),
+            p_alloc=self.p_alloc[i].copy(),
+            f_alloc=self.f_alloc[i].copy(),
             mu_p=float(self.mu_p[i]),
             mu_f=float(self.mu_f[i]),
             eta_p=float(self.eta_p[i]),
@@ -252,19 +233,15 @@ class DesignBatch:
     failures: tuple
 
     def draw(self, i: int) -> TransceiverSolution:
-        """Draw i as a single-draw solution; raises its failure, if any."""
+        """Draw i alone, owning every array it holds; raises its failure, if any."""
         if self.failures[i] is not None:
             raise self.failures[i]
         sol = self.solution
         return TransceiverSolution(
-            tx=Transceiver(
-                precoder=_own(sol.tx.precoder, i),
-                forward=_own(sol.tx.forward, i),
-                equalizer=_own(sol.tx.equalizer, i),
-            ),
-            tilde_forward=_own(sol.tilde_forward, i),
+            tx=_rows(sol.tx, i),
+            tilde_forward=sol.tilde_forward[i].copy(),
             alloc=sol.alloc.draw(i),
-            spectral=sol.spectral.draw(i),
+            spectral=_rows(sol.spectral, i),
             achieved_wmse=float(sol.achieved_wmse[i]),
         )
 
@@ -326,7 +303,7 @@ def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:
     """Ordered SVDs of both whitened hop estimates plus truncated gains;
     the whitening is formed once for statistics shared by the stack's
-    draws, and draw by draw for per-draw statistics."""
+    draws (whiten_sr is then a broadcast view), and draw by draw otherwise."""
     _checked(cfg, know)
     whiten_sr, whiten_rd = _whitening(cfg, know)
     n = cfg.n_streams
@@ -337,7 +314,7 @@ def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralDat
         second_hop=second,
         gains_sr=first.values[..., :n].copy(),
         gains_rd=second.values[..., :n].copy(),
-        whiten_sr=whiten_sr,
+        whiten_sr=np.broadcast_to(whiten_sr, first.right.shape),
     )
 
 
@@ -528,10 +505,11 @@ def alternate(
     ValueError naming the argument unless the budgets are finite and
     positive, every entry finite and nonnegative and the gains and
     weights nonincreasing along each row.  Returns an
-    :class:`AllocationState` of (R, ...) arrays (``converged`` False for
-    rows not stopped within ``max_iters`` evaluations, ``eta_p`` NaN) and
-    the per-row infeasible (all-zero-gain) flag; an infeasible row never
-    iterates and its trace is all NaN.  No row's outcome raises.
+    :class:`AllocationState` of (R, ...) arrays (``converged`` False and
+    ``n_iters`` = ``max_iters`` for rows not stopped within ``max_iters``
+    evaluations, ``eta_p`` NaN) and the per-row infeasible (all-zero-gain)
+    flag; an infeasible row never iterates and its trace is all NaN.  No
+    row's outcome raises.
     """
     gsr, grd, w, p = _checked_rows(
         {"p_s": p_s, "p_r": p_r}, 3, gains_sr=gains_sr, gains_rd=gains_rd, weights=weights,
@@ -544,7 +522,8 @@ def alternate(
     infeasible = terms_sr[3] | terms_rd[3]
     out_p, out_f = p.copy(), np.zeros_like(p)
     out_mu_p, out_mu_f = np.full(rows, np.nan), np.full(rows, np.nan)
-    n_iters = np.zeros(rows, dtype=int)
+    # A row that stops records its count; one that runs out of them ran all.
+    n_iters = np.where(infeasible, 0, max_iters)
     done = np.zeros(rows, dtype=bool)
     # The working set holds the pending rows only; ``idx`` maps them to
     # their rows.  Each objective-trace segment is (rows, first column,
@@ -856,7 +835,7 @@ def _best_start(cfg, spectral, opts) -> AllocationState:
     final[-draws:] = np.finfo(float).max
     final[ok] = rows.objective_trace[ok, 2 * rows.n_iters[ok] - 1]
     pick = np.argmin(final.reshape(n_inits, draws), axis=0) * draws + np.arange(draws)
-    return AllocationState(**{name: value[pick] for name, value in vars(rows).items()})
+    return _rows(rows, pick)
 
 
 def _design_joint(cfg, know, spectral, opts) -> DesignBatch:

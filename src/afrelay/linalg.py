@@ -74,6 +74,7 @@ class OrderedSVD:
     right: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """Kept without a package caller: the test oracle of the factors."""
         k = self.values.shape[-1]
         return (self.left[..., :k] * self.values[..., None, :]) @ _ct(self.right[..., :k])
 
@@ -90,6 +91,7 @@ class OrderedHermitianEig:
     values: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
+        """Kept without a package caller: the test oracle of the factors."""
         return (self.vectors * self.values[..., None, :]) @ _ct(self.vectors)
 
 
@@ -101,6 +103,17 @@ def _ct(a: np.ndarray) -> np.ndarray:
 def _herm(a: np.ndarray) -> np.ndarray:
     """Hermitian part (a + a^H) / 2 of a matrix or of every matrix in a stack."""
     return 0.5 * (a + _ct(a))
+
+
+def _rows(obj, index):
+    """The dataclass ``obj`` of stacked arrays with every array field indexed
+    at ``index`` and copied, nested dataclasses likewise, other fields
+    kept: a kept row owns its arrays and does not pin its stack."""
+    return type(obj)(**{
+        name: value[index].copy() if isinstance(value, np.ndarray)
+        else _rows(value, index) if hasattr(value, "__dataclass_fields__") else value
+        for name, value in vars(obj).items()
+    })
 
 
 def _sq_norm(a: np.ndarray) -> np.ndarray:

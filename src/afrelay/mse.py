@@ -219,13 +219,10 @@ class TildeMaps:
     _pi_d: np.ndarray = field(repr=False)
     signal: np.ndarray = field(repr=False)
 
-    @property
-    def k1(self) -> np.ndarray:
-        """K1 as a (..., m_r, m_r) matrix, built from its level when read."""
-        return self._k1_level * np.eye(self._pi_q.shape[-1], dtype=np.complex128)
-
     def to_tilde(self, forward) -> np.ndarray:
-        """F -> F_tilde = ((F k1^{1/2}) q) diag(d^{1/2}) q^H."""
+        """F -> F_tilde = ((F k1^{1/2}) q) diag(d^{1/2}) q^H.
+
+        Kept without a package caller: the test oracle of :meth:`from_tilde`."""
         f = np.asarray(forward, dtype=np.complex128)
         q = self._pi_q
         return ((f * np.sqrt(self._k1_level)) @ q * np.sqrt(self._pi_d)[..., None, :]) @ _ct(q)

@@ -48,7 +48,7 @@ import numpy as np
 
 from .channel import ChannelKnowledge, _complex_parts, exact_knowledge, sample_scenario_stack
 from .design import DesignOptions, _StackDesigns, design
-from .linalg import _as_psd, _ct
+from .linalg import _as_psd, _ct, _rows
 from .mse import SystemConfig, Transceiver, weighted_mse
 
 __all__ = [
@@ -309,11 +309,6 @@ def _designs(algorithm: str, designs: _StackDesigns, sampled):
     tx = batch.solution.tx
     analytic = batch.direct_wmse if algorithm != "naive" else weighted_mse(designs.cfg, sampled, tx)
     return tx, analytic, list(batch.failures)
-
-
-def _rows(obj, rows):
-    """The dataclass ``obj`` of stacked arrays with every field sliced to ``rows``."""
-    return type(obj)(*(getattr(obj, f.name)[rows] for f in fields(obj)))
 
 
 def _link(spec: ExperimentSpec, cfg: SystemConfig, point: int, draws, truth) -> list:

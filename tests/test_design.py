@@ -144,6 +144,8 @@ def reference_alternate(gsr, grd, w, p, p_s, p_r, tol, max_iters, extrapolate=Tr
             if not pending.any():
                 break
         prev = cur
+    # Rows still pending when the budget runs out ran every evaluation.
+    n_iters[pending] = max_iters
     trace = np.stack(trace, axis=-1) if trace else np.empty((rows, 0))
     trace[done[:, None] & (np.arange(trace.shape[-1]) >= 2 * n_iters[:, None])] = np.nan
     return out_p, out_f, out_mu_p, out_mu_f, n_iters, done, trace, rejected
@@ -258,7 +260,7 @@ class TestSpectralDecompose:
         monkeypatch.setattr(design_mod, "_whitening", whitening)
         sol = design(cfg, naive)
         assert len(whitenings) == 1 and calls == []
-        assert sol.spectral.whiten_sr is whitenings[0][0]
+        assert sol.spectral.whiten_sr.tobytes() == whitenings[0][0].tobytes()
         design(cfg, know)
         assert len(whitenings) == 2 and len(calls) == 2
         for whiten, m, noise in zip(whitenings[0], (
@@ -271,6 +273,27 @@ class TestSpectralDecompose:
             assert whiten.dtype == decomposed.dtype
             assert whiten.tobytes() == _floored_inv_sqrt(m, noise).tobytes()
             assert whiten.tobytes() == decomposed.tobytes()
+
+    @pytest.mark.parametrize("per_draw", [False, True])
+    def test_whitening_carries_the_draw_axis(self, per_draw):
+        # Shared statistics give every draw the one whitening, per-draw
+        # statistics each draw its own: whiten_sr has the draw axis either
+        # way, and row i holds the bytes of draw i decomposed alone.
+        from afrelay.channel import sample_scenario_stack
+
+        cfg = make_config()
+        snrs = (10.0, 30.0) if per_draw else (10.0,)
+        know = ChannelKnowledge.concat([
+            sample_scenario_stack(cfg, 10.0 ** (snr / 10.0), 0.3,
+                                  [np.random.default_rng((45, k, d)) for d in range(4 // len(snrs))])[0]
+            for k, snr in enumerate(snrs)
+        ])
+        assert (know.stats_sr.col_cov.ndim == 3) == per_draw
+        whiten = spectral_decompose(cfg, know).whiten_sr
+        assert whiten.shape == (4, cfg.n_s, cfg.n_s)
+        for i in range(4):
+            alone = spectral_decompose(cfg, know.select(i)).whiten_sr
+            assert whiten[i].tobytes() == alone.tobytes()
 
     def test_rejects_general_row_covariance(self):
         cfg = make_config()
@@ -659,6 +682,19 @@ class TestIterateAllocations:
                                 know.stats_rd)
         with pytest.raises(InfeasibleAllocationError):
             design(cfg, zero)
+
+    def test_rows_out_of_evaluations_count_every_one(self):
+        # Two rows that two evaluations cannot settle ran both of them, and
+        # their traces are full; an infeasible row never iterates.
+        gsr = [[2.0, 1.0, 0.5], [1.5, 1.2, 0.3], [0.0, 0.0, 0.0]]
+        grd = [[1.8, 0.9, 0.4], [1.1, 1.0, 0.2], [1.0, 1.0, 1.0]]
+        state, infeasible = alternate(gsr, grd, [0.5, 0.3, 0.2], 1.0, 1.0, max_iters=2)
+        assert infeasible.tolist() == [False, False, True]
+        assert state.n_iters.tolist() == [2, 2, 0]
+        assert state.converged.tolist() == [False, False, False]
+        assert state.objective_trace.shape == (3, 4)
+        assert np.isfinite(state.objective_trace[:2]).all()
+        assert np.isnan(state.objective_trace[2]).all()
 
     @pytest.mark.parametrize("name", ["p_s", "p_r"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -1.0])
@@ -1096,6 +1132,29 @@ class TestDesign:
             assert batch.draw(i).tx.precoder.tobytes() == alone.tx.precoder.tobytes()
             assert batch.draw(i).achieved_wmse == alone.achieved_wmse
 
+    def test_a_kept_draw_owns_its_arrays(self):
+        # No array of draw i shares memory with any array of its stack
+        # (the shared whitening included), so a kept draw does not pin
+        # the stack.
+        from afrelay.channel import sample_scenario_stack
+
+        def arrays(obj):
+            for value in vars(obj).values():
+                if isinstance(value, np.ndarray):
+                    yield value
+                elif dataclasses.is_dataclass(value):
+                    yield from arrays(value)
+
+        cfg = make_config()
+        rngs = [np.random.default_rng((46, d)) for d in range(3)]
+        know, _ = sample_scenario_stack(cfg, 10.0, 0.3, rngs)
+        for opts in (DesignOptions(), DesignOptions(mode="relay_only"), DesignOptions(restarts=1)):
+            batch = design_batch(cfg, know, opts)
+            stack = [batch.direct_wmse, *arrays(batch.solution)]
+            for i in range(3):
+                for got in arrays(batch.draw(i)):
+                    assert not any(np.shares_memory(got, a) for a in stack)
+
     def test_relay_only_fails_a_zero_second_hop_as_infeasible(self):
         # The relay-only precoder is fixed, so a zero first hop still has
         # a relay design; a zero second hop has none.  Joint designs need
@@ -1332,7 +1391,7 @@ def test_one_pass_check_equals_the_scalar_checks_draw_by_draw():
 
 def _per_draw_arrays(batch) -> dict:
     """Every array of a DesignBatch, each with the leading draw axis."""
-    sol, draws = batch.solution, len(batch.failures)
+    sol = batch.solution
     out = {"direct_wmse": batch.direct_wmse, "achieved_wmse": sol.achieved_wmse,
            "tilde_forward": sol.tilde_forward}
     out.update((f"tx.{f}", getattr(sol.tx, f)) for f in ("precoder", "forward", "equalizer"))
@@ -1341,9 +1400,8 @@ def _per_draw_arrays(batch) -> dict:
     for hop in ("first_hop", "second_hop"):
         for f in ("left", "values", "right"):
             out[f"{hop}.{f}"] = getattr(getattr(sol.spectral, hop), f)
-    out.update(gains_sr=sol.spectral.gains_sr, gains_rd=sol.spectral.gains_rd)
-    m = sol.spectral.whiten_sr
-    out["whiten_sr"] = m if m.ndim == 3 else np.broadcast_to(m, (draws, *m.shape))
+    out.update(gains_sr=sol.spectral.gains_sr, gains_rd=sol.spectral.gains_rd,
+               whiten_sr=sol.spectral.whiten_sr)
     return out
 
 

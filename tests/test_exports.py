@@ -67,9 +67,13 @@ def test_scipy_is_loaded_only_by_the_brute_force():
     assert "scipy.optimize" in after
 
 
-# Exported functions that nothing in the package or perfbench calls, each
-# kept for the reason its docstring states.
+# Exported functions, and public methods of exported classes, that nothing
+# in the package or perfbench calls, each kept for the reason its
+# docstring states.
 KEPT_WITHOUT_CALLER = {
+    "OrderedSVD.reconstruct",
+    "OrderedHermitianEig.reconstruct",
+    "TildeMaps.to_tilde",
     "error_stats_first_hop",
     "error_stats_second_hop",
     "optimal_equalizer",
@@ -78,6 +82,20 @@ KEPT_WITHOUT_CALLER = {
     "gradient_check_scalar_objective",
     "projected_gradient_norm",
 }
+
+
+def _public_functions(module):
+    """(name, function) of the module's exported functions and of the public
+    methods (classmethods and staticmethods too) of its exported classes."""
+    for name in module.__all__:
+        obj = getattr(module, name)
+        if inspect.isfunction(obj):
+            yield name, obj
+        elif inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                func = getattr(value, "__func__", value)
+                if not attr.startswith("_") and inspect.isfunction(func):
+                    yield f"{name}.{attr}", func
 
 
 def test_every_exported_function_has_a_caller_or_a_stated_reason():
@@ -91,11 +109,9 @@ def test_every_exported_function_has_a_caller_or_a_stated_reason():
                 referenced.add(node.attr)
     orphans = {}
     for layer in LAYERS:
-        module = importlib.import_module(f"afrelay.{layer}")
-        for name in module.__all__:
-            obj = getattr(module, name)
-            if inspect.isfunction(obj) and name not in referenced:
-                orphans[name] = obj
+        for name, func in _public_functions(importlib.import_module(f"afrelay.{layer}")):
+            if name.rpartition(".")[2] not in referenced:
+                orphans[name] = func
     assert set(orphans) == KEPT_WITHOUT_CALLER
     for name, func in orphans.items():
         assert "Kept without a package caller: " in inspect.getdoc(func), name

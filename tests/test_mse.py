@@ -409,9 +409,10 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
         know, p, f, ft = know.select(0), p[0], f[0], ft[0]
 
     maps = tilde_maps(cfg, know, p)
+    so = second_order_stats(cfg, know, p, f)
     # K1's roots as matrices from eigh, pi_p's powers as factors from the
     # SVD x = q diag(s) v^H (x is square here, so pi_p has no unit padding).
-    w1, q1 = np.linalg.eigh(_herm(maps.k1))
+    w1, q1 = np.linalg.eigh(_herm(so.k1))
     k1_half = (q1 * np.sqrt(w1)[..., None, :]) @ _ct(q1)
     k1_inv_half = (q1 / np.sqrt(w1)[..., None, :]) @ _ct(q1)
     x = k1_inv_half @ know.est_sr @ p
@@ -429,10 +430,8 @@ def test_scalar_k1_equals_the_matrix_path_bit_for_bit(c_sr, c_rd, draws):
     r_x = _herm(know.est_sr @ gram @ _ct(know.est_sr) + k1)
     frf = f @ r_x @ _ct(f)
     k2 = _herm(_trace(frf @ stats_rd.col_cov) * stats_rd.row_cov + cfg.sigma2_sq * np.eye(4))
-    so = second_order_stats(cfg, know, p, f)
-    for got in (maps.k1, so.k1):
-        assert got.dtype == np.complex128
-        assert np.array_equal(got, k1)
+    assert so.k1.dtype == np.complex128
+    assert np.array_equal(so.k1, k1)
     assert np.array_equal(so.r_x, r_x)
     assert np.array_equal(so.k2, k2)
 
