@@ -496,21 +496,23 @@ def alternate(
     stops on its own: once its relative objective change over an
     evaluation is below ``tol``, as soon as its relay-side KKT residual
     against the final source allocation is at most CROSS_KKT_TOL (the
-    last relay update lags one half step).  An evaluation updates the
-    pending rows only; rows that stop leave the working arrays.
-    ``n_iters`` counts every evaluation of T: the lead, the plain ones and
-    the extrapolated ones, rejected or kept.
+    last relay update lags one half step).  Every row is updated until
+    the last one stops, and a stopped row's trace ends after 2·``n_iters``
+    entries.  ``n_iters`` counts every evaluation of T: the lead, the
+    plain ones and the extrapolated ones, rejected or kept.
 
     Gains, weights and ``p_init`` broadcast to (R, n).  One check raises a
     ValueError naming the argument unless the budgets are finite and
-    positive, every entry finite and nonnegative and the gains and
-    weights nonincreasing along each row.  Returns an
-    :class:`AllocationState` of (R, ...) arrays (``converged`` False and
-    ``n_iters`` = ``max_iters`` for rows not stopped within ``max_iters``
-    evaluations, ``eta_p`` NaN) and the per-row infeasible (all-zero-gain)
-    flag; an infeasible row never iterates and its trace is all NaN.  No
-    row's outcome raises.
+    positive, ``max_iters`` is at least 0, every entry finite and
+    nonnegative and the gains and weights nonincreasing along each row.
+    Returns an :class:`AllocationState` of (R, ...) arrays (``converged``
+    False and ``n_iters`` = ``max_iters`` for rows not stopped within
+    ``max_iters`` evaluations, ``eta_p`` NaN) and the per-row infeasible
+    (all-zero-gain) flag; an infeasible row never iterates and its trace
+    is all NaN.  No row's outcome raises.
     """
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters!r}")
     gsr, grd, w, p = _checked_rows(
         {"p_s": p_s, "p_r": p_r}, 3, gains_sr=gains_sr, gains_rd=gains_rd, weights=weights,
         p_init=0.0 if p_init is None else p_init,
@@ -524,25 +526,18 @@ def alternate(
     out_mu_p, out_mu_f = np.full(rows, np.nan), np.full(rows, np.nan)
     # A row that stops records its count; one that runs out of them ran all.
     n_iters = np.where(infeasible, 0, max_iters)
-    done = np.zeros(rows, dtype=bool)
-    # The working set holds the pending rows only; ``idx`` maps them to
-    # their rows.  Each objective-trace segment is (rows, first column,
-    # columns) of the working set between two compactions.
-    idx = np.flatnonzero(~infeasible)
-    if idx.size < rows:
-        gsr, grd, w, p = gsr[idx], grd[idx], w[idx], p[idx]
-        terms_sr, terms_rd = (tuple(t[idx] for t in terms) for terms in (terms_sr, terms_rd))
+    pending = ~infeasible
     g2_rd = grd**2
-    settled = np.zeros(idx.size, dtype=bool)
-    prev = np.full(idx.size, np.nan)
-    segments, columns, width = [], [], 0
+    settled = np.zeros(rows, dtype=bool)
+    prev = np.full(rows, np.nan)
+    columns = []
     # a = (p g_sr)^2 and b = (f g_rd)^2 with 1 + a and 1 + b are formed
     # once per half step and shared by the next half step's coefficients
     # w a / (1 + a) and the objective sum w (1 + a + b) / ((1 + a)(1 + b)).
     a = (p * gsr) ** 2
     one_a = 1.0 + a
     coeff_f = w * a / one_a
-    for it in range(1, max_iters + 1 if idx.size else 1):
+    for it in range(1, max_iters + 1 if pending.any() else 1):
         # The lead evaluation (it = 1) ends a cycle of its own; after it
         # every third evaluation starts from an extrapolation.
         step = (it + 1) % 3
@@ -576,37 +571,23 @@ def alternate(
         if rejected:
             settle &= counts
         settled |= settle
-        fin = settled & counts if rejected else settled
+        fin = settled & (pending & counts if rejected else pending)
         if fin.any():
-            fin = fin & (_kkt_residual(f**2, mu_f, coeff_f * g2_rd, g2_rd) <= CROSS_KKT_TOL)
+            fin &= _kkt_residual(f**2, mu_f, coeff_f * g2_rd, g2_rd) <= CROSS_KKT_TOL
         if fin.any():
-            rows_fin = idx[fin]
-            out_p[rows_fin], out_f[rows_fin] = p[fin], f[fin]
-            out_mu_p[rows_fin], out_mu_f[rows_fin] = mu_p[fin], mu_f[fin]
-            n_iters[rows_fin] = it
-            done[rows_fin] = True
-            segments.append((idx, width, np.stack(columns, axis=-1)))
-            width += len(columns)
-            columns = []
-            if fin.all():
+            out_p[fin], out_f[fin] = p[fin], f[fin]
+            out_mu_p[fin], out_mu_f[fin] = mu_p[fin], mu_f[fin]
+            n_iters[fin] = it
+            pending &= ~fin
+            if not pending.any():
                 break
-            keep = ~fin
-            gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx = (
-                v[keep] for v in (gsr, grd, w, g2_rd, a, one_a, coeff_f, settled, prev, idx)
-            )
-            terms_sr, terms_rd = (tuple(t[keep] for t in terms) for terms in (terms_sr, terms_rd))
-            cycle = [c[keep] for c in cycle]
         if step == 1:
             p = _extrapolate(*cycle, p_s)
             a = (p * gsr) ** 2
             one_a = 1.0 + a
             coeff_f = w * a / one_a
-    if columns:
-        segments.append((idx, width, np.stack(columns, axis=-1)))
-        width += len(columns)
-    trace = np.full((rows, width), np.nan)
-    for seg_rows, first, values in segments:
-        trace[seg_rows, first : first + values.shape[-1]] = values
+    trace = np.stack(columns, axis=-1) if columns else np.empty((rows, 0))
+    trace[np.arange(trace.shape[-1]) >= 2 * n_iters[:, None]] = np.nan
     state = AllocationState(
         p_alloc=out_p,
         f_alloc=out_f,
@@ -615,7 +596,7 @@ def alternate(
         eta_p=np.full(rows, np.nan),
         objective_trace=trace,
         n_iters=n_iters,
-        converged=done,
+        converged=~(pending | infeasible),
     )
     return state, infeasible
 

@@ -152,18 +152,15 @@ def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
 
 
 def _phase_factors(cols: np.ndarray) -> np.ndarray:
-    """Per column, the conjugate phase that makes its dominant entry real
-    nonnegative (1 for an all-zero column); shape ``cols.shape[:-2] + (k,)``."""
+    """Per column of a unitary factor, the conjugate phase that makes its
+    dominant entry real nonnegative; shape ``cols.shape[:-2] + (k,)``."""
     mags = np.abs(cols)
     at = mags.argmax(axis=-2)
     rows, k = cols.shape[-2:]
     flat = np.ascontiguousarray(cols).reshape(-1)
     base = np.arange(flat.shape[0] // (rows * k))[:, None] * (rows * k) + np.arange(k)
     dom = flat[base + at.reshape(-1, k) * k].reshape(at.shape)
-    mag = np.abs(dom)
-    if mag.all():
-        return np.conj(dom / mag)
-    return np.where(mag == 0.0, 1.0 + 0.0j, np.conj(dom / np.where(mag == 0.0, 1.0, mag)))
+    return np.conj(dom / np.abs(dom))
 
 
 def _sort_ties(values: np.ndarray, *column_sets) -> None:

@@ -579,14 +579,14 @@ class TestIterateAllocations:
             else:
                 assert not state.converged[:2].any() and state.converged[2:4].all()
 
-    def test_a_settled_objective_survives_the_compaction(self):
+    def test_a_settled_objective_survives_another_rows_stop(self):
         # At tol 1e-3 row 0's objective settles at evaluation 3 (relative
         # change 3.7e-4) while its cross-KKT test is still open.  Row 1
-        # stops at evaluation 4 and leaves the working arrays; row 0's next
-        # changes, 1.53e-3 and 1.01e-3, are above tol, so row 0 stops at
-        # evaluation 5 only if it kept its settled flag through that
-        # compaction.  (Found by a search over random two-stream pairs for
-        # one whose stop moves when the flag is dropped at the compaction.)
+        # stops at evaluation 4; row 0's next changes, 1.53e-3 and 1.01e-3,
+        # are above tol, so row 0 stops at evaluation 5 only if its settled
+        # flag sticks while row 1 stops.  (Found by a search over random
+        # two-stream pairs for one whose stop moves when the flag is
+        # dropped as another row stops.)
         gsr = np.array([[2.5413971360668164, 0.9814943375081745],
                         [8.030714480889849, 1.5606099840579717]])
         grd = np.array([[27.916118069793537, 1.7262012147144445],
@@ -702,6 +702,14 @@ class TestIterateAllocations:
         budgets = {"p_s": 1.0, "p_r": 1.0, name: bad}
         with pytest.raises(ValueError, match=name):
             alternate(np.ones((1, 2)), np.ones((1, 2)), np.ones(2), **budgets)
+
+    def test_max_iters_must_be_nonnegative(self):
+        args = ([[2.0, 1.0]], [[2.0, 1.0]], [0.6, 0.4], 1.0, 1.0)
+        with pytest.raises(ValueError, match="max_iters"):
+            alternate(*args, max_iters=-1)
+        state, infeasible = alternate(*args, max_iters=0)
+        assert state.n_iters.tolist() == [0] and not state.converged.any()
+        assert state.objective_trace.shape == (1, 0) and not infeasible.any()
 
     @pytest.mark.parametrize("name", ["gains_sr", "gains_rd", "weights", "p_init"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -0.5])
