@@ -36,7 +36,6 @@ __all__ = [
     "estimation_stats",
     "exact_knowledge",
     "as_generator",
-    "complex_gaussian",
     "sample_scenario",
     "sample_scenario_stack",
 ]
@@ -333,14 +332,6 @@ def _complex_parts(parts: np.ndarray, scale: float, out=None) -> np.ndarray:
     return out
 
 
-def complex_gaussian(rng, *shape) -> np.ndarray:
-    """i.i.d. circularly symmetric CN(0, 1) entries (variance 1/2 per part).
-
-    The real parts are drawn first, then the imaginary parts.
-    """
-    return _complex_parts(as_generator(rng).standard_normal((2, *shape)), 1 / np.sqrt(2.0))
-
-
 def _scenario_factors(cfg, snr_est: float, alpha: float):
     """The per-point constants of scenario sampling: both hops' error
     stats and the (row, column) covariance roots of the four sampled
@@ -380,8 +371,8 @@ def sample_scenario_stack(cfg, snr_est: float, alpha: float, rngs):
     stats_sr, stats_rd, roots = _scenario_factors(cfg, snr_est, alpha)
     shapes = [(left.shape[0], right.shape[0]) for left, right in roots]
     sizes = [rows * cols for rows, cols in shapes]
-    # One call per generator yields the normals that complex_gaussian would
-    # draw block by block (real parts, then imaginary parts), in order.
+    # One call per generator yields the normals of the four blocks in order,
+    # each block's real parts before its imaginary parts.
     z = np.stack([as_generator(rng).standard_normal(2 * sum(sizes)) for rng in rngs])
     white, start = [], 0
     for (rows, cols), size in zip(shapes, sizes):

@@ -6,17 +6,25 @@ multi-start numeric minimizer searches the residual weighted MSE over
 (P, F_tilde) directly on the power spheres.  Neither path reuses the
 closed-form design structure, so agreement is evidence, not tautology.
 
+A Monte-Carlo call draws its normals on one worker thread, at most two
+blocks ahead of the arithmetic, into two reused buffers, in the serial
+draw order: the samples, and the state a passed-in ``Generator`` is left
+in, are those of drawing each block in turn.
+
 scipy is imported only by :func:`brute_force_design`, on its first call,
 so importing this module (and the package) loads numpy alone.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelKnowledge, as_generator, complex_gaussian
+from .channel import ChannelKnowledge, _complex_parts, as_generator
 from .design import scalar_gradient, scalar_objective
 from .linalg import herm_sqrt
 from .mse import SystemConfig, residual_weighted_mse
@@ -69,14 +77,35 @@ class BruteForceResult:
     evaluations_per_restart: tuple[int, ...]
 
 
+def _sample_count(n_samples) -> int:
+    """``n_samples`` as an int: an integer, at least 100."""
+    try:
+        n = operator.index(n_samples)
+    except TypeError:
+        raise TypeError(f"n_samples must be an integer, got {n_samples!r}") from None
+    if n < 100:
+        raise ValueError("n_samples must be at least 100")
+    return n
+
+
 def _error_samples(cfg, know, tx, n_samples, seed):
     """Stream samples of e = G y - s in chunks.
 
     Per chunk the draws are taken in this order: both hops' errors
-    (source-relay first), then data, relay noise and destination noise.
+    (source-relay first), then data, relay noise and destination noise,
+    each block's real parts before its imaginary parts.  One worker
+    thread draws the blocks in that order into two reused buffers, each
+    sized for the largest block, so it runs at most two blocks ahead and
+    never past the last sample; the main thread turns each block into
+    complex entries in one reused chunk buffer and does the chunk's
+    arithmetic while the worker draws on.  A passed-in ``Generator`` is
+    advanced exactly as by drawing the blocks one after another.
     Each hop's error L W R (W white) acts on the signal vector u as
     L (W (R u)), so the per-sample true channels are never formed.
     """
+    # Here, not at the top: importing the package loads no thread pool.
+    from concurrent.futures import ThreadPoolExecutor
+
     rng = as_generator(seed)
     p = np.asarray(tx.precoder, dtype=np.complex128)
     f = np.asarray(tx.forward, dtype=np.complex128)
@@ -90,18 +119,37 @@ def _error_samples(cfg, know, tx, n_samples, seed):
         est, left, right = hop
         return u @ est.T + np.einsum("nij,nj->ni", white, u @ right.T) @ left.T
 
-    done = 0
-    while done < n_samples:
-        m = min(_CHUNK, n_samples - done)
-        w_sr, w_rd = (complex_gaussian(rng, m, *est.shape) for est, _, _ in hops)
-        s = complex_gaussian(rng, m, cfg.n_streams)
-        n1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(rng, m, cfg.m_r)
-        n2 = np.sqrt(cfg.sigma2_sq) * complex_gaussian(rng, m, cfg.m_d)
-        x = through(hops[0], w_sr, s @ p.T) + n1
-        y = through(hops[1], w_rd, x @ f.T) + n2
-        e = y @ g.T - s
-        yield e
-        done += m
+    shapes = [est.shape for est, _, _ in hops] + [(cfg.n_streams,), (cfg.m_r,), (cfg.m_d,)]
+    blocks = [
+        (min(_CHUNK, n_samples - done), *shape)
+        for done in range(0, n_samples, _CHUNK)
+        for shape in shapes
+    ]
+    floats = [np.empty(2 * max(map(math.prod, blocks))) for _ in range(2)]
+    chunk = np.empty(sum(map(math.prod, blocks[: len(shapes)])), dtype=np.complex128)
+
+    def draw(i):
+        parts = floats[i % 2][: 2 * math.prod(blocks[i])].reshape(2, *blocks[i])
+        return rng.standard_normal(out=parts)
+
+    with ThreadPoolExecutor(1) as worker:
+        ahead = deque(worker.submit(draw, i) for i in range(min(2, len(blocks))))
+        for first in range(0, len(blocks), len(shapes)):
+            views, start = [], 0
+            for i in range(first, first + len(shapes)):
+                size = math.prod(blocks[i])
+                out = chunk[start : start + size].reshape(blocks[i])
+                views.append(_complex_parts(ahead.popleft().result(), 1 / np.sqrt(2.0), out))
+                if i + 2 < len(blocks):
+                    ahead.append(worker.submit(draw, i + 2))
+                start += size
+            w_sr, w_rd, s, n1, n2 = views
+            np.multiply(np.sqrt(cfg.sigma1_sq), n1, out=n1)
+            np.multiply(np.sqrt(cfg.sigma2_sq), n2, out=n2)
+            x = through(hops[0], w_sr, s @ p.T) + n1
+            y = through(hops[1], w_rd, x @ f.T) + n2
+            e = y @ g.T - s
+            yield e
 
 
 def empirical_weighted_mse(cfg, know, tx, n_samples: int, seed) -> McEstimate:
@@ -112,8 +160,7 @@ def empirical_weighted_mse(cfg, know, tx, n_samples: int, seed) -> McEstimate:
     analytic MSE depends on the data only through its second moment, so
     the constellation choice is free.
     """
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    n_samples = _sample_count(n_samples)
     w = cfg.weight
     total = 0.0
     total_sq = 0.0
@@ -133,8 +180,7 @@ def empirical_weighted_mse(cfg, know, tx, n_samples: int, seed) -> McEstimate:
 
 def empirical_mse_matrix(cfg, know, tx, n_samples: int, seed) -> McEstimate:
     """Entrywise sample mean of (Gy - s)(Gy - s)^H with standard errors."""
-    if n_samples < 100:
-        raise ValueError("n_samples must be at least 100")
+    n_samples = _sample_count(n_samples)
     n = cfg.n_streams
     mean_acc = np.zeros((n, n), dtype=np.complex128)
     re_sq = np.zeros((n, n))

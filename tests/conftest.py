@@ -1,7 +1,18 @@
-import numpy as np
-from hypothesis import settings
+import os
 
-from afrelay import SystemConfig, sample_scenario
+# The BLAS and OpenMP pools get one thread each, as in perfbench/run.py,
+# unless the environment already sets them.  This has to happen before
+# numpy is imported: an unpinned OpenBLAS pool competes with the
+# Monte-Carlo estimators' drawing thread for the cores.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+             "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import numpy as np  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from afrelay import SystemConfig, sample_scenario  # noqa: E402
+from afrelay.channel import _complex_parts  # noqa: E402
 
 # Property tests run the same examples on every run (derandomized, no
 # example database), so Tier-1 stays deterministic.
@@ -11,6 +22,13 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 DEFAULT_WEIGHT = np.diag([0.3, 0.3, 0.2, 0.2])
+
+
+def complex_gaussian(rng, *shape):
+    """The tests' reference sampler: i.i.d. circularly symmetric CN(0, 1)
+    entries (variance 1/2 per part), the real parts drawn first, then the
+    imaginary parts."""
+    return _complex_parts(rng.standard_normal((2, *shape)), 1 / np.sqrt(2.0))
 
 
 def rand_complex(rng, rows, cols):

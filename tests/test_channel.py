@@ -8,7 +8,6 @@ from afrelay.channel import (
     ChannelKnowledge,
     ErrorStats,
     HopTraining,
-    complex_gaussian,
     error_stats_first_hop,
     error_stats_second_hop,
     estimation_stats,
@@ -17,7 +16,7 @@ from afrelay.channel import (
     sample_scenario,
     sample_scenario_stack,
 )
-from conftest import count_identity_tests, make_config, rand_psd
+from conftest import complex_gaussian, count_identity_tests, make_config, rand_psd
 
 
 class TestExpCorr:

@@ -15,7 +15,7 @@ from afrelay.mse import (
     tilde_maps,
     weighted_mse,
 )
-from conftest import make_config, make_instance, rand_complex, rand_psd
+from conftest import complex_gaussian, make_config, make_instance, rand_complex, rand_psd
 
 
 def scalar_chain():
@@ -60,7 +60,6 @@ class TestSecondOrderStats:
         assert np.allclose(so.k1, (cfg.p_s + cfg.sigma1_sq) * np.eye(4))
 
     def test_relay_covariance_matches_monte_carlo(self):
-        from afrelay.channel import complex_gaussian
         from afrelay.linalg import herm_sqrt
 
         cfg, know, _ = make_instance(2, snr1_db=10.0)

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from scipy.optimize._numdiff import approx_derivative
 
-from afrelay.channel import complex_gaussian, exact_knowledge
+import afrelay.validate as validate_mod
+from afrelay.channel import exact_knowledge
 from afrelay.design import DesignOptions, design
 from afrelay.linalg import herm_sqrt
 from afrelay.mse import SystemConfig, Transceiver, residual_weighted_mse
@@ -15,7 +16,7 @@ from afrelay.validate import (
     gradient_check_scalar_objective,
     projected_gradient_norm,
 )
-from conftest import make_instance
+from conftest import complex_gaussian, make_instance
 
 
 def looped_errors(cfg, know, tx, n_samples, seed):
@@ -36,6 +37,32 @@ def looped_errors(cfg, know, tx, n_samples, seed):
         x = h_sr @ tx.precoder @ data[i] + noise1[i]
         y = h_rd @ tx.forward @ x + noise2[i]
         yield tx.equalizer @ y - data[i]
+
+
+def serial_chunks(cfg, know, tx, n_samples, rng):
+    """e = G y - s in chunks of 20,000 samples, every block drawn in turn on
+    the calling thread: the estimators' draw order and chunking, without
+    their drawing thread."""
+    hops = [
+        (est, herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov))
+        for est, stats in ((know.est_sr, know.stats_sr), (know.est_rd, know.stats_rd))
+    ]
+
+    def through(hop, white, u):
+        est, left, right = hop
+        return u @ est.T + np.einsum("nij,nj->ni", white, u @ right.T) @ left.T
+
+    done = 0
+    while done < n_samples:
+        m = min(20_000, n_samples - done)
+        w_sr, w_rd = (complex_gaussian(rng, m, *est.shape) for est, _, _ in hops)
+        s = complex_gaussian(rng, m, cfg.n_streams)
+        n1 = np.sqrt(cfg.sigma1_sq) * complex_gaussian(rng, m, cfg.m_r)
+        n2 = np.sqrt(cfg.sigma2_sq) * complex_gaussian(rng, m, cfg.m_d)
+        x = through(hops[0], w_sr, s @ tx.precoder.T) + n1
+        y = through(hops[1], w_rd, x @ tx.forward.T) + n2
+        yield y @ tx.equalizer.T - s
+        done += m
 
 
 class TestEmpiricalWeightedMse:
@@ -81,6 +108,16 @@ class TestEmpiricalWeightedMse:
         with pytest.raises(ValueError):
             empirical_weighted_mse(cfg, know, sol.tx, 50, 9)
 
+    @pytest.mark.parametrize("estimator", [empirical_weighted_mse, empirical_mse_matrix])
+    def test_sample_count_must_be_an_integer(self, estimator):
+        cfg, know, _ = make_instance(8, dims=(2, 2, 2, 2), n_streams=2, weight=np.diag([0.6, 0.4]))
+        tx = design(cfg, know).tx
+        for bad in (150.5, 1e5):
+            with pytest.raises(TypeError, match="n_samples"):
+                estimator(cfg, know, tx, bad, 9)
+        est = estimator(cfg, know, tx, np.int64(200), 9)
+        assert type(est.n_samples) is int and est.n_samples == 200
+
 
 class TestMonteCarloDrawOrder:
     @pytest.fixture
@@ -103,6 +140,23 @@ class TestMonteCarloDrawOrder:
         est = empirical_mse_matrix(cfg, know, tx, 200, 18)
         mean = outer.mean(axis=0)
         assert np.linalg.norm(est.mean - mean) <= 1e-12 * np.linalg.norm(mean)
+
+    @pytest.mark.parametrize("n_samples", [100, 20_000, 45_001])
+    def test_estimators_equal_the_serial_chunked_loop(self, monkeypatch, n_samples):
+        # One chunk, an exact chunk, and three chunks with a short tail; the
+        # five blocks of a chunk all differ in size at these dims.  Equal
+        # generator states mean nothing was drawn past the last sample.
+        cfg, know, _ = make_instance(21, dims=(2, 3, 5, 4), n_streams=2, weight=np.diag([0.6, 0.4]))
+        tx = design(cfg, know).tx
+        for estimator in (empirical_weighted_mse, empirical_mse_matrix):
+            rng, ref_rng = np.random.default_rng(22), np.random.default_rng(22)
+            got = estimator(cfg, know, tx, n_samples, rng)
+            with monkeypatch.context() as patch:
+                patch.setattr(validate_mod, "_error_samples", serial_chunks)
+                ref = estimator(cfg, know, tx, n_samples, ref_rng)
+            for a, b in ((got.mean, ref.mean), (got.std_error, ref.std_error)):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 class TestStackedGradient:
