@@ -349,13 +349,15 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
             return np.eye(n, dtype=np.complex128)
         return _herm(snr_est * exp_corr(alpha, n) @ err_cov)
 
-    covs = (
-        (stats_sr.row_cov, estimate_cov(cfg.n_s, stats_sr.col_cov)),
-        (stats_sr.row_cov, stats_sr.col_cov),
-        (estimate_cov(cfg.m_d, stats_rd.row_cov), stats_rd.col_cov),
-        (stats_rd.row_cov, stats_rd.col_cov),
+    # Each hop's estimate and error share one side's covariance, and so
+    # its root: six roots for the four blocks.
+    rows_sr, cols_rd = herm_sqrt(stats_sr.row_cov), herm_sqrt(stats_rd.col_cov)
+    roots = (
+        (rows_sr, herm_sqrt(estimate_cov(cfg.n_s, stats_sr.col_cov))),
+        (rows_sr, herm_sqrt(stats_sr.col_cov)),
+        (herm_sqrt(estimate_cov(cfg.m_d, stats_rd.row_cov)), cols_rd),
+        (herm_sqrt(stats_rd.row_cov), cols_rd),
     )
-    roots = tuple((herm_sqrt(row), herm_sqrt(col)) for row, col in covs)
     return stats_sr, stats_rd, roots
 
 

@@ -15,9 +15,12 @@ diagonal gains solve
 
     min sum_i w_i (1 + a_i + b_i) / ((1 + a_i)(1 + b_i)),
     a_i = p_i^2 lsr_i^2,  b_i = f_i^2 lrd_i^2,
-    sum p_i^2 = p_s,  sum f_i^2 = p_r,
+    sum p_i^2 = p_s,  sum f_i^2 = p_r.
 
-which alternating water-filling handles: each half problem has the
+Its value is evaluated as sum_i w_i (u_i + (a_i u_i) v_i), with u_i =
+1/(1 + a_i) and v_i = 1/(1 + b_i): no term is negative and no product
+of gains is formed, so it is finite until a_i or b_i itself overflows.
+Alternating water-filling solves it: each half problem has the
 closed-form level
 
     x_i = ( sqrt(c_i / (mu g_i^2)) - 1/g_i^2 )^+,
@@ -443,27 +446,38 @@ def _kkt_residual(x, mu, cg, g2):
     return np.where(np.isfinite(mu), res, 0.0)
 
 
+def _hop_terms(amp, gains, w):
+    """One hop's a = (amp g)^2, u = 1/(1 + a) and w a / (1 + a), the other
+    hop's water-filling coefficients, per stream."""
+    a = (amp * gains) ** 2
+    one_a = 1.0 + a
+    return a, 1.0 / one_a, w * a / one_a
+
+
+def _objective(w, a, u, v):
+    """The objective per row, as sum w (u + (a u) v) (module docstring)."""
+    return (w * (u + (a * u) * v)).sum(axis=-1)
+
+
 def scalar_objective(p_alloc, f_alloc, gains_sr, gains_rd, weights):
-    """sum_i w_i (1 + a_i + b_i) / ((1 + a_i)(1 + b_i)) — the weighted MSE
-    predicted for the structured solution with these diagonal gains (one
-    value per row for stacked allocations)."""
-    a = (np.asarray(p_alloc, float) * np.asarray(gains_sr, float)) ** 2
-    b = (np.asarray(f_alloc, float) * np.asarray(gains_rd, float)) ** 2
-    w = np.asarray(weights, float)
-    return _scalar(np.sum(w * (1.0 + a + b) / ((1.0 + a) * (1.0 + b)), axis=-1))
+    """sum_i w_i (1 + a_i + b_i) / ((1 + a_i)(1 + b_i)) of these diagonal
+    gains, evaluated as sum w (u + (a u) v) (module docstring): the weighted
+    MSE predicted for the structured solution, one value per row."""
+    args = (p_alloc, f_alloc, gains_sr, gains_rd, weights)
+    p, f, gsr, grd, w = (np.asarray(x, float) for x in args)
+    (a, u, _), (_, v, _) = _hop_terms(p, gsr, w), _hop_terms(f, grd, w)
+    return _scalar(_objective(w, a, u, v))
 
 
 def scalar_gradient(p_alloc, f_alloc, gains_sr, gains_rd, weights):
-    """Analytic partials of :func:`scalar_objective` w.r.t. p_i and f_i."""
-    p = np.asarray(p_alloc, float)
-    f = np.asarray(f_alloc, float)
-    gsr = np.asarray(gains_sr, float)
-    grd = np.asarray(gains_rd, float)
-    w = np.asarray(weights, float)
-    a = (p * gsr) ** 2
-    b = (f * grd) ** 2
-    grad_p = -2.0 * p * gsr**2 * w * b / ((1.0 + b) * (1.0 + a) ** 2)
-    grad_f = -2.0 * f * grd**2 * w * a / ((1.0 + a) * (1.0 + b) ** 2)
+    """Analytic partials of :func:`scalar_objective` w.r.t. p_i and f_i,
+    -2 p g_sr^2 w (b v) u^2 and -2 f g_rd^2 w (a u) v^2, with p g_sr^2 u^2
+    taken as (p g_sr u)(g_sr u): u^2 alone underflows once a passes 1e154."""
+    args = (p_alloc, f_alloc, gains_sr, gains_rd, weights)
+    p, f, gsr, grd, w = (np.asarray(x, float) for x in args)
+    (a, u, _), (b, v, _) = _hop_terms(p, gsr, w), _hop_terms(f, grd, w)
+    grad_p = -2.0 * w * (b * v) * (p * gsr * u) * (gsr * u)
+    grad_f = -2.0 * w * (a * u) * (f * grd * v) * (grd * v)
     return grad_p, grad_f
 
 
@@ -487,8 +501,9 @@ def alternate(
     evaluation only if the objective after its relay half step is at most
     that of (p2, f2); otherwise it keeps (p2, f2) and traces that
     objective for the evaluation, which does not count towards settling.
-    So every traced value is the objective of a feasible pair and a row's
-    trace is nonincreasing (modulo ~1e-16 float noise).
+    So every traced value is the objective of a feasible pair, in
+    :func:`scalar_objective`'s form and bits, and a row's trace is
+    nonincreasing (modulo ~1e-16 float noise).
 
     From ``p_init`` (uniform source amplitudes by default) each row
     follows exactly the iteration of its problem alone (alpha comes from
@@ -531,12 +546,9 @@ def alternate(
     settled = np.zeros(rows, dtype=bool)
     prev = np.full(rows, np.nan)
     columns = []
-    # a = (p g_sr)^2 and b = (f g_rd)^2 with 1 + a and 1 + b are formed
-    # once per half step and shared by the next half step's coefficients
-    # w a / (1 + a) and the objective sum w (1 + a + b) / ((1 + a)(1 + b)).
-    a = (p * gsr) ** 2
-    one_a = 1.0 + a
-    coeff_f = w * a / one_a
+    # Each half step forms its hop's terms once; the next half step takes
+    # their coefficients and the traced objective their a, u and v.
+    a, u, coeff_f = _hop_terms(p, gsr, w)
     for it in range(1, max_iters + 1 if pending.any() else 1):
         # The lead evaluation (it = 1) ends a cycle of its own; after it
         # every third evaluation starts from an extrapolation.
@@ -544,10 +556,9 @@ def alternate(
         guarded = step == 2 and it > 1
         x_f, mu_f = _waterfill(coeff_f, terms_rd, p_r)
         f = np.sqrt(x_f)
-        b = (f * grd) ** 2
-        one_b = 1.0 + b
-        half = (w * (one_a + b) / (one_a * one_b)).sum(axis=-1)
-        x_p, mu_p = _waterfill(w * b / one_b, terms_sr, p_s)
+        b, v, coeff_p = _hop_terms(f, grd, w)
+        half = _objective(w, a, u, v)
+        x_p, mu_p = _waterfill(coeff_p, terms_sr, p_s)
         p = np.sqrt(x_p)
         # The safeguard: a row whose extrapolation raises the objective of
         # (p2, f2) after the relay half step keeps that pair.
@@ -555,10 +566,8 @@ def alternate(
         rejected = guarded and not counts.all()
         if rejected:
             p = np.where(counts[:, None], p, cycle[2])
-        a = (p * gsr) ** 2
-        one_a = 1.0 + a
-        cur = (w * (one_a + b) / (one_a * one_b)).sum(axis=-1)
-        coeff_f = w * a / one_a
+        a, u, coeff_f = _hop_terms(p, gsr, w)
+        cur = _objective(w, a, u, v)
         if rejected:
             half, cur = np.where(counts, half, prev), np.where(counts, cur, prev)
         columns += [half, cur]
@@ -583,9 +592,7 @@ def alternate(
                 break
         if step == 1:
             p = _extrapolate(*cycle, p_s)
-            a = (p * gsr) ** 2
-            one_a = 1.0 + a
-            coeff_f = w * a / one_a
+            a, u, coeff_f = _hop_terms(p, gsr, w)
     trace = np.stack(columns, axis=-1) if columns else np.empty((rows, 0))
     trace[np.arange(trace.shape[-1]) >= 2 * n_iters[:, None]] = np.nan
     state = AllocationState(

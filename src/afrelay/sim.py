@@ -86,14 +86,23 @@ def _parse(name: str, convert, value):
         raise ConfigError(f"{name} has a malformed value {value!r}") from None
 
 
+def _real(value) -> float:
+    """``float(value)``, refusing a boolean: JSON's true and false are not
+    numbers."""
+    if isinstance(value, (bool, np.bool_)):
+        raise TypeError(f"{value!r} is a boolean, not a number")
+    return float(value)
+
+
 def _floats(values) -> tuple[float, ...]:
-    return tuple(float(v) for v in values)
+    return tuple(_real(v) for v in values)
 
 
 def _count(value) -> int:
-    """``value`` as an int, refusing what ``int()`` would truncate (2.7)."""
+    """``value`` as an int, refusing a boolean and what ``int()`` would
+    truncate (2.7)."""
     out = int(value)
-    if out != float(value):
+    if out != _real(value):
         raise ValueError(f"{value!r} is not integral")
     return out
 
@@ -149,7 +158,7 @@ class ExperimentSpec:
         n = _parse("n_streams", _count, raw["n_streams"])
         if not 1 <= n <= min(dims):
             raise ConfigError("n_streams must be in [1, min(dims)]")
-        alpha = _parse("alpha", float, raw.get("alpha", 0.0))
+        alpha = _parse("alpha", _real, raw.get("alpha", 0.0))
         if not 0.0 <= alpha < 1.0:
             raise ConfigError("alpha must be in [0, 1)")
         snr = raw.get("data_snr_db", 30.0)
@@ -165,7 +174,8 @@ class ExperimentSpec:
         w_raw = raw.get("weights")
         if w_raw is None:
             raise ConfigError("weights is required")
-        w = _parse("weights", lambda v: np.asarray(v, dtype=float), w_raw)
+        reals = np.vectorize(_real, otypes=[float])
+        w = _parse("weights", lambda v: reals(np.asarray(v, dtype=object)), w_raw)
         if w.ndim == 1:
             if w.shape[0] != n:
                 raise ConfigError(f"weights must have length n_streams={n}")
@@ -190,8 +200,8 @@ class ExperimentSpec:
                 )
         if len(set(algorithms)) != len(algorithms):
             raise ConfigError(f"algorithms has a repeated entry: {list(algorithms)}")
-        p_s = _parse("p_s", float, raw.get("p_s", 1.0))
-        p_r = _parse("p_r", float, raw.get("p_r", 1.0))
+        p_s = _parse("p_s", _real, raw.get("p_s", 1.0))
+        p_r = _parse("p_r", _real, raw.get("p_r", 1.0))
         if not all(np.isfinite(p) and p > 0 for p in (p_s, p_r)):
             raise ConfigError("p_s and p_r must be positive and finite")
         for x in est_snr:

@@ -9,6 +9,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
     os.environ.setdefault(_var, "1")
 
 import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 from hypothesis import settings  # noqa: E402
 
 from afrelay import SystemConfig, sample_scenario  # noqa: E402
@@ -99,3 +100,22 @@ def count_identity_tests(monkeypatch) -> list:
 
     monkeypatch.setattr(channel_mod, "_identity_scale", counted)
     return calls
+
+
+def paper_objective_extended(p_alloc, f_alloc, gains_sr, gains_rd, weights):
+    """sum_i w_i (1 + a_i + b_i) / ((1 + a_i)(1 + b_i)) in the paper's form,
+    evaluated in np.longdouble from the given doubles, and its partials
+    -2 p g_sr^2 w b / ((1 + b)(1 + a)^2) and -2 f g_rd^2 w a / ((1 + a)(1 + b)^2).
+    Skips the calling test where np.longdouble is no wider than float64
+    in precision and range, as on some platforms: the reference then has
+    nothing over the code it checks."""
+    wide, double = np.finfo(np.longdouble), np.finfo(np.float64)
+    if not (wide.eps < double.eps and wide.maxexp > double.maxexp):
+        pytest.skip("np.longdouble is no wider than float64 here: no extended reference")
+    p, f, gsr, grd, w = (np.asarray(v, dtype=float).astype(np.longdouble)
+                         for v in (p_alloc, f_alloc, gains_sr, gains_rd, weights))
+    a, b = (p * gsr) ** 2, (f * grd) ** 2
+    value = np.sum(w * (1 + a + b) / ((1 + a) * (1 + b)), axis=-1)
+    grad_p = -2 * p * gsr**2 * w * b / ((1 + b) * (1 + a) ** 2)
+    grad_f = -2 * f * grd**2 * w * a / ((1 + a) * (1 + b) ** 2)
+    return value, grad_p, grad_f

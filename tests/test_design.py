@@ -18,6 +18,7 @@ from afrelay.design import (
     assemble,
     design,
     design_batch,
+    scalar_gradient,
     scalar_objective,
     solve_eta_p,
     spectral_decompose,
@@ -30,7 +31,13 @@ from afrelay.design import (
 )
 from afrelay.linalg import NotPSDError, svd_ordered
 from afrelay.mse import optimal_equalizer, tilde_maps, weighted_mse
-from conftest import count_identity_tests, make_config, make_instance, rand_complex
+from conftest import (
+    count_identity_tests,
+    make_config,
+    make_instance,
+    paper_objective_extended,
+    rand_complex,
+)
 
 
 def saturated_multiplier_oracle(weights, budget, iters=200):
@@ -451,6 +458,30 @@ class TestWaterfill:
     def test_rows_must_be_two_dimensional(self):
         with pytest.raises(ValueError, match="rows"):
             waterfill(np.ones(3), np.ones(3), 1.0)
+
+
+class TestScalarObjective:
+    LIFTS = (1e-300, 1.0, 1e150, 1e300)
+
+    @pytest.mark.parametrize("a", LIFTS)
+    @pytest.mark.parametrize("b", LIFTS)
+    def test_value_and_partials_match_extended_precision(self, a, b):
+        # Unit amplitudes on gains sqrt(a) and sqrt(b): the value and both
+        # partials equal the paper's form in extended precision wherever
+        # that is a normal double.  Formed as (1 + a)(1 + b), the product
+        # overflows past a b = 1.8e308 and the value reads 0.
+        one = np.ones(1)
+        args = (one, one, np.sqrt([a]), np.sqrt([b]), np.array([0.7]))
+        want = paper_objective_extended(*args)
+        got = (scalar_objective(*args), *scalar_gradient(*args))
+        tiny, huge = np.finfo(float).tiny, np.finfo(float).max
+        checked = 0
+        for have, ref in zip(got, want):
+            ref = np.longdouble(np.ravel(ref)[0])
+            if tiny <= abs(ref) <= huge:
+                assert abs(np.longdouble(np.ravel(have)[0]) - ref) <= 1e-15 * abs(ref)
+                checked += 1
+        assert checked >= 1
 
 
 class TestIterateAllocations:

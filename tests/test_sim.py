@@ -7,6 +7,7 @@ import pytest
 
 from afrelay.channel import exact_knowledge, sample_scenario_stack
 from afrelay.cli import cli_main
+from afrelay.design import DesignOptions, design
 from afrelay.sim import (
     ConfigError,
     ExperimentRecord,
@@ -15,7 +16,7 @@ from afrelay.sim import (
     run_experiment,
     system_config,
 )
-from conftest import count_identity_tests
+from conftest import count_identity_tests, paper_objective_extended
 
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "default_sweep.json"
@@ -125,6 +126,30 @@ class TestSpecValidation:
         ],
     )
     def test_errors_name_the_field(self, patch, field):
+        with pytest.raises(ConfigError) as err:
+            ExperimentSpec.from_dict(spec_dict(**patch))
+        assert field in str(err.value)
+
+    @pytest.mark.parametrize(
+        "field,patch",
+        [
+            ("dims", {"dims": [True, 2, 2, 2], "n_streams": 1, "weights": [1.0]}),
+            ("n_streams", {"n_streams": True, "weights": [1.0]}),
+            ("alpha", {"alpha": False}),
+            ("data_snr_db", {"data_snr_db": True}),
+            ("data_snr_db", {"data_snr_db": [20.0, True]}),
+            ("est_snr_db", {"est_snr_db": [True]}),
+            ("weights", {"weights": [0.6, True]}),
+            ("n_channel_draws", {"n_channel_draws": True}),
+            ("n_symbols", {"n_symbols": True}),
+            ("seed", {"seed": True}),
+            ("p_s", {"p_s": True}),
+            ("p_r", {"p_r": True}),
+            ("workers", {"workers": True}),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, field, patch):
+        # JSON's true and false would otherwise pass as 1 and 0.
         with pytest.raises(ConfigError) as err:
             ExperimentSpec.from_dict(spec_dict(**patch))
         assert field in str(err.value)
@@ -354,6 +379,37 @@ class TestRunExperiment:
         ))
         records = run_experiment(spec)
         assert [(r.n_draws, r.n_failed, r.failures) for r in records] == [(8, 0, {})] * 9
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("snr", [1550.0, 3000.0])
+    def test_objective_trace_is_exact_past_the_gain_product_overflow(self, snr):
+        # Naive gains reach about 1e77 at 1,550 dB and 1e150 at 3,000 dB, so
+        # a b passes 1.8e308: the paper's form (1 + a)(1 + b) overflowed
+        # there, its trace read up to 19% low and then [0, 0, 0, 0], and
+        # restarts could not be ranked.
+        spec = ExperimentSpec.from_dict(spec_dict(
+            dims=[4, 4, 4, 4], n_streams=4, weights=[0.3, 0.3, 0.2, 0.2], alpha=0.3,
+            data_snr_db=snr, est_snr_db=[20.0], n_channel_draws=8, n_symbols=8, seed=1,
+        ))
+        records = run_experiment(spec)
+        assert [(r.n_draws, r.n_failed) for r in records] == [(8, 0)] * 3
+        import afrelay.sim as sim_mod
+
+        cfg = system_config(spec)
+        know, _ = sample_scenario_stack(
+            cfg, sim_mod._linear("est_snr_db", 20.0), spec.alpha, [sim_mod._draw_rng(1, 0, 0, 0)]
+        )
+        naive = exact_knowledge(know.est_sr[0], know.est_rd[0])
+        sols = [design(cfg, naive, DesignOptions(restarts=r)) for r in (0, 3)]
+        for sol in sols:
+            trace = sol.alloc.objective_trace
+            assert (trace > 0.0).all() and (np.diff(trace) <= 0.0).all()
+        for sol in sols:
+            want, _, _ = paper_objective_extended(
+                sol.alloc.p_alloc, sol.alloc.f_alloc, sol.spectral.gains_sr,
+                sol.spectral.gains_rd, cfg.weight_eig.values,
+            )
+            assert abs(np.longdouble(sol.alloc.objective_trace[-1]) - want) <= 1e-15 * want
 
     @pytest.mark.parametrize("snr, seed", [(200.0, 2), (250.0, 1)])
     def test_relay_only_design_keeps_the_relay_budget_at_high_data_snr(self, snr, seed):
