@@ -154,12 +154,8 @@ def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
 def _phase_factors(cols: np.ndarray) -> np.ndarray:
     """Per column of a unitary factor, the conjugate phase that makes its
     dominant entry real nonnegative; shape ``cols.shape[:-2] + (k,)``."""
-    mags = np.abs(cols)
-    at = mags.argmax(axis=-2)
-    rows, k = cols.shape[-2:]
-    flat = np.ascontiguousarray(cols).reshape(-1)
-    base = np.arange(flat.shape[0] // (rows * k))[:, None] * (rows * k) + np.arange(k)
-    dom = flat[base + at.reshape(-1, k) * k].reshape(at.shape)
+    at = np.abs(cols).argmax(axis=-2)
+    dom = np.take_along_axis(cols, at[..., None, :], axis=-2)[..., 0, :]
     return np.conj(dom / np.abs(dom))
 
 

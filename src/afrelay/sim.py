@@ -40,7 +40,7 @@ import json
 import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from itertools import groupby, repeat
 from operator import itemgetter
 
@@ -78,19 +78,11 @@ class ConfigError(ValueError):
     """Experiment specification failed validation; message names the field."""
 
 
-def _parse(name: str, convert, value):
-    """``convert(value)``, or a :class:`ConfigError` naming the field."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{name} has a malformed value {value!r}") from None
-
-
 def _real(value) -> float:
-    """``float(value)``, refusing a boolean: JSON's true and false are not
-    numbers."""
-    if isinstance(value, (bool, np.bool_)):
-        raise TypeError(f"{value!r} is a boolean, not a number")
+    """``float(value)`` of an int or a float, numpy scalars included: a
+    boolean (JSON's true and false) or a string is not a number."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, np.integer, np.floating)):
+        raise TypeError(f"{value!r} is not a number")
     return float(value)
 
 
@@ -99,12 +91,13 @@ def _floats(values) -> tuple[float, ...]:
 
 
 def _count(value) -> int:
-    """``value`` as an int, refusing a boolean and what ``int()`` would
-    truncate (2.7)."""
-    out = int(value)
-    if out != _real(value):
+    """``value`` as an int: any integer, or a float that ``int()`` would
+    not truncate (2.0, not 2.7)."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if not _real(value).is_integer():
         raise ValueError(f"{value!r} is not integral")
-    return out
+    return int(value)
 
 
 def _linear(name: str, db: float) -> float:
@@ -123,16 +116,21 @@ def _linear(name: str, db: float) -> float:
 class ExperimentSpec:
     """One sweep: dimensions, SNRs, weighting, draw counts, algorithms.
 
-    ``data_snr_db`` is (first hop, second hop); transmit powers default
-    to 1 so the noise variances follow directly from the SNRs.
+    ``data_snr_db`` is (first hop, second hop) or one SNR for both;
+    transmit powers default to 1 so the noise variances follow directly
+    from the SNRs.  A spec built in code or by ``dataclasses.replace`` is
+    checked like a JSON one: a bad field raises a :class:`ConfigError`
+    naming it.  A number is an int or a float, never a boolean or a
+    string; the fields are stored as tuples, ints and floats, and
+    ``weights`` as its N x N matrix (a vector is its diagonal).
     """
 
     dims: tuple[int, int, int, int]
     n_streams: int
-    alpha: float
-    data_snr_db: tuple[float, float]
     est_snr_db: tuple[float, ...]
     weights: np.ndarray
+    alpha: float = 0.0
+    data_snr_db: tuple[float, float] = (30.0, 30.0)
     n_channel_draws: int = 1000
     n_symbols: int = 1000
     seed: int = 0
@@ -141,95 +139,85 @@ class ExperimentSpec:
     p_r: float = 1.0
     workers: int = 1
 
-    @classmethod
-    def from_dict(cls, raw: dict) -> "ExperimentSpec":
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
+    def __post_init__(self):
         try:
-            dims = tuple(_count(d) for d in raw["dims"])
-        except (KeyError, TypeError, ValueError, OverflowError):
+            dims = tuple(_count(d) for d in self.dims)
+        except (TypeError, ValueError, OverflowError):
             raise ConfigError("dims must be a list of four antenna counts") from None
         if len(dims) != 4 or any(d < 1 for d in dims):
             raise ConfigError("dims must be four positive antenna counts")
-        if "n_streams" not in raw:
-            raise ConfigError("n_streams is required")
-        n = _parse("n_streams", _count, raw["n_streams"])
+        object.__setattr__(self, "dims", dims)
+        n = self._parse("n_streams", _count)
         if not 1 <= n <= min(dims):
             raise ConfigError("n_streams must be in [1, min(dims)]")
-        alpha = _parse("alpha", _real, raw.get("alpha", 0.0))
-        if not 0.0 <= alpha < 1.0:
+        if not 0.0 <= self._parse("alpha", _real) < 1.0:
             raise ConfigError("alpha must be in [0, 1)")
-        snr = raw.get("data_snr_db", 30.0)
-        data_snr = _parse("data_snr_db", _floats, (snr, snr) if np.isscalar(snr) else snr)
+        data_snr = self._parse("data_snr_db", lambda s: _floats((s, s) if np.isscalar(s) else s))
         if len(data_snr) != 2 or not np.isfinite(data_snr).all():
             raise ConfigError("data_snr_db must be a finite scalar or pair")
-        est = raw.get("est_snr_db")
-        if not isinstance(est, (list, tuple)) or not est:
+        if not isinstance(self.est_snr_db, (list, tuple)) or not self.est_snr_db:
             raise ConfigError("est_snr_db must be a nonempty list")
-        est_snr = _parse("est_snr_db", _floats, est)
-        if not np.isfinite(est_snr).all():
+        if not np.isfinite(self._parse("est_snr_db", _floats)).all():
             raise ConfigError("est_snr_db entries must be finite")
-        w_raw = raw.get("weights")
-        if w_raw is None:
-            raise ConfigError("weights is required")
         reals = np.vectorize(_real, otypes=[float])
-        w = _parse("weights", lambda v: reals(np.asarray(v, dtype=object)), w_raw)
+        w = self._parse("weights", lambda v: reals(np.asarray(v, dtype=object)))
         if w.ndim == 1:
             if w.shape[0] != n:
                 raise ConfigError(f"weights must have length n_streams={n}")
-            w = np.diag(w)
+            object.__setattr__(self, "weights", np.diag(w))
         elif w.shape != (n, n):
             raise ConfigError(f"weights must be length-{n} diagonal or {n}x{n}")
         try:
-            _as_psd(w, "weights")
+            _as_psd(self.weights, "weights")
         except ValueError as err:
             raise ConfigError(str(err)) from None
-        draws = _parse("n_channel_draws", _count, raw.get("n_channel_draws", 1000))
-        symbols = _parse("n_symbols", _count, raw.get("n_symbols", 1000))
-        if draws < 1 or symbols < 1:
+        if min(self._parse("n_channel_draws", _count), self._parse("n_symbols", _count)) < 1:
             raise ConfigError("n_channel_draws and n_symbols must be >= 1")
-        algorithms = _parse("algorithms", tuple, raw.get("algorithms", list(ALGORITHMS)))
-        if not algorithms:
-            raise ConfigError("algorithms must be nonempty")
+        if not isinstance(self.algorithms, (list, tuple)) or not self.algorithms:
+            raise ConfigError("algorithms must be a nonempty list of names")
+        algorithms = self._parse("algorithms", tuple)
         for alg in algorithms:
             if alg not in ALGORITHMS:
-                raise ConfigError(
-                    f"algorithms entry {alg!r} not in {sorted(ALGORITHMS)}"
-                )
+                raise ConfigError(f"algorithms entry {alg!r} not in {sorted(ALGORITHMS)}")
         if len(set(algorithms)) != len(algorithms):
             raise ConfigError(f"algorithms has a repeated entry: {list(algorithms)}")
-        p_s = _parse("p_s", _real, raw.get("p_s", 1.0))
-        p_r = _parse("p_r", _real, raw.get("p_r", 1.0))
-        if not all(np.isfinite(p) and p > 0 for p in (p_s, p_r)):
+        powers = (self._parse("p_s", _real), self._parse("p_r", _real))
+        if not all(np.isfinite(p) and p > 0 for p in powers):
             raise ConfigError("p_s and p_r must be positive and finite")
-        for x in est_snr:
+        for x in self.est_snr_db:
             _linear("est_snr_db", x)
-        for power, name, snr in zip((p_s, p_r), ("p_s", "p_r"), data_snr):
+        for power, name, snr in zip(powers, ("p_s", "p_r"), data_snr):
             if not 0.0 < power / _linear("data_snr_db", snr) < float("inf"):
                 raise ConfigError(
                     f"{name} = {power!r} at data_snr_db {snr!r} gives a noise "
                     "variance that is not positive and finite"
                 )
-        workers = _parse("workers", _count, raw.get("workers", 1))
-        if workers < 1:
+        if self._parse("workers", _count) < 1:
             raise ConfigError("workers must be >= 1")
-        return cls(
-            dims=dims,
-            n_streams=n,
-            alpha=alpha,
-            data_snr_db=data_snr,
-            est_snr_db=est_snr,
-            weights=w,
-            n_channel_draws=draws,
-            n_symbols=symbols,
-            seed=_parse("seed", _count, raw.get("seed", 0)),
-            algorithms=algorithms,
-            p_s=p_s,
-            p_r=p_r,
-            workers=workers,
-        )
+        self._parse("seed", _count)
+
+    def _parse(self, name: str, convert):
+        """Store the field as ``convert`` gives it, or raise a
+        :class:`ConfigError` naming the field; returns the stored value."""
+        value = getattr(self, name)
+        try:
+            object.__setattr__(self, name, convert(value))
+        except (TypeError, ValueError, OverflowError):
+            raise ConfigError(f"{name} has a malformed value {value!r}") from None
+        return getattr(self, name)
+
+    @classmethod
+    def from_dict(cls, raw: dict) -> "ExperimentSpec":
+        """The spec of a parsed JSON config; a key left out takes the
+        field's default, and only a field without one is required."""
+        known = {f.name: f.default for f in fields(cls)}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(f"unknown config field {key!r}")
+        for key, default in known.items():
+            if default is MISSING and key not in raw:
+                raise ConfigError(f"{key} is required")
+        return cls(**raw)
 
     @classmethod
     def from_json(cls, path) -> "ExperimentSpec":
@@ -300,8 +288,6 @@ def _design_algorithm(algorithm: str, designs: _StackDesigns):
     sampled knowledge for the robust designs, which share its spectral
     decomposition, and error-free knowledge of the estimates for the
     naive one."""
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
     return designs(DesignOptions(mode="relay_only") if algorithm == "robust_nopre" else None)
 
 

@@ -284,6 +284,36 @@ class TestKnowledgeObjects:
         with pytest.raises(ValueError):
             ChannelKnowledge(np.zeros((3, 4)), np.zeros((4, 4)), stats, stats)
 
+    @pytest.mark.parametrize(
+        "build,match",
+        [
+            pytest.param(
+                lambda: exact_knowledge(np.full((2, 2), np.nan), np.eye(2)),
+                "est_sr must be a finite", id="non_finite_estimate",
+            ),
+            pytest.param(
+                lambda: exact_knowledge(np.eye(2), np.zeros((1, 1, 2, 2))),
+                "est_rd must be a finite", id="four_dimensional_estimate",
+            ),
+            pytest.param(
+                lambda: exact_knowledge(np.zeros((2, 2, 2)), np.zeros((3, 2, 2))),
+                "stack different numbers of draws", id="draw_counts_differ",
+            ),
+            pytest.param(
+                lambda: HopTraining(np.ones(3), 1.0, 1.0), "training must be a 2-D",
+                id="one_dimensional_training",
+            ),
+            pytest.param(
+                lambda: HopTraining(np.array([[np.inf]]), 1.0, 1.0), "non-finite",
+                id="non_finite_training",
+            ),
+            pytest.param(lambda: exp_corr(0.3, 0), "n must be >= 1", id="empty_correlation"),
+        ],
+    )
+    def test_malformed_arguments_are_refused(self, build, match):
+        with pytest.raises(ValueError, match=match):
+            build()
+
     def test_exact_knowledge_has_zero_stats(self):
         know = exact_knowledge(np.ones((4, 3)), np.ones((2, 4)))
         assert np.array_equal(know.stats_sr.row_cov, np.zeros((4, 4)))

@@ -885,6 +885,11 @@ class TestAssemble:
 
 
 class TestDesign:
+    def test_refuses_a_stack(self):
+        cfg, know, _ = make_instance(18)
+        with pytest.raises(ValueError, match="design_batch takes stacks"):
+            design(cfg, know.as_stack())
+
     def test_deterministic(self):
         cfg, know, _ = make_instance(18)
         a = design(cfg, know)

@@ -89,6 +89,17 @@ class TestSvdOrdered:
         with pytest.raises(ValueError):
             svd_ordered(np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize(
+        "factor,m,match",
+        [
+            (svd_ordered, np.zeros((1, 2, 2, 2)), "2-D or a"),
+            (eig_hermitian_ordered, np.zeros((2, 3)), "must be square"),
+        ],
+    )
+    def test_rejects_malformed_shapes(self, factor, m, match):
+        with pytest.raises(ValueError, match=match):
+            factor(m)
+
 
 class TestEigHermitianOrdered:
     def test_weight_matrix_example(self):

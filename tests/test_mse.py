@@ -288,6 +288,17 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError):
             make_config(dims=(2, 4, 4, 4), n_streams=3, weight=np.eye(3))
 
+    @pytest.mark.parametrize(
+        "overrides,match",
+        [
+            ({"dims": (4, 0, 4, 4), "n_streams": 1, "weight": np.eye(1)}, "counts must be >= 1"),
+            ({"weight": np.eye(3)}, "weight must be 4x4"),
+        ],
+    )
+    def test_rejects_malformed_counts_and_weights(self, overrides, match):
+        with pytest.raises(ValueError, match=match):
+            make_config(**overrides)
+
     def test_rejects_non_psd_weight(self):
         with pytest.raises(ValueError):
             make_config(weight=np.diag([1.0, 1.0, 1.0, -0.5]))
@@ -301,6 +312,26 @@ class TestSystemConfigValidation:
     def test_rejects_non_finite_power_and_noise(self, name, value):
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(make_config(), **{name: value})
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-150, 1e-170, 1.0])
+def test_the_solve_check_verifies_at_any_scale(monkeypatch, scale):
+    # At 1e200 the squared norms overflow: the bound read inf and passed
+    # any x.  At 1e-170 they underflow.  Warnings are errors here.
+    from afrelay import mse
+
+    rng = np.random.default_rng(0)
+    a = rand_complex(rng, 3, 3)
+    x = rand_complex(rng, 3, 2)
+    c = scale * (a @ a.conj().T + np.eye(3))
+    b = c @ x
+    pair = (np.stack([c, c / scale]), np.stack([b, b / scale]))
+    assert np.allclose(mse._solve_hermitian(c, b), x)
+    assert np.allclose(mse._solve_hermitian(*pair), x)
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda c, b: 2.0 * solve(c, b))
+    assert np.isnan(mse._solve_hermitian(c, b)).all()
+    assert np.isnan(mse._solve_hermitian(*pair)).all()
 
 
 def _entry_calls():

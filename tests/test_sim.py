@@ -54,6 +54,22 @@ def spec_dict(**overrides):
     return raw
 
 
+def assert_refused_on_every_path(patch, field):
+    """spec_dict patched with ``patch`` raises a ConfigError naming
+    ``field`` from from_dict and, where every patched key is a field,
+    from the constructor and from dataclasses.replace of a valid spec."""
+    builds = [lambda: ExperimentSpec.from_dict(spec_dict(**patch))]
+    if set(patch) <= {f.name for f in dataclasses.fields(ExperimentSpec)}:
+        builds += [
+            lambda: ExperimentSpec(**spec_dict(**patch)),
+            lambda: dataclasses.replace(ExperimentSpec.from_dict(spec_dict()), **patch),
+        ]
+    for build in builds:
+        with pytest.raises(ConfigError) as err:
+            build()
+        assert field in str(err.value)
+
+
 def _reference_link(spec, cfg, point, draw):
     """One draw's (bits, symbols, noise1, noise2), drawn and assembled as
     separate blocks in stream 1's order."""
@@ -123,12 +139,26 @@ class TestSpecValidation:
             ({"n_channel_draws": 3.9}, "n_channel_draws"),
             ({"algorithms": ["naive", "naive"]}, "algorithms"),
             ({"algorithms": ["robust_full", "naive", "robust_full"]}, "algorithms"),
+            ({"weights": [[[0.6, 0.4]]]}, "weights"),
+            ({"workers": 0}, "workers"),
         ],
     )
     def test_errors_name_the_field(self, patch, field):
-        with pytest.raises(ConfigError) as err:
-            ExperimentSpec.from_dict(spec_dict(**patch))
-        assert field in str(err.value)
+        assert_refused_on_every_path(patch, field)
+
+    @pytest.mark.parametrize("field", ["dims", "n_streams", "est_snr_db", "weights"])
+    def test_a_missing_required_key_is_named(self, field):
+        raw = spec_dict()
+        del raw[field]
+        with pytest.raises(ConfigError, match=f"{field} is required"):
+            ExperimentSpec.from_dict(raw)
+
+    @pytest.mark.parametrize("text", ["{not json", "[1, 2]"])
+    def test_a_config_file_that_is_no_json_object_is_refused(self, tmp_path, text):
+        path = tmp_path / "cfg.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ConfigError, match="config"):
+            ExperimentSpec.from_json(path)
 
     @pytest.mark.parametrize(
         "field,patch",
@@ -150,9 +180,53 @@ class TestSpecValidation:
     )
     def test_booleans_are_not_numbers(self, field, patch):
         # JSON's true and false would otherwise pass as 1 and 0.
-        with pytest.raises(ConfigError) as err:
-            ExperimentSpec.from_dict(spec_dict(**patch))
-        assert field in str(err.value)
+        assert_refused_on_every_path(patch, field)
+
+    @pytest.mark.parametrize(
+        "field,patch",
+        [
+            ("dims", {"dims": ["2", 2, 2, 2]}),
+            ("n_streams", {"n_streams": "2"}),
+            ("alpha", {"alpha": "0.3"}),
+            ("data_snr_db", {"data_snr_db": "20"}),
+            ("est_snr_db", {"est_snr_db": ["5"]}),
+            ("weights", {"weights": ["0.6", 0.4]}),
+            ("p_s", {"p_s": "1e0"}),
+            ("seed", {"seed": "5"}),
+        ],
+    )
+    def test_strings_are_not_numbers(self, field, patch):
+        assert_refused_on_every_path(patch, field)
+
+    def test_algorithms_must_be_a_list_of_names(self):
+        # A string is not read as the list of its characters.
+        assert_refused_on_every_path({"algorithms": "naive"}, "algorithms must be a nonempty list")
+
+    def test_numbers_are_ints_and_floats_numpy_scalars_included(self):
+        spec = ExperimentSpec.from_dict(spec_dict(
+            dims=[np.int64(2), 2.0, 2, 2], n_streams=np.int32(2), alpha=np.float32(0.25),
+            n_channel_draws=np.float64(6.0), weights=[np.float64(0.6), 0.4],
+        ))
+        assert spec.dims == (2, 2, 2, 2)
+        assert all(type(d) is int for d in spec.dims)
+        assert type(spec.n_streams) is int and type(spec.n_channel_draws) is int
+        assert spec.alpha == 0.25 and type(spec.alpha) is float
+
+    @pytest.mark.parametrize("seed", [2**53 + 1, 12345678901234567891, -(2**70)])
+    def test_seeds_past_two_to_the_53_parse_and_round_trip(self, seed):
+        spec = ExperimentSpec.from_dict(spec_dict(seed=seed))
+        assert spec.seed == seed
+        assert spec.to_dict()["seed"] == seed
+        assert ExperimentSpec.from_dict(spec.to_dict()).seed == seed
+
+    def test_a_replaced_spec_is_stored_normalized(self):
+        spec = dataclasses.replace(
+            tiny_spec(), est_snr_db=[1, 2.5], data_snr_db=25, weights=[0.7, 0.3], seed=3.0
+        )
+        assert spec.est_snr_db == (1.0, 2.5) and spec.data_snr_db == (25.0, 25.0)
+        assert np.array_equal(spec.weights, np.diag([0.7, 0.3]))
+        assert spec.seed == 3 and type(spec.seed) is int
+        assert dataclasses.replace(spec).to_dict() == spec.to_dict()
 
     def test_system_config_noise_follows_snr(self):
         spec = tiny_spec(data_snr_db=(10.0, 20.0), p_s=2.0, p_r=4.0)
@@ -738,6 +812,34 @@ class TestCli:
 
     def test_unknown_flag_exits_two(self):
         assert cli_main(["--frobnicate"]) == 2
+
+    @pytest.mark.parametrize(
+        "case,code,message",
+        [
+            ("no_out", 2, "--out is required"),
+            ("unreadable_config", 2, "cannot read"),
+            ("run_raises", 1, "experiment failed: boom"),
+            ("unwritable_out", 1, "could not write CSV"),
+        ],
+    )
+    def test_refusals_exit_with_their_code(self, tmp_path, monkeypatch, capsys, case, code, message):
+        import afrelay.cli as cli_mod
+
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps(spec_dict(n_channel_draws=1, n_symbols=10)), encoding="utf-8")
+        argv = {
+            "no_out": ["--config", str(config)],
+            "unreadable_config": ["--config", str(tmp_path / "absent.json"), "--out", "o.csv"],
+            "run_raises": ["--config", str(config), "--out", str(tmp_path / "o.csv")],
+            "unwritable_out": ["--config", str(config), "--out", str(tmp_path / "no" / "o.csv")],
+        }[case]
+        if case == "run_raises":
+            def boom(spec):
+                raise RuntimeError("boom")
+
+            monkeypatch.setattr(cli_mod, "run_experiment", boom)
+        assert cli_main(argv) == code
+        assert message in capsys.readouterr().err
 
     def test_malformed_config_exits_two_and_names_field(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

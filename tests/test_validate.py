@@ -263,6 +263,14 @@ class TestScalarGradient:
             )
             assert norm <= 1e-6
 
+    def test_projected_gradient_skips_an_all_zero_block(self):
+        # An all-zero block has no active coordinate, and its projection
+        # coefficient would be 0/0, a warning (an error in this suite).
+        # A relay that sends nothing makes the objective flat in p too.
+        p, g, w = np.array([1.0, 2.0]), np.array([1.0, 3.0]), np.array([0.6, 0.4])
+        assert projected_gradient_norm(p, np.zeros(2), g, g, w) == 0.0
+        assert projected_gradient_norm(np.zeros(2), np.zeros(2), g, g, w) == 0.0
+
     def test_rejects_boundary_points(self):
         with pytest.raises(ValueError):
             gradient_check_scalar_objective(
