@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _as_psd, _first_bad, _herm, _rebuild, _rows, _sq_norm, herm_sqrt
+from .linalg import _as_psd, _first_bad, _fro_norms, _herm, _rebuild, _rows, herm_sqrt
 
 __all__ = [
     "ErrorStats",
@@ -120,7 +120,7 @@ def _identity_scale(cov: np.ndarray, name: str):
     c = cov[..., 0, 0].real
     n = cov.shape[-1]
     gap = cov - c[..., None, None] * np.eye(n)
-    bad = np.sqrt(_sq_norm(gap)) > 1e-10 * np.maximum(np.abs(c) * n**0.5, 1e-300)
+    bad = _fro_norms(gap)[0] > 1e-10 * np.abs(c) * n**0.5
     if bad.any():
         raise ValueError(f"{name} must be a scaled identity{_first_bad(bad)}, "
                          "as training-based estimation makes it")

@@ -1,7 +1,8 @@
 """Deterministic dense complex-matrix kernels.
 
 Ordered SVD and Hermitian eigendecompositions with a fixed phase /
-tie-breaking convention, plus Hermitian square roots.  Everything
+tie-breaking convention, Hermitian square roots, and ``_fro_norms``, the
+one Frobenius norm of every check, at any finite scale.  Everything
 downstream (whitening, spectral design, oracle checks) leans on the
 reproducibility guarantees here: the same input bits always produce the
 same output bits.
@@ -24,6 +25,7 @@ Conventions
 
 from __future__ import annotations
 
+from contextlib import suppress
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,9 +118,20 @@ def _rows(obj, index):
     })
 
 
-def _sq_norm(a: np.ndarray) -> np.ndarray:
-    """Squared Frobenius norm of a matrix or of every matrix in a stack."""
-    return (a.real**2 + a.imag**2).sum(axis=(-2, -1))
+def _fro_norms(*mats: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Frobenius norm of each of ``mats`` (a matrix, or a stack: one norm
+    per matrix) at any finite scale.  Where a square over- or underflows,
+    each matrix is summed again scaled by the power of two that brings its
+    largest entry into [0.5, 1) (Blue 1978): the same bits where none did."""
+    with suppress(FloatingPointError), np.errstate(over="raise", under="raise"):
+        return tuple(np.sqrt((m.real**2 + m.imag**2).sum(axis=(-2, -1))) for m in mats)
+    norms = []
+    with np.errstate(under="ignore"):
+        for m in mats:
+            e = np.frexp(np.abs(m).max(axis=(-2, -1)))[1]
+            re, im = (np.ldexp(part, -e[..., None, None]) for part in (m.real, m.imag))
+            norms.append(np.ldexp(np.sqrt((re**2 + im**2).sum(axis=(-2, -1))), e))
+    return tuple(norms)
 
 
 def _as_matrix(m, name: str = "matrix") -> np.ndarray:
@@ -141,8 +154,8 @@ def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = _as_matrix(m, name)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    skew = np.sqrt(_sq_norm(a - _ct(a)))
-    bad = skew > HERMITIAN_RTOL * np.maximum(np.sqrt(_sq_norm(a)), 1e-300)
+    skew, norm = _fro_norms(a - _ct(a), a)
+    bad = skew > HERMITIAN_RTOL * norm
     if bad.any():
         raise NotHermitianError(
             f"{name} is not Hermitian{_first_bad(bad)}: ||m - m^H|| = "

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _herm, _rebuild, _sq_norm
+from .linalg import _as_psd, _ct, _fro_norms, _herm, _rebuild
 
 __all__ = [
     "SystemConfig",
@@ -155,24 +155,9 @@ def _solve_hermitian(c: np.ndarray, b: np.ndarray) -> np.ndarray:
         for i in np.ndindex(c.shape[:-2]):
             with suppress(np.linalg.LinAlgError):
                 x[i] = np.linalg.solve(c[i], b[i])
-    mats = (c @ x - b, c, x, b)
-    try:
-        with np.errstate(over="raise", under="raise"):
-            resid, norm_c, norm_x, norm_b = (np.sqrt(_sq_norm(m)) for m in mats)
-    except FloatingPointError:  # a square over- or underflowed: an inf bound passes any x
-        resid, norm_c, norm_x, norm_b = (_scaled_norm(m) for m in mats)
+    resid, norm_c, norm_x, norm_b = _fro_norms(c @ x - b, c, x, b)
     ok = resid <= np.maximum(_SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b), 1e-300)
     return x if ok.all() else np.where(ok[..., None, None], x, np.nan)
-
-
-def _scaled_norm(m: np.ndarray) -> np.ndarray:
-    """Frobenius norm of a matrix or of every matrix in a stack, its
-    squares summed over the matrix scaled by the power of two that brings
-    its largest entry to [0.5, 1) (a subnormal one to at least 2^-53), so
-    that none that matters over- or underflows; that scaling keeps the
-    bits of a norm whose squares did neither."""
-    exp = np.maximum(np.frexp(np.abs(m).max(axis=(-2, -1)))[1], -1021)
-    return np.ldexp(np.sqrt(_sq_norm(m * np.ldexp(1.0, -exp)[..., None, None])), exp)
 
 
 def _solved(x: np.ndarray) -> np.ndarray:

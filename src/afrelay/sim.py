@@ -122,13 +122,13 @@ class ExperimentSpec:
     checked like a JSON one: a bad field raises a :class:`ConfigError`
     naming it.  A number is an int or a float, never a boolean or a
     string; the fields are stored as tuples, ints and floats, and
-    ``weights`` as its N x N matrix (a vector is its diagonal).
+    ``weights`` as the rows of its N x N matrix (a vector is its diagonal).
     """
 
     dims: tuple[int, int, int, int]
     n_streams: int
     est_snr_db: tuple[float, ...]
-    weights: np.ndarray
+    weights: tuple[tuple[float, ...], ...]
     alpha: float = 0.0
     data_snr_db: tuple[float, float] = (30.0, 30.0)
     n_channel_draws: int = 1000
@@ -164,13 +164,14 @@ class ExperimentSpec:
         if w.ndim == 1:
             if w.shape[0] != n:
                 raise ConfigError(f"weights must have length n_streams={n}")
-            object.__setattr__(self, "weights", np.diag(w))
+            w = np.diag(w)
         elif w.shape != (n, n):
             raise ConfigError(f"weights must be length-{n} diagonal or {n}x{n}")
         try:
-            _as_psd(self.weights, "weights")
+            _as_psd(w, "weights")
         except ValueError as err:
             raise ConfigError(str(err)) from None
+        object.__setattr__(self, "weights", tuple(map(tuple, w.tolist())))
         if min(self._parse("n_channel_draws", _count), self._parse("n_symbols", _count)) < 1:
             raise ConfigError("n_channel_draws and n_symbols must be >= 1")
         if not isinstance(self.algorithms, (list, tuple)) or not self.algorithms:

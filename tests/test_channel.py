@@ -323,6 +323,18 @@ class TestKnowledgeObjects:
         with pytest.raises(ValueError):
             ErrorStats(np.diag([1.0, -0.2]), np.eye(3))
 
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_identity_sides_are_tested_at_any_scale(self, scale):
+        # The squares of the gap from c I overflow at 1e200 and underflow
+        # at 1e-200.
+        def c_sr(row_cov):
+            stats = ErrorStats(np.eye(2), np.eye(2))
+            return ChannelKnowledge(np.eye(2), np.eye(2), ErrorStats(row_cov, np.eye(2)), stats).c_sr
+
+        with pytest.raises(ValueError, match="^stats_sr.row_cov must be a scaled identity"):
+            c_sr(scale * np.diag([1.0, 2.0]))
+        assert c_sr(scale * np.eye(2)) == scale
+
     def test_per_draw_error_stats_are_validated_draw_by_draw(self):
         good = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
         not_psd, not_hermitian = good.copy(), good.astype(complex)

@@ -1,5 +1,11 @@
+import math
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 import afrelay.linalg as linalg_mod
 from afrelay.linalg import (
@@ -144,6 +150,12 @@ class TestEigHermitianOrdered:
     def test_rejects_non_hermitian(self):
         with pytest.raises(NotHermitianError):
             eig_hermitian_ordered(np.array([[1.0, 1.0], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e-200])
+    def test_rejects_non_hermitian_at_any_scale(self, scale):
+        # At 1e200 every square overflows, at 1e-200 every one underflows.
+        with pytest.raises(NotHermitianError):
+            eig_hermitian_ordered(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
 
 class TestHermSqrt:
@@ -355,3 +367,86 @@ class TestStackedTieSort:
             for a, c in zip(new, sets):
                 assert np.array_equal(a, c)
         assert ref.reordered >= 500
+
+
+def _ldexp(a, k):
+    """The complex stack ``a`` times 2^k, part by part."""
+    return np.ldexp(a.real, k) + 1j * np.ldexp(a.imag, k)
+
+
+@st.composite
+def complex_stacks(draw, lowest=-1080):
+    """A (B, m, n) complex stack whose matrices each sit at their own
+    power-of-two scale, 2^lowest to 2^1018, with parts spread over 60
+    binades below it, or over 1,100; a matrix's norm stays below the
+    largest double."""
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 4), st.integers(1, 4)))
+    mantissas = st.one_of(
+        st.just(0.0), st.floats(0.5, 1.0, exclude_max=True), st.floats(-1.0, -0.5, exclude_min=True)
+    )
+    parts = draw(hnp.arrays(np.float64, (2, *shape), elements=mantissas))
+    width = draw(st.sampled_from([60, 1100]))
+    spread = draw(hnp.arrays(np.int64, (2, *shape), elements=st.integers(-width, 0)))
+    scale = draw(hnp.arrays(np.int64, (shape[0], 1, 1), elements=st.integers(lowest, 1018)))
+    re, im = np.ldexp(parts, spread + scale)
+    return re + 1j * im
+
+
+@st.composite
+def shifted_stacks(draw):
+    """A stack of normal parts (a subnormal one is set to 0) and a k that
+    keeps every nonzero part normal and at most 2^1018 in 2^k times it."""
+    a = draw(complex_stacks(lowest=-950))
+    for part in (a.real, a.imag):
+        part[np.abs(part) < np.finfo(float).tiny] = 0.0
+    parts = np.abs(np.stack([a.real, a.imag]))
+    exps = np.frexp(parts[parts > 0])[1]
+    lo, hi = (-1021 - int(exps.min()), 1018 - int(exps.max())) if exps.size else (-1100, 1100)
+    return a, draw(st.integers(lo, hi))
+
+
+# A stack of a matrix whose squares overflow, one whose squares underflow,
+# one whose squares stay normal (it takes the scaled pass too) and one
+# whose small part underflows even scaled.
+_MIXED = np.array([[[1e200, 3e199j]], [[1e-200, -2e-201]], [[0.75 - 0.5j, 3.0]], [[1e200, 1e-200j]]])
+
+
+class TestFroNorm:
+    @settings(max_examples=120)
+    @given(complex_stacks())
+    @example(_MIXED)
+    def test_keeps_the_plain_bits_where_no_square_leaves_the_normal_range(self, a):
+        norm = linalg_mod._fro_norms(a)[0]
+        with np.errstate(all="ignore"):
+            plain = np.sqrt((a.real**2 + a.imag**2).sum(axis=(-2, -1)))
+        normal = np.ones(len(a), dtype=bool)
+        for i, m in enumerate(a):
+            try:
+                with np.errstate(over="raise", under="raise"):
+                    (m.real**2 + m.imag**2).sum()
+            except FloatingPointError:
+                normal[i] = False
+        assert np.array_equal(norm[normal], plain[normal])
+
+    @settings(max_examples=120)
+    @given(shifted_stacks())
+    @example((_MIXED, 350))
+    @example((np.array([[[2.0**-1022 * (1 + 1j)]]]), 1))  # the smallest normal parts
+    def test_commutes_with_powers_of_two(self, shifted):
+        a, k = shifted
+        assert np.array_equal(
+            linalg_mod._fro_norms(_ldexp(a, k))[0], np.ldexp(linalg_mod._fro_norms(a)[0], k)
+        )
+
+    @settings(max_examples=120)
+    @given(complex_stacks())
+    @example(_MIXED)
+    def test_is_finite_and_accurate_at_any_finite_scale(self, a):
+        # Even where the caller's error state warns on every event.
+        with warnings.catch_warnings(), np.errstate(all="warn"):
+            warnings.simplefilter("error")
+            norm = linalg_mod._fro_norms(a)[0]
+        assert np.isfinite(norm).all()
+        for got, m in zip(norm, a):
+            ref = math.hypot(*m.real.ravel(), *m.imag.ravel())
+            assert abs(got - ref) <= 1e-14 * ref + 5e-324

@@ -228,6 +228,13 @@ class TestSpecValidation:
         assert spec.seed == 3 and type(spec.seed) is int
         assert dataclasses.replace(spec).to_dict() == spec.to_dict()
 
+    def test_specs_compare_by_value(self):
+        spec = tiny_spec()
+        assert (dataclasses.replace(spec) == spec) is True
+        assert hash(dataclasses.replace(spec)) == hash(spec)
+        assert (dataclasses.replace(spec, weights=[0.6, 0.3]) == spec) is False
+        assert (dataclasses.replace(spec, weights=[0.6, 0.3]) != spec) is True
+
     def test_system_config_noise_follows_snr(self):
         spec = tiny_spec(data_snr_db=(10.0, 20.0), p_s=2.0, p_r=4.0)
         cfg = system_config(spec)
