@@ -54,7 +54,8 @@ class ErrorStats:
     ``row_cov`` is the receive-side correlation (size = channel rows),
     ``col_cov`` the transmit-side correlation (size = channel columns).
     Each is a matrix shared by every draw of a knowledge stack, or a
-    (B, n, n) stack, one per draw, validated draw by draw.  The scale of
+    (B, n, n) stack, one per draw, validated draw by draw by one eigh,
+    whose eigensystem is kept (:meth:`eig`, :meth:`root`).  The scale of
     an identity side is tested once per object, on first use.  Equality
     is identity: no field-wise comparison of arrays.
     """
@@ -63,8 +64,11 @@ class ErrorStats:
     col_cov: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "_eigs", {})
         for name in ("row_cov", "col_cov"):
-            object.__setattr__(self, name, _as_psd(getattr(self, name), name))
+            h, w, q = _as_psd(getattr(self, name), name)
+            object.__setattr__(self, name, h)
+            self._eigs[name] = (w, q)
         object.__setattr__(self, "_scales", {})
 
     @property
@@ -74,6 +78,16 @@ class ErrorStats:
     @property
     def cols(self) -> int:
         return self.col_cov.shape[-1]
+
+    def eig(self, side: str):
+        """(w, q) of ``side`` ("row_cov" or "col_cov"), cov = q diag(w) q^H,
+        w nondecreasing and clamped at 0: (n,), (n, n) or per draw (B, ...)."""
+        return self._eigs[side]
+
+    def root(self, side: str) -> np.ndarray:
+        """q diag(w^{1/2}) q^H of ``side``: ``herm_sqrt``'s bytes, no eigh."""
+        w, q = self._eigs[side]
+        return _rebuild(q, np.sqrt(w))
 
     def _scale(self, side: str, name: str):
         """:func:`_identity_scale` of ``side`` ("row_cov" or "col_cov")."""
@@ -308,13 +322,8 @@ def exact_knowledge(h_sr, h_rd) -> ChannelKnowledge:
     """Knowledge object that treats the given channels (or stacks) as error-free."""
     h_sr = np.asarray(h_sr, dtype=np.complex128)
     h_rd = np.asarray(h_rd, dtype=np.complex128)
-    zero_sr = ErrorStats(
-        np.zeros((h_sr.shape[-2],) * 2), np.zeros((h_sr.shape[-1],) * 2)
-    )
-    zero_rd = ErrorStats(
-        np.zeros((h_rd.shape[-2],) * 2), np.zeros((h_rd.shape[-1],) * 2)
-    )
-    return ChannelKnowledge(h_sr, h_rd, zero_sr, zero_rd)
+    zero = [ErrorStats(*(np.zeros((n, n)) for n in h.shape[-2:])) for h in (h_sr, h_rd)]
+    return ChannelKnowledge(h_sr, h_rd, *zero)
 
 
 def _complex_parts(parts: np.ndarray, scale: float, out=None) -> np.ndarray:
@@ -349,14 +358,14 @@ def _scenario_factors(cfg, snr_est: float, alpha: float):
             return np.eye(n, dtype=np.complex128)
         return _herm(snr_est * exp_corr(alpha, n) @ err_cov)
 
-    # Each hop's estimate and error share one side's covariance, and so
-    # its root: six roots for the four blocks.
-    rows_sr, cols_rd = herm_sqrt(stats_sr.row_cov), herm_sqrt(stats_rd.col_cov)
+    # Each hop's estimate and error share one side's covariance, and so its
+    # root; only the two estimate covariances are decomposed here.
+    rows_sr, cols_rd = stats_sr.root("row_cov"), stats_rd.root("col_cov")
     roots = (
         (rows_sr, herm_sqrt(estimate_cov(cfg.n_s, stats_sr.col_cov))),
-        (rows_sr, herm_sqrt(stats_sr.col_cov)),
+        (rows_sr, stats_sr.root("col_cov")),
         (herm_sqrt(estimate_cov(cfg.m_d, stats_rd.row_cov)), cols_rd),
-        (herm_sqrt(stats_rd.row_cov), cols_rd),
+        (stats_rd.root("row_cov"), cols_rd),
     )
     return stats_sr, stats_rd, roots
 

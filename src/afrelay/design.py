@@ -38,9 +38,9 @@ from it is kept where it does not raise the objective
 most rows of an error-free design do, pays for no extrapolation.
 
 The pipeline works on a (B, ., .) stack of channel draws that share one
-config (:func:`design_batch`): the whitening once for error statistics
-that the draws share (draw by draw for per-draw statistics, as where the
-draws come from several sweep points), one stacked SVD per hop, the
+config (:func:`design_batch`): the whitening, built from the error
+statistics' kept eigensystems (shared by the draws, or per draw as where
+they come from several sweep points), one stacked SVD per hop, the
 alternation on every draw at once with a per-draw convergence mask, and
 one pass of checks that gives every draw its verdict, so a failing draw
 is reported without disturbing the others.  :func:`design` is the B = 1
@@ -61,7 +61,6 @@ from .linalg import (
     OrderedSVD,
     _check_psd,
     _ct,
-    _herm,
     _rebuild,
     _rows,
     eig_hermitian_ordered,
@@ -159,9 +158,10 @@ class SpectralData:
     ``first_hop`` decomposes est_sr @ whiten_sr, ``second_hop``
     whiten_rd @ est_rd where whiten_sr = (p_s Psi + sigma1^2 I)^{-1/2}
     and whiten_rd = K2^{-1/2} with the constant K2 = p_r Sigma_rd +
-    sigma2^2 I.  Gains are the leading n_streams singular values.  For a
-    stack of draws every field carries its leading axis; whiten_sr, which
-    the assembled precoder reads, is a broadcast view of one matrix where
+    sigma2^2 I, both from the eigensystems ``ErrorStats.eig`` keeps.
+    Gains are the leading n_streams singular values.  For a stack of
+    draws every field carries its leading axis; whiten_sr, which the
+    assembled precoder reads, is a broadcast view of one matrix where
     the draws share the first hop's error statistics.
     """
 
@@ -282,25 +282,16 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
     )
 
 
-def _floored_inv_sqrt(m: np.ndarray, floor: float) -> np.ndarray:
-    """m^{-1/2} of m = (a PSD matrix) + floor I, its eigenvalues floored at
-    ``floor``: PD by construction, so no conditioning guard applies.  A
-    zero PSD part (exact knowledge) gives floor^{-1/2} I without a
-    decomposition, the bytes the decomposition gives."""
-    eye = np.eye(m.shape[-1])
-    if (m == floor * eye).all():
-        return np.broadcast_to(eye / np.sqrt(floor), m.shape).astype(m.dtype)
-    w, q = np.linalg.eigh(_herm(m))
-    return _rebuild(q, np.sqrt(np.maximum(w, floor)), inverse=True)
-
-
 def _whitening(cfg: SystemConfig, know: ChannelKnowledge):
-    """whiten_sr and whiten_rd of the knowledge's error statistics (see
-    :class:`SpectralData`)."""
-    # Each hop's identity-side scale folds into its other factor.
-    b_sr = cfg.p_s * (know.c_sr * know.stats_sr.col_cov) + cfg.sigma1_sq * np.eye(cfg.n_s)
-    k2_const = cfg.p_r * (know.c_rd * know.stats_rd.row_cov) + cfg.sigma2_sq * np.eye(cfg.m_d)
-    return _floored_inv_sqrt(b_sr, cfg.sigma1_sq), _floored_inv_sqrt(k2_const, cfg.sigma2_sq)
+    """whiten_sr and whiten_rd (see :class:`SpectralData`), q diag((p c w +
+    sigma^2)^{-1/2}) q^H from the kept (w, q) of each hop's non-identity
+    side and the scale c of its identity side: every factor is at least
+    sigma^2, and a zero covariance (q = I) gives sigma^{-1} I."""
+    hops = ((know.stats_sr.eig("col_cov"), know.c_sr, cfg.p_s, cfg.sigma1_sq),
+            (know.stats_rd.eig("row_cov"), know.c_rd, cfg.p_r, cfg.sigma2_sq))
+    # c, a float or (B, 1, 1), as (B, 1) broadcasts against w's (n,) or (B, n).
+    return tuple(_rebuild(q, np.sqrt(p * (np.reshape(c, np.shape(c)[:-1]) * w) + s2), inverse=True)
+                 for (w, q), c, p, s2 in hops)
 
 
 def spectral_decompose(cfg: SystemConfig, know: ChannelKnowledge) -> SpectralData:

@@ -260,13 +260,15 @@ def _check_psd(w: np.ndarray, name: str = "matrix") -> None:
             )
 
 
-def _as_psd(m, name: str = "matrix") -> np.ndarray:
-    """Hermitian part of ``m`` (a matrix or stack), checked Hermitian within
-    HERMITIAN_RTOL and PSD within PSD_CLAMP_RTOL; the one validator for
-    user-supplied covariances and weights."""
+def _as_psd(m, name: str = "matrix"):
+    """(h, w, q): the Hermitian part h of ``m`` (a matrix or stack), checked
+    Hermitian within HERMITIAN_RTOL and PSD within PSD_CLAMP_RTOL by one
+    eigh, h = q diag(w) q^H with w nondecreasing and clamped at 0 (q = I
+    for h = 0).  The one validator of covariances and weights."""
     h = _as_hermitian(m, name)
-    _check_psd(np.linalg.eigvalsh(h), name)
-    return h
+    w, q = np.linalg.eigh(h)
+    _check_psd(w, name)
+    return h, np.clip(w, 0.0, None), q
 
 
 def herm_sqrt(m) -> np.ndarray:
@@ -275,7 +277,6 @@ def herm_sqrt(m) -> np.ndarray:
     Eigenvalues in [-PSD_CLAMP_RTOL * ||m||, 0) are clamped to zero;
     anything more negative raises :class:`NotPSDError`.
     """
-    w, q = np.linalg.eigh(_as_hermitian(m))
-    _check_psd(w)
-    return _rebuild(q, np.sqrt(np.clip(w, 0.0, None)))
+    _, w, q = _as_psd(m)
+    return _rebuild(q, np.sqrt(w))
 

@@ -63,12 +63,12 @@ __all__ = [
 _SOLVE_BACKWARD_RTOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SystemConfig:
     """Antenna counts, stream count, powers, noise variances, weighting.
 
     ``weight`` is the N x N Hermitian PSD matrix of the weighted-MSE
-    objective tr(W E).
+    objective tr(W E).  Equality is identity, as for ``ErrorStats``.
     """
 
     n_s: int
@@ -99,7 +99,7 @@ class SystemConfig:
             raise ValueError(
                 f"weight must be {self.n_streams}x{self.n_streams}, got {w.shape}"
             )
-        object.__setattr__(self, "weight", _as_psd(w, "weight"))
+        object.__setattr__(self, "weight", _as_psd(w, "weight")[0])
 
     @cached_property
     def weight_half(self) -> np.ndarray:
@@ -156,7 +156,7 @@ def _solve_hermitian(c: np.ndarray, b: np.ndarray) -> np.ndarray:
             with suppress(np.linalg.LinAlgError):
                 x[i] = np.linalg.solve(c[i], b[i])
     resid, norm_c, norm_x, norm_b = _fro_norms(c @ x - b, c, x, b)
-    ok = resid <= np.maximum(_SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b), 1e-300)
+    ok = resid <= _SOLVE_BACKWARD_RTOL * (norm_c * norm_x + norm_b)
     return x if ok.all() else np.where(ok[..., None, None], x, np.nan)
 
 

@@ -26,7 +26,6 @@ import numpy as np
 
 from .channel import ChannelKnowledge, _complex_parts, as_generator
 from .design import scalar_gradient, scalar_objective
-from .linalg import herm_sqrt
 from .mse import SystemConfig, residual_weighted_mse
 
 __all__ = [
@@ -111,7 +110,7 @@ def _error_samples(cfg, know, tx, n_samples, seed):
     f = np.asarray(tx.forward, dtype=np.complex128)
     g = np.asarray(tx.equalizer, dtype=np.complex128)
     hops = [
-        (est, herm_sqrt(stats.row_cov), herm_sqrt(stats.col_cov))
+        (est, stats.root("row_cov"), stats.root("col_cov"))
         for est, stats in ((know.est_sr, know.stats_sr), (know.est_rd, know.stats_rd))
     ]
 

@@ -440,3 +440,50 @@ class TestKnowledgeStacks:
         assert (mixed == again) is False and (mixed != again) is True
         assert (mixed.stats_rd == again.stats_rd) is False
         assert np.array_equal(again.c_rd, mixed.c_rd)
+
+
+class TestKeptEigensystem:
+    def test_roots_are_the_bytes_herm_sqrt_gives(self):
+        # Shared, per-draw (concat) and selected statistics each keep the
+        # eigensystem their validation computed; the sampler's and the
+        # Monte-Carlo's roots are rebuilt from it, in herm_sqrt's bytes,
+        # so no sampled bit moves.
+        from afrelay.linalg import herm_sqrt
+
+        cfg = make_config(dims=(3, 4, 2, 3), n_streams=2)
+        parts = _point_stacks(cfg, (0.01, 1e6))
+        mixed = ChannelKnowledge.concat(parts)
+        assert mixed.stats_sr.col_cov.ndim == 3
+        for know in (*parts, mixed, mixed.select(2), mixed.select([3, 0])):
+            for stats in (know.stats_sr, know.stats_rd):
+                for side in ("row_cov", "col_cov"):
+                    cov = getattr(stats, side)
+                    w, q = stats.eig(side)
+                    assert w.shape == cov.shape[:-1] and q.shape == cov.shape
+                    assert (w >= 0.0).all() and (np.diff(w, axis=-1) >= 0.0).all()
+                    rebuilt = (q * w[..., None, :]) @ q.conj().swapaxes(-1, -2)
+                    assert np.allclose(rebuilt, cov, rtol=0.0, atol=1e-14)
+                    assert stats.root(side).tobytes() == herm_sqrt(cov).tobytes()
+
+    def test_zero_covariances_keep_the_identity(self):
+        for n in range(1, 6):
+            stats = exact_knowledge(np.ones((n, n)), np.ones((n, n))).stats_sr
+            for side in ("row_cov", "col_cov"):
+                w, q = stats.eig(side)
+                assert np.array_equal(w, np.zeros(n)) and np.array_equal(q, np.eye(n))
+
+    def test_sampling_decomposes_only_the_estimate_covariances(self, monkeypatch):
+        # Per stack: two eighs in the MMSE error covariances, one per
+        # validated side (four) and one per estimate covariance's root
+        # (two); the four error-side roots come from the kept eigensystems.
+        import afrelay.channel as channel_mod
+
+        cfg = make_config()
+        roots, decompositions = [], []
+        real_sqrt = channel_mod.herm_sqrt
+        monkeypatch.setattr(channel_mod, "herm_sqrt", lambda m: roots.append(m) or real_sqrt(m))
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, real=real: decompositions.append(m) or real(m))
+        sample_scenario_stack(cfg, 10.0, 0.3, [np.random.default_rng(i) for i in range(3)])
+        assert len(roots) == 2 and len(decompositions) == 8

@@ -244,42 +244,28 @@ class TestSpectralDecompose:
         assert np.all(np.diff(sp.gains_rd) <= 0)
 
     def test_exact_knowledge_whitens_without_a_decomposition(self, monkeypatch):
-        # A zero error covariance leaves sigma^2 I to whiten: sigma^{-1} I,
-        # the bytes its eigendecomposition gives, with no eigh call; the
-        # sampled knowledge's whitening decomposes both hops.
-        from afrelay.design import _floored_inv_sqrt
-        from afrelay.linalg import _rebuild
-
+        # The whitening is read from the eigensystems the error statistics
+        # kept when they were validated: no Hermitian eigendecomposition,
+        # of exact or of sampled knowledge.  A zero error covariance
+        # leaves sigma^2 I to whiten, and its kept q = I gives exactly
+        # sigma^{-1} I.
         design_mod = importlib.import_module("afrelay.design")
         cfg, know, _ = make_instance(43)
         naive = exact_knowledge(know.est_sr, know.est_rd)
-        calls, whitenings = [], []
-        real_eigh, real_whitening = np.linalg.eigh, design_mod._whitening
-
-        def whitening(cfg, know):
-            monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m) or real_eigh(m))
-            try:
-                whitenings.append(real_whitening(cfg, know))
-                return whitenings[-1]
-            finally:
-                monkeypatch.setattr(np.linalg, "eigh", real_eigh)
-
-        monkeypatch.setattr(design_mod, "_whitening", whitening)
-        sol = design(cfg, naive)
-        assert len(whitenings) == 1 and calls == []
-        assert sol.spectral.whiten_sr.tobytes() == whitenings[0][0].tobytes()
-        design(cfg, know)
-        assert len(whitenings) == 2 and len(calls) == 2
-        for whiten, m, noise in zip(whitenings[0], (
-            cfg.p_s * naive.stats_sr.col_cov + cfg.sigma1_sq * np.eye(cfg.n_s),
-            cfg.p_r * naive.stats_rd.row_cov + cfg.sigma2_sq * np.eye(cfg.m_d),
-        ), (cfg.sigma1_sq, cfg.sigma2_sq)):
-            assert np.array_equal(m, noise * np.eye(len(m)))
-            w, q = real_eigh(m)
-            decomposed = _rebuild(q, np.sqrt(np.maximum(w, noise)), inverse=True)
-            assert whiten.dtype == decomposed.dtype
-            assert whiten.tobytes() == _floored_inv_sqrt(m, noise).tobytes()
-            assert whiten.tobytes() == decomposed.tobytes()
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            real = getattr(np.linalg, name)
+            monkeypatch.setattr(np.linalg, name, lambda m, real=real: calls.append(m) or real(m))
+        exact_sr = spectral_decompose(cfg, naive).whiten_sr
+        sampled = (spectral_decompose(cfg, know).whiten_sr, *design_mod._whitening(cfg, know))
+        assert calls == []
+        assert exact_sr.tobytes() == (np.eye(cfg.n_s) / np.sqrt(cfg.sigma1_sq)).astype(complex).tobytes()
+        assert np.array_equal(sampled[0], sampled[1])
+        for whiten, b in zip(sampled[1:], (
+            cfg.p_s * know.c_sr * know.stats_sr.col_cov + cfg.sigma1_sq * np.eye(cfg.n_s),
+            cfg.p_r * know.c_rd * know.stats_rd.row_cov + cfg.sigma2_sq * np.eye(cfg.m_d),
+        )):
+            assert np.abs(whiten @ b @ whiten - np.eye(len(b))).max() <= 1e-12
 
     @pytest.mark.parametrize("per_draw", [False, True])
     def test_whitening_carries_the_draw_axis(self, per_draw):

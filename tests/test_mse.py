@@ -313,11 +313,21 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(make_config(), **{name: value})
 
+    def test_configs_compare_by_identity(self):
+        # The generated field-wise __eq__ compared the weight arrays and
+        # raised "truth value of an array ... is ambiguous".
+        cfg = make_config()
+        assert (cfg == cfg) is True
+        assert (dataclasses.replace(cfg) == cfg) is False
+        assert (dataclasses.replace(cfg) != cfg) is True
 
-@pytest.mark.parametrize("scale", [1e200, 1e-150, 1e-170, 1.0])
+
+@pytest.mark.parametrize("scale", [1e200, 1e-150, 1e-170, 1.0, 1e-290, 1e-300, 1e-305])
 def test_the_solve_check_verifies_at_any_scale(monkeypatch, scale):
     # At 1e200 the squared norms overflow: the bound read inf and passed
-    # any x.  At 1e-170 they underflow.  Warnings are errors here.
+    # any x.  At 1e-170 they underflow.  At 1e-305 the bound is below
+    # 1e-300, where a floor on it once passed any x.  Warnings are errors
+    # here.
     from afrelay import mse
 
     rng = np.random.default_rng(0)

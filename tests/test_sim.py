@@ -442,7 +442,7 @@ class TestRunExperiment:
         assert failures == {
             (40.0, "naive"): {"numerical": 1}, (40.0, "robust_full"): {},
             (40.0, "robust_nopre"): {}, (200.0, "naive"): {},
-            (200.0, "robust_full"): {"numerical": 1}, (200.0, "robust_nopre"): {"numerical": 1},
+            (200.0, "robust_full"): {"numerical": 2}, (200.0, "robust_nopre"): {"numerical": 1},
         }
         monkeypatch.setattr(sim_mod, "CHUNK_DRAWS", 1)
         sizes.clear()
