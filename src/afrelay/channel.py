@@ -55,21 +55,25 @@ class ErrorStats:
     ``col_cov`` the transmit-side correlation (size = channel columns).
     Each is a matrix shared by every draw of a knowledge stack, or a
     (B, n, n) stack, one per draw, validated draw by draw by one eigh,
-    whose eigensystem is kept (:meth:`eig`, :meth:`root`).  The scale of
-    an identity side is tested once per object, on first use.  Equality
-    is identity: no field-wise comparison of arrays.
+    whose eigensystem is kept (:meth:`eig`, :meth:`root`) and sliced or
+    joined with it.  The scale of an identity side is tested once per
+    object, on first use.  Equality is identity: no field-wise comparison
+    of arrays.
     """
 
     row_cov: np.ndarray
     col_cov: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "_eigs", {})
-        for name in ("row_cov", "col_cov"):
-            h, w, q = _as_psd(getattr(self, name), name)
-            object.__setattr__(self, name, h)
-            self._eigs[name] = (w, q)
-        object.__setattr__(self, "_scales", {})
+        self._of(*map(_as_psd, (self.row_cov, self.col_cov), ("row_cov", "col_cov")), into=self)
+
+    @classmethod
+    def _of(cls, row, col, into=None) -> "ErrorStats":
+        """Set ``into`` (or a new object) from each side's ``_as_psd`` (h, w, q): the one setter."""
+        stats = object.__new__(cls) if into is None else into
+        vars(stats).update(row_cov=row[0], col_cov=col[0], _scales={},
+                           _kept={"row_cov": row, "col_cov": col})
+        return stats
 
     @property
     def rows(self) -> int:
@@ -82,11 +86,11 @@ class ErrorStats:
     def eig(self, side: str):
         """(w, q) of ``side`` ("row_cov" or "col_cov"), cov = q diag(w) q^H,
         w nondecreasing and clamped at 0: (n,), (n, n) or per draw (B, ...)."""
-        return self._eigs[side]
+        return self._kept[side][1:]
 
     def root(self, side: str) -> np.ndarray:
         """q diag(w^{1/2}) q^H of ``side``: ``herm_sqrt``'s bytes, no eigh."""
-        w, q = self._eigs[side]
+        _, w, q = self._kept[side]
         return _rebuild(q, np.sqrt(w))
 
     def _scale(self, side: str, name: str):
@@ -96,11 +100,16 @@ class ErrorStats:
         return self._scales[side]
 
     def _select(self, index) -> "ErrorStats":
-        """These statistics for the draws ``index`` of a stack."""
+        """These statistics for the draws ``index`` of a stack, eigensystems alike."""
         if self.row_cov.ndim == 2 and self.col_cov.ndim == 2:
             return self
-        return ErrorStats(*(cov if cov.ndim == 2 else cov[index]
-                            for cov in (self.row_cov, self.col_cov)))
+        return ErrorStats._of(*(kept if kept[0].ndim == 2 else tuple(a[index] for a in kept)
+                                for kept in self._kept.values()))
+
+
+def _eye_psd(n: int, c: float = 1.0):
+    """``_as_psd`` of c I (c = 0 or 1), whose eigh gives exactly (c, I)."""
+    return c * np.eye(n, dtype=np.complex128), np.full(n, c), np.eye(n, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -203,16 +212,17 @@ class ChannelKnowledge:
 
         A hop whose statistics object every part shares keeps it (and the
         scales it has tested); otherwise that hop's statistics are given
-        draw by draw, validated as any new :class:`ErrorStats` is.
+        draw by draw, joined from the parts' with their kept eigensystems.
         """
         parts = [p.as_stack() for p in parts]
 
         def joined(stats):
             if all(s is stats[0] for s in stats):
                 return stats[0]
-            return ErrorStats(*(np.concatenate([
-                np.broadcast_to(c, p.est_sr.shape[:1] + c.shape[-2:]) for p, c in zip(parts, covs)
-            ]) for covs in ([s.row_cov for s in stats], [s.col_cov for s in stats])))
+            sides = zip(*(s._kept.values() for s in stats))  # h, w, q: 2, 1, 2 core axes
+            return ErrorStats._of(*(tuple(np.concatenate([
+                np.broadcast_to(a, (len(p.est_sr), *a.shape[-k:])) for p, a in zip(parts, arrays)
+            ]) for k, arrays in zip((2, 1, 2), zip(*kept))) for kept in sides))
 
         return cls(
             np.concatenate([p.est_sr for p in parts]),
@@ -277,7 +287,7 @@ def error_stats_first_hop(t: HopTraining, n_s: int, m_r: int) -> ErrorStats:
             f"got {t.training.shape[0]}"
         )
     col = _mmse_error_cov(t.training @ t.training.conj().T, 1 / t.channel_var, 1 / t.noise_var)
-    return ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=col)
+    return ErrorStats._of(_eye_psd(m_r), _as_psd(col, "col_cov"))
 
 
 def error_stats_second_hop(t: HopTraining, n_r: int, m_d: int) -> ErrorStats:
@@ -296,7 +306,7 @@ def error_stats_second_hop(t: HopTraining, n_r: int, m_d: int) -> ErrorStats:
             f"got {t.training.shape[0]}"
         )
     row = _mmse_error_cov(t.training @ t.training.conj().T, 1 / t.channel_var, 1 / t.noise_var)
-    return ErrorStats(row_cov=row, col_cov=np.eye(n_r, dtype=np.complex128))
+    return ErrorStats._of(_as_psd(row, "row_cov"), _eye_psd(n_r))
 
 
 def estimation_stats(
@@ -313,16 +323,13 @@ def estimation_stats(
     if not snr_est >= 0:
         raise ValueError(f"snr_est must be nonnegative, got {snr_est}")
     psi_sr, sigma_rd = (_mmse_error_cov(exp_corr(alpha, n), 1.0, snr_est) for n in (n_s, m_d))
-    stats_sr = ErrorStats(row_cov=np.eye(m_r, dtype=np.complex128), col_cov=psi_sr)
-    stats_rd = ErrorStats(row_cov=sigma_rd, col_cov=np.eye(n_r, dtype=np.complex128))
-    return stats_sr, stats_rd
+    return (ErrorStats._of(_eye_psd(m_r), _as_psd(psi_sr, "col_cov")),
+            ErrorStats._of(_as_psd(sigma_rd, "row_cov"), _eye_psd(n_r)))
 
 
 def exact_knowledge(h_sr, h_rd) -> ChannelKnowledge:
-    """Knowledge object that treats the given channels (or stacks) as error-free."""
-    h_sr = np.asarray(h_sr, dtype=np.complex128)
-    h_rd = np.asarray(h_rd, dtype=np.complex128)
-    zero = [ErrorStats(*(np.zeros((n, n)) for n in h.shape[-2:])) for h in (h_sr, h_rd)]
+    """Knowledge that treats the channels (or stacks) as error-free, with no eigh."""
+    zero = [ErrorStats._of(*(_eye_psd(n, 0.0) for n in np.shape(h)[-2:])) for h in (h_sr, h_rd)]
     return ChannelKnowledge(h_sr, h_rd, *zero)
 
 

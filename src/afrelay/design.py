@@ -277,9 +277,7 @@ def weight_eigensystem(w) -> OrderedHermitianEig:
     """Eigendecomposition of the PSD weighting matrix, values nonincreasing."""
     eig = eig_hermitian_ordered(w)
     _check_psd(eig.values[..., ::-1], "weight")
-    return OrderedHermitianEig(
-        vectors=eig.vectors, values=np.clip(eig.values, 0.0, None)
-    )
+    return replace(eig, values=np.clip(eig.values, 0.0, None))
 
 
 def _whitening(cfg: SystemConfig, know: ChannelKnowledge):

@@ -103,8 +103,10 @@ def _ct(a: np.ndarray) -> np.ndarray:
 
 
 def _herm(a: np.ndarray) -> np.ndarray:
-    """Hermitian part (a + a^H) / 2 of a matrix or of every matrix in a stack."""
-    return 0.5 * (a + _ct(a))
+    """Hermitian part a/2 + a^H/2 of a matrix or of every matrix in a stack,
+    halved first so that no sum overflows."""
+    half = 0.5 * a
+    return half + _ct(half)
 
 
 def _rows(obj, index):
@@ -154,14 +156,17 @@ def _as_hermitian(m, name: str = "matrix") -> np.ndarray:
     a = _as_matrix(m, name)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"{name} must be square, got shape {a.shape}")
-    skew, norm = _fro_norms(a - _ct(a), a)
+    # Skew and Hermitian parts of the halved matrix: no difference or sum
+    # overflows, and halving keeps the ratio of the two norms.
+    half = 0.5 * a
+    skew, norm = _fro_norms(half - _ct(half), half)
     bad = skew > HERMITIAN_RTOL * norm
     if bad.any():
         raise NotHermitianError(
-            f"{name} is not Hermitian{_first_bad(bad)}: ||m - m^H|| = "
-            f"{float(np.max(skew)):.3e} exceeds {HERMITIAN_RTOL:g} * ||m||"
+            f"{name} is not Hermitian{_first_bad(bad)}: ||m - m^H|| / 2 = "
+            f"{float(np.max(skew)):.3e} exceeds {HERMITIAN_RTOL:g} * ||m|| / 2"
         )
-    return _herm(a)
+    return half + _ct(half)
 
 
 def _phase_factors(cols: np.ndarray) -> np.ndarray:
@@ -249,8 +254,11 @@ def _rebuild(q: np.ndarray, d: np.ndarray, inverse: bool = False) -> np.ndarray:
 
 def _check_psd(w: np.ndarray, name: str = "matrix") -> None:
     """Raise :class:`NotPSDError` unless the nondecreasing eigenvalues
-    ``w`` (of a matrix or stack) are above -PSD_CLAMP_RTOL * ||m||."""
+    ``w`` (of a matrix or stack) are finite and above -PSD_CLAMP_RTOL * ||m||."""
     if w.size:
+        bad = ~np.isfinite(w).all(axis=-1)
+        if bad.any():
+            raise NotPSDError(f"{name} has a non-finite eigenvalue{_first_bad(bad)}")
         scale = np.maximum(-w[..., 0], w[..., -1])
         bad = w[..., 0] < -PSD_CLAMP_RTOL * scale
         if bad.any():
@@ -264,7 +272,7 @@ def _as_psd(m, name: str = "matrix"):
     """(h, w, q): the Hermitian part h of ``m`` (a matrix or stack), checked
     Hermitian within HERMITIAN_RTOL and PSD within PSD_CLAMP_RTOL by one
     eigh, h = q diag(w) q^H with w nondecreasing and clamped at 0 (q = I
-    for h = 0).  The one validator of covariances and weights."""
+    for h = 0).  The one validator of covariances and of a spec's weights."""
     h = _as_hermitian(m, name)
     w, q = np.linalg.eigh(h)
     _check_psd(w, name)

@@ -43,7 +43,7 @@ from functools import cached_property
 import numpy as np
 
 from .channel import ChannelKnowledge
-from .linalg import _as_psd, _ct, _fro_norms, _herm, _rebuild
+from .linalg import _as_hermitian, _ct, _fro_norms, _herm, _rebuild
 
 __all__ = [
     "SystemConfig",
@@ -67,8 +67,12 @@ _SOLVE_BACKWARD_RTOL = 1e-12
 class SystemConfig:
     """Antenna counts, stream count, powers, noise variances, weighting.
 
-    ``weight`` is the N x N Hermitian PSD matrix of the weighted-MSE
-    objective tr(W E).  Equality is identity, as for ``ErrorStats``.
+    Counts are integers, powers and noise variances positive finite
+    numbers, never booleans.  ``weight`` is the N x N Hermitian PSD matrix
+    of the weighted-MSE objective tr(W E), stored as its Hermitian part and
+    validated by its one decomposition, kept as ``weight_eig``
+    (``design.weight_eigensystem``), with ``weight_half`` = W^{1/2} rebuilt
+    from it.  Equality is identity, as for ``ErrorStats``.
     """
 
     n_s: int
@@ -83,6 +87,12 @@ class SystemConfig:
     weight: np.ndarray
 
     def __post_init__(self):
+        from .design import weight_eigensystem  # design imports this module
+
+        for name in ("n_s", "m_r", "n_r", "m_d", "n_streams"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name} must be an integer count, got {value!r}")
         dims = (self.n_s, self.m_r, self.n_r, self.m_d)
         if any(d < 1 for d in dims) or self.n_streams < 1:
             raise ValueError("antenna and stream counts must be >= 1")
@@ -92,26 +102,16 @@ class SystemConfig:
             )
         for name in ("p_s", "p_r", "sigma1_sq", "sigma2_sq"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be positive and finite")
-        w = np.asarray(self.weight, dtype=np.complex128)
-        if w.shape != (self.n_streams, self.n_streams):
+            if isinstance(value, bool) or not (np.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if np.shape(self.weight) != (self.n_streams, self.n_streams):
             raise ValueError(
-                f"weight must be {self.n_streams}x{self.n_streams}, got {w.shape}"
+                f"weight must be {self.n_streams}x{self.n_streams}, got {np.shape(self.weight)}"
             )
-        object.__setattr__(self, "weight", _as_psd(w, "weight")[0])
-
-    @cached_property
-    def weight_half(self) -> np.ndarray:
-        """W^{1/2}, rebuilt once per config from W's eigensystem."""
-        return _rebuild(self.weight_eig.vectors, np.sqrt(self.weight_eig.values))
-
-    @cached_property
-    def weight_eig(self):
-        """``design.weight_eigensystem`` of W, computed once per config."""
-        from .design import weight_eigensystem
-
-        return weight_eigensystem(self.weight)
+        h = _as_hermitian(self.weight, "weight")
+        eig = weight_eigensystem(h)
+        vars(self).update(weight=h, weight_eig=eig,
+                          weight_half=_rebuild(eig.vectors, np.sqrt(eig.values)))
 
 
 @dataclass(frozen=True)

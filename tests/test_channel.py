@@ -378,9 +378,10 @@ class TestKnowledgeStacks:
             channel_mod, "_as_psd", lambda m, name="matrix": validations.append(name) or real(m, name)
         )
         mixed = ChannelKnowledge.concat(parts)
-        # Each per-draw covariance is validated once, and each identity
-        # side tested once, for all draws at a time.
-        assert validations == ["row_cov", "col_cov"] * 2
+        # The per-draw covariances join the parts' validated ones, with no
+        # new validation, and each identity side is tested once, for all
+        # draws at a time.
+        assert validations == []
         mixed.c_sr, mixed.c_rd, mixed.c_sr
         assert calls == ["stats_sr.row_cov", "stats_rd.col_cov"]
         assert mixed.est_sr.shape == (4, 4, 3) and mixed.est_rd.shape == (4, 3, 2)
@@ -465,8 +466,33 @@ class TestKeptEigensystem:
                     assert np.allclose(rebuilt, cov, rtol=0.0, atol=1e-14)
                     assert stats.root(side).tobytes() == herm_sqrt(cov).tobytes()
 
+    def test_joined_sliced_and_identity_statistics_keep_the_decomposition_bytes(self):
+        # Statistics built without a decomposition (a concat of a concat, a
+        # select of a select, zero statistics, the known identity sides)
+        # keep the (w, q) and the roots that decomposing them gives.
+        from afrelay.linalg import _as_psd, herm_sqrt
+
+        cfg = make_config(dims=(3, 4, 2, 3), n_streams=2)
+        parts = _point_stacks(cfg, (0.01, 1e6))
+        mixed = ChannelKnowledge.concat(parts)
+        nested = ChannelKnowledge.concat([mixed, parts[1], mixed.select([2])])
+        assert nested.stats_sr.col_cov.shape == (7, 3, 3)
+        twice = mixed.select([3, 0, 2]).select(slice(1, 3))
+        zero = exact_knowledge(np.ones((2, 3, 4)), np.ones((2, 4, 2)))
+        knows = (nested, nested.select(4), twice, twice.select(0), zero)
+        stats = [s for know in knows for s in (know.stats_sr, know.stats_rd)]
+        stats += [*estimation_stats(10.0, 0.3, 3, 4, 2, 3), *estimation_stats(0.0, 0.0, 1, 1, 1, 1)]
+        t = HopTraining(complex_gaussian(np.random.default_rng(2), 3, 5), 1.0, 0.1)
+        stats += [error_stats_first_hop(t, 3, 4), error_stats_second_hop(t, 2, 3)]
+        for one in stats:
+            for side in ("row_cov", "col_cov"):
+                cov = getattr(one, side)
+                _, w, q = _as_psd(cov)
+                assert [a.tobytes() for a in one.eig(side)] == [w.tobytes(), q.tobytes()]
+                assert one.root(side).tobytes() == herm_sqrt(cov).tobytes()
+
     def test_zero_covariances_keep_the_identity(self):
-        for n in range(1, 6):
+        for n in range(1, 9):
             stats = exact_knowledge(np.ones((n, n)), np.ones((n, n))).stats_sr
             for side in ("row_cov", "col_cov"):
                 w, q = stats.eig(side)
@@ -474,8 +500,9 @@ class TestKeptEigensystem:
 
     def test_sampling_decomposes_only_the_estimate_covariances(self, monkeypatch):
         # Per stack: two eighs in the MMSE error covariances, one per
-        # validated side (four) and one per estimate covariance's root
-        # (two); the four error-side roots come from the kept eigensystems.
+        # validated non-identity side (two) and one per estimate
+        # covariance's root (two); the four error-side roots come from the
+        # kept eigensystems, and the identity sides' are known.
         import afrelay.channel as channel_mod
 
         cfg = make_config()
@@ -486,4 +513,4 @@ class TestKeptEigensystem:
             real = getattr(np.linalg, name)
             monkeypatch.setattr(np.linalg, name, lambda m, real=real: decompositions.append(m) or real(m))
         sample_scenario_stack(cfg, 10.0, 0.3, [np.random.default_rng(i) for i in range(3)])
-        assert len(roots) == 2 and len(decompositions) == 8
+        assert len(roots) == 2 and len(decompositions) == 6

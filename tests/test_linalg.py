@@ -157,6 +157,31 @@ class TestEigHermitianOrdered:
         with pytest.raises(NotHermitianError):
             eig_hermitian_ordered(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_hermitian_and_skew_parts_near_the_largest_double(self):
+        # Halving comes before the sum and the difference, so neither
+        # overflows: a skew matrix near 1e308 is refused and a Hermitian
+        # one kept bit for bit, with no RuntimeWarning.
+        h = 1e308 * np.array([[1.0, 0.5j], [-0.5j, 1.0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotHermitianError):
+                eig_hermitian_ordered(1e308 * np.array([[1.0, -1.0], [1.0, 1.0]]))
+            assert linalg_mod._as_hermitian(h).tobytes() == h.tobytes()
+
+    def test_hermitian_part_keeps_the_bits_of_the_plain_average(self):
+        rng = np.random.default_rng(3)
+        for scale in (1e-300, 1e-10, 1.0, 1e10, 1e300):
+            a = scale * _rand_complex(rng, 5, 5)
+            assert linalg_mod._herm(a).tobytes() == (0.5 * (a + a.conj().T)).tobytes()
+
+    def test_refuses_non_finite_eigenvalues(self):
+        # Finite entries whose eigenvalue overflows: eigh returns inf.
+        big = 1e308 * np.ones((2, 2))
+        with pytest.raises(NotPSDError, match="weight has a non-finite eigenvalue"):
+            linalg_mod._as_psd(big, "weight")
+        with pytest.raises(NotPSDError, match=r"non-finite eigenvalue \(stack entry 1\)"):
+            herm_sqrt(np.stack([np.eye(2), big]))
+
 
 class TestHermSqrt:
     def test_identity(self):

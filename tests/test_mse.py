@@ -313,6 +313,20 @@ class TestSystemConfigValidation:
         with pytest.raises(ValueError, match=name):
             dataclasses.replace(make_config(), **{name: value})
 
+    @pytest.mark.parametrize("name,value", [
+        ("m_r", 4.5), ("n_streams", 4.0), ("n_streams", np.float64(4.0)), ("n_s", True),
+        ("m_d", False), ("p_s", True), ("sigma2_sq", True),
+    ])
+    def test_counts_are_integers_and_no_number_is_a_boolean(self, name, value):
+        # m_r = 4.5 and n_streams = 4.0 failed later, in numpy; True was 1.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            dataclasses.replace(make_config(), **{name: value})
+        assert dataclasses.replace(make_config(), m_r=np.int64(4)).m_r == 4
+
+    def test_a_weight_whose_eigenvalue_overflows_is_refused(self):
+        with pytest.raises(ValueError, match="weight has a non-finite eigenvalue"):
+            make_config(dims=(2, 2, 2, 2), n_streams=2, weight=1e308 * np.ones((2, 2)))
+
     def test_configs_compare_by_identity(self):
         # The generated field-wise __eq__ compared the weight arrays and
         # raised "truth value of an array ... is ambiguous".

@@ -1,11 +1,12 @@
 import dataclasses
 import json
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
 
-from afrelay.channel import exact_knowledge, sample_scenario_stack
+from afrelay.channel import ChannelKnowledge, exact_knowledge, sample_scenario_stack
 from afrelay.cli import cli_main
 from afrelay.design import DesignOptions, design
 from afrelay.sim import (
@@ -747,6 +748,71 @@ class TestRunExperiment:
         assert cli_main(["--config", str(path), "--out", str(out)]) == 0
         rows = out.read_text(encoding="utf-8").splitlines()[2:]
         assert len(rows) == 15
+
+
+def count_eigh(monkeypatch) -> list:
+    """One entry per ``np.linalg.eigh`` call from now on: the number of
+    matrices it decomposes."""
+    calls = []
+    real = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(int(np.prod(np.shape(a)[:-2])))
+        return real(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestWeightsNearTheLargestDouble:
+    def test_a_finite_weight_stays_finite(self):
+        # The Hermitian part once summed W + W^H, which overflowed to
+        # diag(inf + nan j), and the PSD check passed the NaN eigenvalues.
+        spec = ExperimentSpec(dims=(2, 2, 2, 2), n_streams=2, est_snr_db=(10.0,),
+                              weights=[1e308, 1e308])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cfg = system_config(spec)
+        assert cfg.weight.tobytes() == np.diag([1e308, 1e308]).astype(complex).tobytes()
+        assert np.array_equal(cfg.weight_eig.values, [1e308, 1e308])
+
+    def test_a_weight_whose_eigenvalue_overflows_is_refused(self):
+        with pytest.raises(ConfigError, match="weights has a non-finite eigenvalue"):
+            tiny_spec(weights=[[1e308, 1e308], [1e308, 1e308]])
+
+
+class TestDecompositionCounts:
+    # Each matrix is decomposed at most once, and one whose eigensystem is
+    # known (a kept one, sliced or joined, or that of 0 or I) not at all.
+    def test_a_config_decomposes_its_weight_once(self, monkeypatch):
+        spec = ExperimentSpec.from_json(CONFIG_PATH)
+        calls = count_eigh(monkeypatch)
+        cfg = system_config(spec)
+        cfg.weight_eig, cfg.weight_half, cfg.weight_eig
+        assert calls == [1]
+
+    def test_joined_sliced_and_exact_knowledge_decompose_nothing(self, monkeypatch):
+        cfg = system_config(ExperimentSpec.from_json(CONFIG_PATH))
+        parts = [sample_scenario_stack(cfg, snr, 0.3, [np.random.default_rng(i) for i in range(3)])[0]
+                 for snr in (1.0, 100.0)]
+        calls = count_eigh(monkeypatch)
+        mixed = ChannelKnowledge.concat(parts)
+        assert mixed.stats_sr.col_cov.shape == (6, 4, 4)
+        mixed.select(1), mixed.select([4, 0]).select(1), ChannelKnowledge.concat([mixed, parts[0]])
+        exact_knowledge(mixed.est_sr, mixed.est_rd), exact_knowledge(np.ones((4, 4)), np.ones((4, 4)))
+        assert calls == []
+
+    def test_a_default_config_job_decomposes_each_matrix_once(self, monkeypatch):
+        # 40 keys over 5 points: W once, then per point two eighs of
+        # R_alpha, one validation per non-identity error side and one
+        # root per estimate covariance.
+        import afrelay.sim as sim_mod
+
+        spec = dataclasses.replace(ExperimentSpec.from_json(CONFIG_PATH), n_channel_draws=8)
+        keys = [(point, draw) for point in range(5) for draw in range(8)]
+        calls = count_eigh(monkeypatch)
+        sim_mod._run_job(spec, keys)
+        assert (len(calls), sum(calls)) == (31, 31)
 
 
 class TestEmitCsv:
